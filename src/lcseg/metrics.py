@@ -148,14 +148,14 @@ def rand_index(pred: np.ndarray, truth: np.ndarray) -> float:
 # SSIM
 # ---------------------------------------------------------------------------
 
-_SSIM_WINDOW = 11
+SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_C1 = (0.01 * 255.0) ** 2
 _SSIM_C2 = (0.03 * 255.0) ** 2
 
 
 def _gaussian_taps() -> np.ndarray:
-    half = _SSIM_WINDOW // 2
+    half = SSIM_WINDOW // 2
     xs = np.arange(-half, half + 1, dtype=np.float64)
     g = np.exp(-(xs ** 2) / (2.0 * _SSIM_SIGMA ** 2))
     return g / g.sum()
@@ -164,7 +164,7 @@ def _gaussian_taps() -> np.ndarray:
 def _gaussian_filter(img: np.ndarray) -> np.ndarray:
     """Separable Gaussian window sum with mirror boundary extension."""
     taps = _gaussian_taps()
-    half = _SSIM_WINDOW // 2
+    half = SSIM_WINDOW // 2
     p = np.pad(img, half, mode="reflect")
     rows = np.zeros_like(img, dtype=np.float64)
     for k, off in enumerate(range(-half, half + 1)):
@@ -186,8 +186,8 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     x = as_gray(a).astype(np.float64)
     y = as_gray(b).astype(np.float64)
     _check_same_shape(x, y, "images")
-    if x.shape[0] < _SSIM_WINDOW or x.shape[1] < _SSIM_WINDOW:
-        raise ValueError(f"ssim needs images of at least {_SSIM_WINDOW}x{_SSIM_WINDOW}")
+    if x.shape[0] < SSIM_WINDOW or x.shape[1] < SSIM_WINDOW:
+        raise ValueError(f"ssim needs images of at least {SSIM_WINDOW}x{SSIM_WINDOW}")
     mu_x = _gaussian_filter(x)
     mu_y = _gaussian_filter(y)
     xx = _gaussian_filter(x * x) - mu_x * mu_x

@@ -80,6 +80,12 @@ def scale_to_255(surface: np.ndarray) -> np.ndarray:
     return (surface - lo) / (hi - lo) * 255.0
 
 
+# Smallest ROI the later stages accept: the watershed's 3x3 Sobel kernel,
+# and with truth given also the metrics' SSIM window.
+_MIN_ROI = 3
+_MIN_ROI_WITH_TRUTH = metrics.SSIM_WINDOW
+
+
 def run_pipeline(
     image: np.ndarray,
     truth: np.ndarray | None,
@@ -89,9 +95,20 @@ def run_pipeline(
 
     When a ROI is configured, ``truth`` may match either the full input
     or the cropped frame.  A degenerate segmentation (single-class mask)
-    sets the ``degenerate`` flag rather than failing.
+    sets the ``degenerate`` flag rather than failing.  A ROI too small
+    for the watershed (or, with truth, for SSIM) fails in the ``input``
+    stage, before any other stage runs.
     """
     img = as_gray(image)
+
+    with _stage("input"):
+        if truth is None:
+            need, user = _MIN_ROI, "the Sobel gradient"
+        else:
+            need, user = _MIN_ROI_WITH_TRUTH, "SSIM"
+        r = config.roi
+        if r is not None and (r.w < need or r.h < need):
+            raise ValueError(f"ROI {r.w}x{r.h} is below the {need}x{need} minimum of {user}")
 
     with _stage("wavelet"):
         pyramid = iuwt_decompose(img, config.wavelet_levels)

@@ -27,10 +27,6 @@ __all__ = [
     "mask_boundary",
 ]
 
-# 4-neighborhood in fixed scan order: up, left, right, down.
-_NEIGHBORS = ((-1, 0), (0, -1), (0, 1), (1, 0))
-
-
 @dataclass(frozen=True)
 class WatershedParams:
     """Flooding options; connectivity is fixed to the 4-neighborhood."""
@@ -106,36 +102,44 @@ def regional_minima(surface: np.ndarray) -> tuple[np.ndarray, int]:
     """
     surf = np.asarray(surface, dtype=np.float64)
     h, w = surf.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    visited = np.zeros((h, w), dtype=bool)
-    next_label = 0
-    for sy in range(h):
-        for sx in range(w):
-            if visited[sy, sx]:
-                continue
-            value = surf[sy, sx]
-            stack = [(sy, sx)]
-            visited[sy, sx] = True
-            plateau = []
-            is_minimum = True
-            while stack:
-                y, x = stack.pop()
-                plateau.append((y, x))
-                for dy, dx in _NEIGHBORS:
-                    ny, nx = y + dy, x + dx
-                    if not (0 <= ny < h and 0 <= nx < w):
-                        continue
-                    nv = surf[ny, nx]
-                    if nv < value:
-                        is_minimum = False
-                    elif nv == value and not visited[ny, nx]:
-                        visited[ny, nx] = True
-                        stack.append((ny, nx))
-            if is_minimum:
-                next_label += 1
-                for y, x in plateau:
-                    labels[y, x] = next_label
-    return labels, next_label
+    n = h * w
+    index = np.arange(n).reshape(h, w)
+    # Equal-value links to the right and downward neighbor.
+    right = surf[:, :-1] == surf[:, 1:]
+    down = surf[:-1] == surf[1:]
+    a = np.concatenate((index[:, :-1][right], index[:-1][down]))
+    b = np.concatenate((index[:, 1:][right], index[1:][down]))
+
+    # Plateau labelling: hook the larger root of every link onto the
+    # smaller, then pointer-jump to stars, until every link is internal.
+    # Each plateau's root ends up as its smallest (row-major first) pixel.
+    root = np.arange(n)
+    while True:
+        ra = root[a]
+        rb = root[b]
+        cross = ra != rb
+        if not cross.any():
+            break
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+    lower = np.zeros((h, w), dtype=bool)
+    lower[1:] |= surf[:-1] < surf[1:]
+    lower[:-1] |= surf[1:] < surf[:-1]
+    lower[:, 1:] |= surf[:, :-1] < surf[:, 1:]
+    lower[:, :-1] |= surf[:, 1:] < surf[:, :-1]
+    not_minimum = np.zeros(n, dtype=bool)
+    not_minimum[root[lower.ravel()]] = True
+
+    is_minimum_root = (root == np.arange(n)) & ~not_minimum
+    number = np.cumsum(is_minimum_root, dtype=np.int32)
+    number[~is_minimum_root] = 0
+    return number[root].reshape(h, w), int(is_minimum_root.sum())
 
 
 def watershed_segment(
@@ -169,50 +173,68 @@ def watershed_segment(
     if not np.isfinite(surf).all():
         raise ValueError("surface must be finite")
     filled = h_minima(surf, params.h_min)
-    labels, count = regional_minima(filled)
+    markers, count = regional_minima(filled)
     h, w = filled.shape
 
-    queued = labels > 0
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-    for y in range(h):
-        for x in range(w):
-            if labels[y, x] == 0:
-                continue
-            for dy, dx in _NEIGHBORS:
-                ny, nx = y + dy, x + dx
-                if 0 <= ny < h and 0 <= nx < w and not queued[ny, nx]:
-                    queued[ny, nx] = True
-                    heapq.heappush(heap, (filled[ny, nx], seq, ny, nx))
-                    seq += 1
+    # Flat row-major lists with a one-pixel border labeled -1, so that
+    # the 4 neighbors of an image pixel p are p + offset, in the order
+    # up, left, right, down, with no bounds checks.
+    width = w + 2
+    size = (h + 2) * width
+    padded = np.pad(markers, 1, constant_values=-1).ravel()
+    labels = padded.tolist()
+    queued = (padded != 0).tolist()
+    marker_pixels = np.flatnonzero(padded > 0).tolist()
+    # Rule 3's (value, sequence) order as one integer key per entry:
+    # rank(value) * size**2 + sequence * size + pixel.  Equal values share
+    # a rank, so the sequence breaks their ties first-in first-out.
+    rank = np.unique(filled, return_inverse=True)[1].reshape(h, w)
+    rank = np.pad(rank, 1).ravel().tolist()
+    rank_step = size * size
+    up, left, right, down = -width, -1, 1, width
 
-    ridge = np.zeros((h, w), dtype=bool)
+    heap: list[int] = []
+    push = heapq.heappush
+    pop = heapq.heappop
+    seq_key = 0  # insertion sequence * size
+    for p in marker_pixels:
+        for q in (p + up, p + left, p + right, p + down):
+            if not queued[q]:
+                queued[q] = True
+                push(heap, rank[q] * rank_step + seq_key + q)
+                seq_key += size
+
+    popped = 0
     while heap:
-        _, _, y, x = heapq.heappop(heap)
-        claim = 0
-        conflict = False
-        for dy, dx in _NEIGHBORS:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w:
-                lab = labels[ny, nx]
-                if lab > 0:
-                    if claim == 0:
-                        claim = lab
-                    elif lab != claim:
-                        conflict = True
-        if claim != 0 and not conflict:
-            labels[y, x] = claim
-        else:
-            ridge[y, x] = True
-        for dy, dx in _NEIGHBORS:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w and not queued[ny, nx]:
-                queued[ny, nx] = True
-                heapq.heappush(heap, (filled[ny, nx], seq, ny, nx))
-                seq += 1
+        p = pop(heap) % size
+        popped += 1
+        a = labels[p + up]
+        b = labels[p + left]
+        c = labels[p + right]
+        d = labels[p + down]
+        claim = max(a, b, c, d)
+        if (
+            claim > 0
+            and (a <= 0 or a == claim)
+            and (b <= 0 or b == claim)
+            and (c <= 0 or c == claim)
+            and (d <= 0 or d == claim)
+        ):
+            labels[p] = claim
+        for q in (p + up, p + left, p + right, p + down):
+            if not queued[q]:
+                queued[q] = True
+                push(heap, rank[q] * rank_step + seq_key + q)
+                seq_key += size
 
-    assert count >= 1 and bool(((labels > 0) | ridge).all())
-    return labels
+    if count < 1 or len(marker_pixels) + popped != h * w:
+        raise RuntimeError(
+            f"flood left pixels undecided: {count} markers, "
+            f"{len(marker_pixels)} marker pixels + {popped} popped "
+            f"!= {h * w} pixels"
+        )
+    labels = np.asarray(labels, dtype=np.int32).reshape(h + 2, width)
+    return labels[1:-1, 1:-1].copy()
 
 
 def labels_to_mask(
@@ -263,18 +285,14 @@ def labels_to_mask(
             foreground[basin_ids] = binned > t
 
     mask = foreground[lab]
-    h, w = lab.shape
-    ridge_ys, ridge_xs = np.nonzero(lab == 0)
-    for y, x in zip(ridge_ys.tolist(), ridge_xs.tolist()):
-        fg = bg = 0
-        for dy, dx in _NEIGHBORS:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w and lab[ny, nx] > 0:
-                if foreground[lab[ny, nx]]:
-                    fg += 1
-                else:
-                    bg += 1
-        mask[y, x] = fg >= bg
+    # Ridge vote: count foreground and background basin neighbors of
+    # every pixel at once; the zero padding stands for "no basin".
+    fg_map = np.pad(mask, 1).astype(np.int8)
+    bg_map = np.pad((lab > 0) & ~mask, 1).astype(np.int8)
+    fg = fg_map[:-2, 1:-1] + fg_map[2:, 1:-1] + fg_map[1:-1, :-2] + fg_map[1:-1, 2:]
+    bg = bg_map[:-2, 1:-1] + bg_map[2:, 1:-1] + bg_map[1:-1, :-2] + bg_map[1:-1, 2:]
+    ridge = lab == 0
+    mask[ridge] = fg[ridge] >= bg[ridge]
     return mask
 
 

@@ -72,6 +72,36 @@ def test_pipeline_stage_error_is_tagged():
         run_pipeline(img, None, PipelineConfig())
 
 
+def _refuse_bat(*args, **kwargs):
+    raise AssertionError("the bat ran before the ROI was checked")
+
+
+def test_pipeline_small_roi_with_truth_fails_at_entry(monkeypatch):
+    from lcseg import bat
+
+    monkeypatch.setattr(bat, "optimize_threshold", _refuse_bat)
+    img, truth = generate_phantom(PhantomSpec(64, 64, 16, 5, 0.0, 1))
+    cfg = _fast_config(roi=RoiRect(4, 4, 8, 8))
+    with pytest.raises(PipelineError, match=r"\[input\].*11x11") as err:
+        run_pipeline(img, truth, cfg)
+    assert err.value.stage == "input"
+
+
+def test_pipeline_roi_below_sobel_fails_at_entry(monkeypatch):
+    from lcseg import bat
+
+    monkeypatch.setattr(bat, "optimize_threshold", _refuse_bat)
+    img, _ = generate_phantom(PhantomSpec(64, 64, 16, 5, 0.0, 1))
+    with pytest.raises(PipelineError, match=r"\[input\].*3x3"):
+        run_pipeline(img, None, _fast_config(roi=RoiRect(0, 0, 2, 40)))
+
+
+def test_pipeline_small_roi_without_truth_still_runs():
+    img, _ = generate_phantom(PhantomSpec(64, 64, 16, 5, 0.0, 1))
+    res = run_pipeline(img, None, _fast_config(roi=RoiRect(4, 4, 8, 8)))
+    assert res.mask.shape == (8, 8)
+
+
 def test_pipeline_threshold_override_mode():
     img, truth = generate_phantom(PhantomSpec(64, 64, 16, 5, 0.0, 3))
     res = run_pipeline(img, truth, _fast_config(basin_rule="threshold"))

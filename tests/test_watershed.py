@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+import lcseg.watershed
+from lcseg.bat import otsu_threshold
+from lcseg.config import PipelineConfig
 from lcseg.image import PhantomSpec, generate_phantom
+from lcseg.pipeline import scale_to_255
 from lcseg.watershed import (
     WatershedParams,
     gradient_magnitude,
@@ -159,6 +163,58 @@ def oracle_flood(surface, h_min=0.0):
     return labels
 
 
+def oracle_labels_to_mask(labels, image, fixed_threshold=None):
+    """Basin classification and per-ridge-pixel vote with loops (oracle).
+
+    Basin means are summed pixel by pixel in row-major order; the Otsu
+    rule splits the floored means at the lowest maximizer of the
+    between-class variance (all foreground when the floored means are
+    all equal, so that no split has positive variance).  Each
+    ridge pixel then counts its foreground and background basin
+    neighbors and is foreground on ties.
+    """
+    lab = np.asarray(labels)
+    img = np.asarray(image)
+    h, w = lab.shape
+    sums, counts = {}, {}
+    for y in range(h):
+        for x in range(w):
+            k = int(lab[y, x])
+            if k > 0:
+                sums[k] = sums.get(k, 0.0) + float(img[y, x])
+                counts[k] = counts.get(k, 0) + 1
+    means = {k: sums[k] / counts[k] for k in sums}
+    if fixed_threshold is not None:
+        foreground = {k: m >= fixed_threshold for k, m in means.items()}
+    else:
+        floored = {k: min(max(int(np.floor(m)), 0), 255) for k, m in means.items()}
+        hist = np.zeros(256, dtype=np.int64)
+        for v in floored.values():
+            hist[v] += 1
+        if len(set(floored.values())) < 2:
+            foreground = {k: True for k in floored}
+        else:
+            t = otsu_threshold(hist)
+            foreground = {k: v > t for k, v in floored.items()}
+    mask = np.zeros((h, w), dtype=bool)
+    for y in range(h):
+        for x in range(w):
+            k = int(lab[y, x])
+            if k > 0:
+                mask[y, x] = foreground[k]
+                continue
+            fg = bg = 0
+            for dy, dx in NEIGHBORS:
+                ny, nx = y + dy, x + dx
+                if 0 <= ny < h and 0 <= nx < w and lab[ny, nx] > 0:
+                    if foreground[int(lab[ny, nx])]:
+                        fg += 1
+                    else:
+                        bg += 1
+            mask[y, x] = fg >= bg
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # Gradient magnitude
 # ---------------------------------------------------------------------------
@@ -260,6 +316,60 @@ def test_regional_minima_matches_oracle():
         want, k_want = oracle_minima(surf)
         assert k_got == k_want
         assert np.array_equal(got, want)
+
+
+
+def _phantom_gradient():
+    img, _ = generate_phantom(PhantomSpec(32, 32, 32, 10, 20.0, 7))
+    return scale_to_255(gradient_magnitude(img))
+
+
+def _heavy_ties():
+    return np.random.default_rng(30).integers(0, 3, size=(24, 24)).astype(float)
+
+
+def _serpentine():
+    """A one-pixel-wide plateau winding through the top 15 rows.
+
+    Walls of mixed heights separate its runs; rough ground below it
+    holds the other minima, so the flood has basins to split.
+    """
+    rng = np.random.default_rng(31)
+    surf = rng.integers(1, 7, size=(21, 21)).astype(float)
+    surf[:15:2] = 0.0
+    for row in range(1, 15, 2):
+        surf[row, -1 if row % 4 == 1 else 0] = 0.0
+    return surf
+
+
+def _checkerboard():
+    ys, xs = np.mgrid[0:16, 0:16]
+    return ((ys + xs) % 2).astype(float)
+
+
+LARGE_SURFACES = {
+    "phantom_gradient": (_phantom_gradient, PipelineConfig().h_min),
+    "heavy_ties": (_heavy_ties, 0.0),
+    "serpentine": (_serpentine, 0.0),
+    "checkerboard": (_checkerboard, 0.0),
+}
+
+
+def test_serpentine_is_one_plateau():
+    surf = _serpentine()
+    labels, _ = regional_minima(surf)
+    assert labels[0, 0] == 1
+    assert np.array_equal(labels == 1, surf == 0)
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_SURFACES))
+def test_regional_minima_matches_oracle_at_scale(name):
+    make, h_min = LARGE_SURFACES[name]
+    surf = h_minima(make(), h_min)
+    got, k_got = regional_minima(surf)
+    want, k_want = oracle_minima(surf)
+    assert k_got == k_want >= 1
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +487,24 @@ def test_basins_are_connected_and_contain_their_marker():
         assert seen == cells
 
 
+@pytest.mark.parametrize("name", sorted(LARGE_SURFACES))
+def test_flood_matches_oracle_at_scale(name):
+    make, h_min = LARGE_SURFACES[name]
+    surf = make()
+    got = watershed_segment(surf, WatershedParams(h_min))
+    assert got.dtype == np.int32
+    assert np.array_equal(got, oracle_flood(surf, h_min))
+
+
+def test_flood_without_markers_raises(monkeypatch):
+    def no_markers(surface):
+        return np.zeros(np.shape(surface), dtype=np.int32), 0
+
+    monkeypatch.setattr(lcseg.watershed, "regional_minima", no_markers)
+    with pytest.raises(RuntimeError, match="undecided"):
+        watershed_segment(np.zeros((5, 5)), WatershedParams(0.0))
+
+
 def test_rejects_non_finite_surface():
     surf = np.zeros((4, 4))
     surf[1, 1] = np.nan
@@ -448,6 +576,40 @@ def test_ridge_majority_follows_neighbors():
     assert mask[1, 1]  # fg majority 3-1
 
 
+def _random_label_map(rng, shape):
+    """Basins 1..9 with about 40% ridge, a ridge-lined border and a ridge
+    pixel whose four neighbors are all ridge."""
+    labels = rng.integers(1, 10, size=shape).astype(np.int32)
+    labels[rng.uniform(size=shape) < 0.4] = 0
+    labels[0, : shape[1] // 2] = 0
+    labels[:, -1] = 0
+    labels[2:5, 2:5] = 0
+    labels[6, 6] = 1  # at least one basin pixel
+    return labels
+
+
+@pytest.mark.parametrize("fixed_threshold", [None, 0, 100, 128, 255])
+def test_labels_to_mask_matches_oracle(fixed_threshold):
+    rng = np.random.default_rng(40 if fixed_threshold is None else fixed_threshold)
+    for _ in range(8):
+        shape = tuple(int(v) for v in rng.integers(8, 20, size=2))
+        labels = _random_label_map(rng, shape)
+        img = rng.integers(0, 256, size=shape).astype(np.uint8)
+        got = labels_to_mask(labels, img, fixed_threshold=fixed_threshold)
+        want = oracle_labels_to_mask(labels, img, fixed_threshold)
+        assert np.array_equal(got, want)
+        assert got[3, 3]  # no basin neighbor: the tie goes to foreground
+
+
+def test_labels_to_mask_matches_oracle_on_flooded_phantom():
+    img, _ = generate_phantom(PhantomSpec(32, 32, 32, 10, 20.0, 7))
+    labels = watershed_segment(_phantom_gradient(), WatershedParams(PipelineConfig().h_min))
+    assert (labels == 0).any()
+    for fixed_threshold in (None, 128):
+        got = labels_to_mask(labels, img, fixed_threshold=fixed_threshold)
+        assert np.array_equal(got, oracle_labels_to_mask(labels, img, fixed_threshold))
+
+
 def test_labels_to_mask_dimension_mismatch():
     with pytest.raises(ValueError):
         labels_to_mask(
@@ -457,7 +619,6 @@ def test_labels_to_mask_dimension_mismatch():
 
 def test_noise_free_phantom_end_to_end_mask():
     img, truth = generate_phantom(PhantomSpec(256, 256, 128, 96, 0.0, 5))
-    from lcseg.config import PipelineConfig
     from lcseg.pipeline import run_pipeline
 
     result = run_pipeline(img, truth, PipelineConfig())

@@ -12,10 +12,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bat, histeq, metrics, watershed as ws
+from . import bat, histeq, metrics
 from .config import PipelineConfig, load_config
-from .image import PhantomSpec, generate_phantom, read_pgm, write_overlay, write_pgm
-from .pipeline import PipelineError, run_pipeline, scale_to_255, write_outputs
+from .image import (
+    PhantomSpec,
+    generate_phantom,
+    read_pgm,
+    scale_to_255,
+    to_gray8,
+    write_overlay,
+    write_pgm,
+)
+from .pipeline import PipelineError, run_pipeline, segment, write_outputs
 from .wavelet import enhance_scales, iuwt_decompose
 
 EXIT_OK = 0
@@ -80,19 +88,10 @@ def _cmd_decompose(args) -> int:
         plane_dir = Path(args.dump_planes)
         plane_dir.mkdir(parents=True, exist_ok=True)
         for j, plane in enumerate(pyramid.details, start=1):
-            write_pgm(_rescale8(plane), plane_dir / f"detail_{j}.pgm")
-        write_pgm(_rescale8(pyramid.smooth), plane_dir / "smooth.pgm")
+            write_pgm(to_gray8(scale_to_255(plane)), plane_dir / f"detail_{j}.pgm")
+        write_pgm(to_gray8(scale_to_255(pyramid.smooth)), plane_dir / "smooth.pgm")
     print(f"wrote {args.out}")
     return EXIT_OK
-
-
-def _rescale8(plane: np.ndarray) -> np.ndarray:
-    lo, hi = plane.min(), plane.max()
-    if hi == lo:
-        return np.zeros(plane.shape, dtype=np.uint8)
-    return np.clip(np.floor((plane - lo) / (hi - lo) * 255.0 + 0.5), 0, 255).astype(
-        np.uint8
-    )
 
 
 def _cmd_optimize(args) -> int:
@@ -115,17 +114,15 @@ def _cmd_equalize(args) -> int:
 
 def _cmd_segment(args) -> int:
     image = read_pgm(args.input)
-    scaled = scale_to_255(ws.gradient_magnitude(image))
-    labels = ws.watershed_segment(scaled, ws.WatershedParams(h_min=args.h_min))
-    mask = ws.labels_to_mask(labels, image, fixed_threshold=args.fixed_threshold)
+    seg = segment(image, args.h_min, fixed_threshold=args.fixed_threshold)
     if args.out_labels:
-        write_pgm(np.minimum(labels, 255).astype(np.uint8), args.out_labels)
+        write_pgm(np.minimum(seg.labels, 255).astype(np.uint8), args.out_labels)
     if args.out_mask:
-        write_pgm(mask.astype(np.uint8) * 255, args.out_mask)
+        write_pgm(seg.mask.astype(np.uint8) * 255, args.out_mask)
     if args.out_overlay:
-        write_overlay(image, ws.mask_boundary(mask), args.out_overlay)
-    print(f"basins {labels.max()}")
-    if mask.all() or not mask.any():
+        write_overlay(image, seg.boundary, args.out_overlay)
+    print(f"basins {seg.labels.max()}")
+    if seg.degenerate:
         print("warning: degenerate segmentation (single-class mask)", file=sys.stderr)
         return EXIT_DEGENERATE
     return EXIT_OK
@@ -150,12 +147,8 @@ def _cmd_roc(args) -> int:
     truth = _read_mask(args.truth)
     baseline = read_pgm(args.baseline)
     opt_curve, base_curve = metrics.roc_sweep(score, truth, baseline)
-    Path(args.out_csv).write_text(
-        metrics.roc_csv(opt_curve, score, truth), encoding="utf-8"
-    )
-    Path(args.out_baseline_csv).write_text(
-        metrics.roc_csv(base_curve, baseline, truth), encoding="utf-8"
-    )
+    Path(args.out_csv).write_text(metrics.roc_csv(opt_curve), encoding="utf-8")
+    Path(args.out_baseline_csv).write_text(metrics.roc_csv(base_curve), encoding="utf-8")
     print(f"auc {opt_curve.auc:.6g}")
     print(f"baseline_auc {base_curve.auc:.6g}")
     return EXIT_OK

@@ -36,7 +36,6 @@ class PipelineConfig:
     roi: RoiRect | None = None
     h_min: float = 5.0
     basin_rule: str = "otsu"  # "otsu" or "threshold" (uses the bat threshold)
-    fixed_threshold: int = 128
     seed: int = 0
     output_dir: str = "out"
 
@@ -53,8 +52,6 @@ class PipelineConfig:
             raise ValueError("h_min must be non-negative")
         if self.basin_rule not in ("otsu", "threshold"):
             raise ValueError(f"unknown basin_rule {self.basin_rule!r}")
-        if not 0 <= self.fixed_threshold <= 255:
-            raise ValueError("fixed_threshold must lie in [0, 255]")
 
     def with_seed(self, seed: int) -> "PipelineConfig":
         return replace(self, seed=seed, bat=replace(self.bat, seed=seed))
@@ -74,7 +71,6 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
     ),
     "roi": ("x0", "y0", "w", "h"),
     "watershed": ("h_min", "basin_rule"),
-    "baseline": ("fixed_threshold",),
     "pipeline": ("seed", "output_dir"),
 }
 
@@ -137,7 +133,6 @@ def parse_config(text: str) -> PipelineConfig:
             roi=roi,
             h_min=float(get("watershed", "h_min", 5.0)),
             basin_rule=str(get("watershed", "basin_rule", "otsu")),
-            fixed_threshold=int(get("baseline", "fixed_threshold", 128)),
             seed=seed,
             output_dir=str(get("pipeline", "output_dir", "out")),
         )
@@ -187,9 +182,6 @@ def serialize_config(cfg: PipelineConfig) -> str:
         "[watershed]",
         f"h_min = {_fmt_float(cfg.h_min)}",
         f"basin_rule = {cfg.basin_rule}",
-        "",
-        "[baseline]",
-        f"fixed_threshold = {cfg.fixed_threshold}",
         "",
         "[pipeline]",
         f"seed = {cfg.seed}",

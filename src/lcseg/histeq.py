@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image import as_gray, round_half_up
+from .image import as_gray, to_gray8
 
 __all__ = ["histogram", "equalization_map", "equalize"]
 
@@ -28,8 +28,7 @@ def equalization_map(image: np.ndarray) -> np.ndarray:
     cdf_min = int(cdf[np.nonzero(hist)[0][0]])
     if total == cdf_min:
         return np.arange(256, dtype=np.uint8)
-    mapped = round_half_up((cdf - cdf_min) / (total - cdf_min) * 255.0)
-    return np.clip(mapped, 0, 255).astype(np.uint8)
+    return to_gray8((cdf - cdf_min) / (total - cdf_min) * 255.0)
 
 
 def equalize(image: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ __all__ = [
     "write_overlay",
     "crop",
     "generate_phantom",
-    "round_half_up",
+    "scale_to_255",
+    "to_gray8",
     "as_gray",
 ]
 
@@ -46,14 +47,24 @@ def as_gray(arr: np.ndarray) -> np.ndarray:
     return a
 
 
-def round_half_up(values: np.ndarray) -> np.ndarray:
-    """Round to nearest integer with .5 going up (towards +inf).
+def scale_to_255(surface: np.ndarray) -> np.ndarray:
+    """Affine rescale onto [0, 255] (float); constant surfaces map to 0."""
+    lo = surface.min()
+    hi = surface.max()
+    if hi == lo:
+        return np.zeros_like(surface)
+    return (surface - lo) / (hi - lo) * 255.0
 
-    Used everywhere the package quantizes floats onto the 8-bit grid so
-    that independently written oracles can reproduce results bit-exactly
-    (numpy's own ``round`` ties to even).
+
+def to_gray8(values: np.ndarray) -> np.ndarray:
+    """Quantize floats onto the 8-bit grid: round half up, clamp, uint8.
+
+    The one quantization rule of the package.  Ties go up (towards +inf)
+    so that independently written oracles can reproduce results
+    bit-exactly (numpy's own ``round`` ties to even).
     """
-    return np.floor(np.asarray(values, dtype=np.float64) + 0.5)
+    rounded = np.floor(np.asarray(values, dtype=np.float64) + 0.5)
+    return np.clip(rounded, 0, 255).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -223,5 +234,4 @@ def generate_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray]:
     base = np.where(mask, 200.0, 50.0)
     rng = np.random.default_rng(spec.rng_seed)
     noisy = base + rng.normal(0.0, spec.noise_sigma, size=base.shape)
-    image = np.clip(round_half_up(noisy), 0, 255).astype(np.uint8)
-    return image, mask
+    return to_gray8(noisy), mask

@@ -231,10 +231,17 @@ def full_report(
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Threshold-sweep operating points plus (0,0)/(1,1) anchors."""
+    """Threshold-sweep operating points plus (0,0)/(1,1) anchors.
+
+    ``fpr[t]`` and ``tpr[t]`` are the rates of predicting score >= t for
+    t in 0..255, in sweep order; ``points`` holds the same rates plus the
+    anchors, sorted by false-positive rate.
+    """
 
     points: tuple[tuple[float, float], ...]
     auc: float
+    fpr: tuple[float, ...]
+    tpr: tuple[float, ...]
 
 
 def _sweep_rates(score_image: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,14 +269,12 @@ def roc_curve_from_scores(score_image: np.ndarray, truth: np.ndarray) -> RocCurv
     AUC is the trapezoidal area under that polyline.  Degenerate truth
     (an empty class) yields rates of 0 for that class.
     """
-    fpr, tpr = _sweep_rates(score_image, truth)
-    pts = [(float(f), float(s)) for f, s in zip(fpr, tpr)]
-    pts.extend([(0.0, 0.0), (1.0, 1.0)])
-    pts.sort()
+    fpr, tpr = (tuple(r.tolist()) for r in _sweep_rates(score_image, truth))
+    pts = sorted([*zip(fpr, tpr), (0.0, 0.0), (1.0, 1.0)])
     auc = 0.0
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         auc += (x1 - x0) * (y0 + y1) / 2.0
-    return RocCurve(points=tuple(pts), auc=auc)
+    return RocCurve(points=tuple(pts), auc=auc, fpr=fpr, tpr=tpr)
 
 
 def roc_sweep(
@@ -319,15 +324,10 @@ def report_table(report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def roc_csv(curve: RocCurve, score_image: np.ndarray, truth: np.ndarray) -> str:
-    """Per-threshold rows (t = 0..255) plus a trailing AUC comment.
-
-    Rows are regenerated in sweep order (threshold ascending) from the
-    same inputs that produced ``curve``.
-    """
-    fpr, tpr = _sweep_rates(score_image, truth)
+def roc_csv(curve: RocCurve) -> str:
+    """Per-threshold rows (t = 0..255) plus a trailing AUC comment."""
     lines = ["threshold,fpr,tpr"]
-    for thr in range(256):
-        lines.append(f"{thr},{fpr[thr]:.6g},{tpr[thr]:.6g}")
+    for thr, (fpr, tpr) in enumerate(zip(curve.fpr, curve.tpr)):
+        lines.append(f"{thr},{fpr:.6g},{tpr:.6g}")
     lines.append(f"# auc={curve.auc:.6g}")
     return "\n".join(lines) + "\n"

@@ -1,11 +1,14 @@
 """End-to-end segmentation pipeline and its output writer.
 
-Stage order: wavelet enhancement -> bat threshold optimization ->
-histogram equalization -> optional ROI crop -> gradient-magnitude
-watershed -> basin classification -> metrics/ROC (when ground truth is
-supplied).  The optimizer's threshold feeds the ROC/baseline comparison
-and, optionally, basin classification; the main path segments via
-watershed, not by binarizing at the threshold.
+Stage order: input checks -> wavelet enhancement -> bat threshold
+optimization -> histogram equalization -> :func:`segment` on the ROI
+frame (gradient-magnitude watershed, basin classification, boundary) ->
+metrics/ROC (when ground truth is supplied).  The input stage crops the
+input to the ROI and checks the ROI and the truth shape, so bad inputs
+fail before the expensive stages run.  The optimizer's threshold feeds
+the ROC/baseline comparison and, optionally, basin classification; the
+main path segments via watershed, not by binarizing at the threshold.
+``lcseg segment`` runs the same :func:`segment`.
 """
 
 from __future__ import annotations
@@ -13,20 +16,22 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bat, histeq, metrics, watershed as ws
-from .config import PipelineConfig
-from .image import as_gray, crop, write_overlay, write_pgm
+from .config import PipelineConfig, RoiRect
+from .image import as_gray, crop, scale_to_255, to_gray8, write_overlay, write_pgm
 from .wavelet import enhance_scales, iuwt_decompose
 
 __all__ = [
     "PipelineError",
     "PipelineResult",
+    "Segmentation",
     "run_pipeline",
+    "segment",
     "write_outputs",
-    "scale_to_255",
 ]
 
 
@@ -45,8 +50,6 @@ class PipelineResult:
     bat_state: bat.BatState
     equalized: np.ndarray
     cropped: np.ndarray
-    cropped_input: np.ndarray
-    cropped_enhanced: np.ndarray
     gradient: np.ndarray
     labels: np.ndarray
     mask: np.ndarray
@@ -67,17 +70,41 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-def scale_to_255(surface: np.ndarray) -> np.ndarray:
-    """Affine rescale onto [0, 255] (float); constant surfaces map to 0.
+class Segmentation(NamedTuple):
+    gradient: np.ndarray  # the flooded surface: Sobel magnitude on [0, 255]
+    labels: np.ndarray
+    mask: np.ndarray
+    boundary: np.ndarray
 
-    The watershed stage floods the gradient on this scale so that the
-    configured h_min depth is comparable across images.
+    @property
+    def degenerate(self) -> bool:
+        """True when the mask holds a single class."""
+        return bool(self.mask.all() or not self.mask.any())
+
+
+def segment(
+    image: np.ndarray,
+    h_min: float,
+    fixed_threshold: int | None = None,
+    basin_image: np.ndarray | None = None,
+) -> Segmentation:
+    """Watershed-segment ``image`` into tissue and pores.
+
+    Floods the Sobel gradient magnitude of ``image``, rescaled to
+    [0, 255] so that the ``h_min`` depth is comparable across images.
+    Basins are classified by their mean over ``basin_image`` (default:
+    ``image``), by Otsu or, when given, by mean >= ``fixed_threshold``.
     """
-    lo = surface.min()
-    hi = surface.max()
-    if hi == lo:
-        return np.zeros_like(surface)
-    return (surface - lo) / (hi - lo) * 255.0
+    gradient = scale_to_255(ws.gradient_magnitude(image))
+    labels = ws.watershed_segment(gradient, ws.WatershedParams(h_min=h_min))
+    means_of = image if basin_image is None else basin_image
+    mask = ws.labels_to_mask(labels, means_of, fixed_threshold=fixed_threshold)
+    return Segmentation(gradient, labels, mask, ws.mask_boundary(mask))
+
+
+def _frame(image: np.ndarray, roi: RoiRect | None) -> np.ndarray:
+    """``image`` cropped to ``roi``; the image itself when there is none."""
+    return image if roi is None else crop(image, roi.x0, roi.y0, roi.w, roi.h)
 
 
 # Smallest ROI the later stages accept: the watershed's 3x3 Sobel kernel,
@@ -96,19 +123,29 @@ def run_pipeline(
     When a ROI is configured, ``truth`` may match either the full input
     or the cropped frame.  A degenerate segmentation (single-class mask)
     sets the ``degenerate`` flag rather than failing.  A ROI too small
-    for the watershed (or, with truth, for SSIM) fails in the ``input``
-    stage, before any other stage runs.
+    for the watershed (or, with truth, for SSIM) or outside the image,
+    and a truth matching neither shape, fail in the ``input`` stage,
+    before any other stage runs.
     """
     img = as_gray(image)
+    roi = config.roi
 
     with _stage("input"):
         if truth is None:
             need, user = _MIN_ROI, "the Sobel gradient"
         else:
             need, user = _MIN_ROI_WITH_TRUTH, "SSIM"
-        r = config.roi
-        if r is not None and (r.w < need or r.h < need):
-            raise ValueError(f"ROI {r.w}x{r.h} is below the {need}x{need} minimum of {user}")
+        if roi is not None and (roi.w < need or roi.h < need):
+            raise ValueError(f"ROI {roi.w}x{roi.h} is below the {need}x{need} minimum of {user}")
+        input_frame = _frame(img, roi)
+        if truth is not None:
+            truth = np.asarray(truth, dtype=bool)
+            if truth.shape == img.shape:
+                truth = _frame(truth, roi)
+            if truth.shape != input_frame.shape:
+                raise ValueError(
+                    f"truth shape {truth.shape} does not match frame {input_frame.shape}"
+                )
 
     with _stage("wavelet"):
         pyramid = iuwt_decompose(img, config.wavelet_levels)
@@ -120,43 +157,22 @@ def run_pipeline(
     with _stage("equalize"):
         equalized = histeq.equalize(enhanced)
 
-    with _stage("crop"):
-        if config.roi is not None:
-            r = config.roi
-            cropped = crop(equalized, r.x0, r.y0, r.w, r.h)
-            cropped_input = crop(img, r.x0, r.y0, r.w, r.h)
-            cropped_enhanced = crop(enhanced, r.x0, r.y0, r.w, r.h)
-        else:
-            cropped = equalized
-            cropped_input = img
-            cropped_enhanced = enhanced
-        if truth is not None:
-            truth = np.asarray(truth, dtype=bool)
-            if truth.shape == img.shape and config.roi is not None:
-                r = config.roi
-                truth = crop(truth, r.x0, r.y0, r.w, r.h)
-            if truth.shape != cropped.shape:
-                raise ValueError(
-                    f"truth shape {truth.shape} does not match frame {cropped.shape}"
-                )
+    # The ROI was checked against the input, which these share the shape of.
+    cropped = _frame(equalized, roi)
+    enhanced_frame = _frame(enhanced, roi)
 
     with _stage("watershed"):
-        gradient = scale_to_255(ws.gradient_magnitude(cropped))
-        labels = ws.watershed_segment(gradient, ws.WatershedParams(h_min=config.h_min))
         if config.basin_rule == "threshold":
-            mask = ws.labels_to_mask(labels, cropped_enhanced, fixed_threshold=threshold)
+            seg = segment(cropped, config.h_min, threshold, enhanced_frame)
         else:
-            mask = ws.labels_to_mask(labels, cropped)
-        boundary = ws.mask_boundary(mask)
-
-    degenerate = bool(mask.all() or not mask.any())
+            seg = segment(cropped, config.h_min)
 
     report = None
     roc = None
     if truth is not None:
         with _stage("metrics"):
-            report = metrics.full_report(mask, truth, cropped_enhanced, cropped_input)
-            roc = metrics.roc_sweep(cropped_enhanced, truth, cropped_input)
+            report = metrics.full_report(seg.mask, truth, enhanced_frame, input_frame)
+            roc = metrics.roc_sweep(enhanced_frame, truth, input_frame)
 
     return PipelineResult(
         enhanced=enhanced,
@@ -164,13 +180,11 @@ def run_pipeline(
         bat_state=state,
         equalized=equalized,
         cropped=cropped,
-        cropped_input=cropped_input,
-        cropped_enhanced=cropped_enhanced,
-        gradient=gradient,
-        labels=labels,
-        mask=mask,
-        boundary=boundary,
-        degenerate=degenerate,
+        gradient=seg.gradient,
+        labels=seg.labels,
+        mask=seg.mask,
+        boundary=seg.boundary,
+        degenerate=seg.degenerate,
         report=report,
         roc=roc,
         truth=truth,
@@ -212,23 +226,13 @@ def write_outputs(result: PipelineResult, out_dir, dump: bool = False) -> list[s
             "report.csv",
             lambda p: p.write_text(metrics.report_csv(result.report), encoding="utf-8"),
         )
-    if result.roc is not None and result.truth is not None:
+    if result.roc is not None:
         opt_curve, base_curve = result.roc
-        _write(
-            "roc.csv",
-            lambda p: p.write_text(
-                metrics.roc_csv(opt_curve, result.cropped_enhanced, result.truth),
-                encoding="utf-8",
-            ),
-        )
+        _write("roc.csv", lambda p: p.write_text(metrics.roc_csv(opt_curve), encoding="utf-8"))
         _write(
             "roc_baseline.csv",
-            lambda p: p.write_text(
-                metrics.roc_csv(base_curve, result.cropped_input, result.truth),
-                encoding="utf-8",
-            ),
+            lambda p: p.write_text(metrics.roc_csv(base_curve), encoding="utf-8"),
         )
     if dump:
-        grad8 = np.clip(np.floor(result.gradient + 0.5), 0, 255).astype(np.uint8)
-        _write("gradient.pgm", lambda p: write_pgm(grad8, p))
+        _write("gradient.pgm", lambda p: write_pgm(to_gray8(result.gradient), p))
     return written

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .image import round_half_up
+from .image import scale_to_255, to_gray8
 
 __all__ = [
     "WaveletPyramid",
@@ -138,9 +138,4 @@ def enhance_scales(pyramid: WaveletPyramid, kept_scales: Iterable[int]) -> np.nd
     total = pyramid.smooth.copy()
     for j in kept:
         total += pyramid.details[j - 1]
-    lo = total.min()
-    hi = total.max()
-    if hi == lo:
-        return np.zeros(total.shape, dtype=np.uint8)
-    scaled = (total - lo) / (hi - lo) * 255.0
-    return np.clip(round_half_up(scaled), 0, 255).astype(np.uint8)
+    return to_gray8(scale_to_255(total))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,10 @@ def test_run_determinism_byte_identical(tmp_path, phantom_dir, fast_config):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_stage_isolation_matches_run(tmp_path, phantom_dir, fast_config):
     """Chaining the stage subcommands reproduces run's artifacts."""
     out = tmp_path / "run_out"
@@ -171,6 +177,17 @@ def test_stage_isolation_matches_run(tmp_path, phantom_dir, fast_config):
     ) in (0, 3)
     assert mask.read_bytes() == (out / "mask.pgm").read_bytes()
     assert labels.read_bytes() == (out / "labels.pgm").read_bytes()
+
+    # --fixed-threshold classifies the same basins by mean >= 128; its
+    # mask and overlay are pinned to sha256s taken at commit 5ab9498.
+    overlay = tmp_path / "overlay.ppm"
+    assert run_cli(
+        "segment", "--input", str(equalized), "--h-min", "5", "--fixed-threshold", "128",
+        "--out-labels", str(labels), "--out-mask", str(mask), "--out-overlay", str(overlay),
+    ) in (0, 3)
+    assert labels.read_bytes() == (out / "labels.pgm").read_bytes()
+    assert _sha256(mask) == "f4992c440a09f1b1318a065a6c1332dc07774b4c3da789271071a955595ef2fd"
+    assert _sha256(overlay) == "40e325593e3934632df167751e9b2533db40344894531c203ce63e9260d48a65"
 
     roc = tmp_path / "roc.csv"
     roc_base = tmp_path / "roc_baseline.csv"

@@ -22,9 +22,6 @@ h = 24
 [watershed]
 h_min = 3.5
 
-[baseline]
-fixed_threshold = 100
-
 [pipeline]
 seed = 77
 output_dir = results
@@ -42,7 +39,6 @@ def test_parse_sample():
     assert cfg.bat.seed == 77  # master seed feeds the optimizer
     assert cfg.roi == RoiRect(8, 16, 32, 24)
     assert cfg.h_min == 3.5
-    assert cfg.fixed_threshold == 100
     assert cfg.seed == 77
     assert cfg.output_dir == "results"
 
@@ -55,13 +51,17 @@ def test_defaults_from_empty_config():
     assert cfg.bat.population == 20
     assert cfg.bat.iterations == 500
     assert cfg.h_min == 5.0
-    assert cfg.fixed_threshold == 128
     assert cfg.roi is None
 
 
 def test_unknown_section_rejected():
     with pytest.raises(ValueError, match="unknown config section"):
         parse_config("[warp]\nspeed = 9\n")
+
+
+def test_removed_baseline_section_rejected():
+    with pytest.raises(ValueError, match=r"unknown config section \[baseline\]"):
+        parse_config("[baseline]\nfixed_threshold = 100\n")
 
 
 def test_unknown_key_rejected():
@@ -110,7 +110,5 @@ def test_config_validation():
         PipelineConfig(kept_scales=(4,), wavelet_levels=3)
     with pytest.raises(ValueError):
         PipelineConfig(h_min=-1.0)
-    with pytest.raises(ValueError):
-        PipelineConfig(fixed_threshold=300)
     with pytest.raises(ValueError):
         RoiRect(-1, 0, 4, 4)

@@ -251,20 +251,24 @@ def test_report_serialization():
 # ROC
 # ---------------------------------------------------------------------------
 
-def oracle_roc(score, truth):
-    """Per-threshold counting with plain loops (test oracle)."""
+def oracle_rates(score, truth):
+    """(fpr, tpr) of score >= t for t = 0..255, by plain counting (test oracle)."""
     score = np.asarray(score)
     truth = np.asarray(truth, dtype=bool)
     pos = int(truth.sum())
     neg = truth.size - pos
-    pts = []
+    rates = []
     for t in range(256):
         pred = score >= t
         tp = int((pred & truth).sum())
         fp = int((pred & ~truth).sum())
-        pts.append((fp / neg if neg else 0.0, tp / pos if pos else 0.0))
-    pts += [(0.0, 0.0), (1.0, 1.0)]
-    pts.sort()
+        rates.append((fp / neg if neg else 0.0, tp / pos if pos else 0.0))
+    return rates
+
+
+def oracle_roc(score, truth):
+    """Sorted operating points plus anchors, and their trapezoidal AUC."""
+    pts = sorted(oracle_rates(score, truth) + [(0.0, 0.0), (1.0, 1.0)])
     auc = sum(
         (x1 - x0) * (y0 + y1) / 2.0 for (x0, y0), (x1, y1) in zip(pts, pts[1:])
     )
@@ -333,10 +337,13 @@ def test_roc_csv_format():
     truth = rng.uniform(size=(8, 8)) < 0.5
     score = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
     curve = roc_curve_from_scores(score, truth)
-    text = roc_csv(curve, score, truth)
+    text = roc_csv(curve)
     lines = text.splitlines()
     assert lines[0] == "threshold,fpr,tpr"
     assert len(lines) == 1 + 256 + 1
     assert lines[-1].startswith("# auc=")
     assert lines[1].startswith("0,")
     assert lines[256].startswith("255,")
+    # Rows are in sweep order, each the oracle's counting rates.
+    for t, (fpr, tpr) in enumerate(oracle_rates(score, truth)):
+        assert lines[1 + t] == f"{t},{fpr:.6g},{tpr:.6g}"

@@ -5,7 +5,7 @@ import lcseg.watershed
 from lcseg.bat import otsu_threshold
 from lcseg.config import PipelineConfig
 from lcseg.image import PhantomSpec, generate_phantom
-from lcseg.pipeline import scale_to_255
+from lcseg.image import scale_to_255
 from lcseg.watershed import (
     WatershedParams,
     gradient_magnitude,

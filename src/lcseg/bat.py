@@ -1,13 +1,15 @@
 """Bat-algorithm metaheuristic and the intensity-threshold objective.
 
-The optimizer is the canonical echolocation scheme: each bat carries a
-position, velocity, loudness A and pulse rate r.  Per iteration and bat
+The optimizer is the canonical echolocation scheme (Yang 2010) on the one
+search interval lcseg uses, the 8-bit intensity range [0, 255].  Each bat
+carries a position, velocity, loudness A and pulse rate r.  Per
+iteration and bat
 
     f = f_min + (f_max - f_min) * U(0,1)
     v <- v + (x - x_best) * f
     candidate = clamp(x + v)
     with probability (1 - r): candidate = clamp(x_best + eps * A_mean),
-                              eps ~ U(-1,1) per dimension
+                              eps ~ U(-1,1)
     accept candidate iff U(0,1) < A and its fitness beats the bat's own;
     on acceptance  A <- alpha * A,  r <- r0 * (1 - exp(-gamma * t))
 
@@ -18,10 +20,10 @@ non-decreasing by construction.
 Determinism contract: the master seed is split into one PCG64 stream per
 bat via ``numpy.random.SeedSequence.spawn``; bat i draws, in order, its
 initial position, then per iteration beta, the local-walk coin, the walk
-offsets (only when the walk is taken) and the acceptance coin.  x_best
+offset (only when the walk is taken) and the acceptance coin.  x_best
 and the mean loudness are snapshotted at the start of each iteration and
-the acceptance pass runs in bat order, so results are independent of how
-the fitness evaluations themselves are scheduled.
+the bats are updated in bat order, so a bat's move never depends on
+another bat's move in the same iteration.
 """
 
 from __future__ import annotations
@@ -46,12 +48,15 @@ __all__ = [
     "write_convergence_csv",
 ]
 
-FitnessFn = Callable[[np.ndarray], float]
+FitnessFn = Callable[[float], float]
+
+# The search interval: every threshold of an 8-bit image.
+_LOW, _HIGH = 0.0, 255.0
 
 
 @dataclass(frozen=True)
 class BatParams:
-    """Knobs of the bat algorithm plus the search box and master seed."""
+    """Knobs of the bat algorithm plus its master seed."""
 
     population: int = 20
     iterations: int = 500
@@ -61,33 +66,24 @@ class BatParams:
     gamma: float = 0.9
     a0: float = 1.0
     r0: float = 0.5
-    lower: tuple[float, ...] = (0.0,)
-    upper: tuple[float, ...] = (255.0,)
     seed: int = 0
-
-    @property
-    def dims(self) -> int:
-        return len(self.lower)
 
     def __post_init__(self) -> None:
         if self.population < 2:
             raise ValueError("population must be at least 2")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.f_min > self.f_max:
+        # Written so that NaN fails each check.
+        if not self.f_min <= self.f_max:
             raise ValueError("f_min must not exceed f_max")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
-        if self.a0 <= 0.0:
+        if not self.a0 > 0.0:
             raise ValueError("initial loudness must be positive")
         if not 0.0 <= self.r0 <= 1.0:
             raise ValueError("initial pulse rate must lie in [0, 1]")
-        if len(self.lower) != len(self.upper):
-            raise ValueError("lower and upper bounds must have equal length")
-        if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
-            raise ValueError("lower bound must be strictly below upper, per dimension")
 
 
 @dataclass
@@ -98,7 +94,7 @@ class BatState:
     velocities: np.ndarray
     loudness: np.ndarray
     pulse_rate: np.ndarray
-    best_position: np.ndarray
+    best_position: float
     best_fitness: float
     history: list[float] = field(default_factory=list)
 
@@ -106,64 +102,53 @@ class BatState:
 def bat_optimize(params: BatParams, fitness: FitnessFn) -> BatState:
     """Run the bat algorithm for exactly ``params.iterations`` iterations.
 
-    ``fitness`` must be a pure function of its input vector, total on the
-    search box; higher values are better.  Positions are clamped to the
-    box after every move.
+    ``fitness`` must be a pure function of a position in [0, 255];
+    higher values are better.  Positions are clamped to [0, 255] after
+    every move.
     """
     n = params.population
-    dims = params.dims
-    lower = np.array(params.lower, dtype=np.float64)
-    upper = np.array(params.upper, dtype=np.float64)
     streams = np.random.SeedSequence(params.seed).spawn(n)
     gens = [np.random.Generator(np.random.PCG64(s)) for s in streams]
 
-    positions = np.empty((n, dims))
-    for i, gen in enumerate(gens):
-        positions[i] = lower + (upper - lower) * gen.uniform(size=dims)
-    velocities = np.zeros((n, dims))
-    loudness = np.full(n, params.a0)
-    pulse_rate = np.full(n, params.r0)
-
-    fitnesses = np.array([float(fitness(positions[i])) for i in range(n)])
-    best_idx = int(np.argmax(fitnesses))
-    best_position = positions[best_idx].copy()
-    best_fitness = float(fitnesses[best_idx])
+    positions = [_LOW + (_HIGH - _LOW) * gen.uniform() for gen in gens]
+    velocities = [0.0] * n
+    loudness = [params.a0] * n
+    pulse_rate = [params.r0] * n
+    fitnesses = [float(fitness(x)) for x in positions]
+    best_idx = fitnesses.index(max(fitnesses))  # the first of equals
+    best_position = positions[best_idx]
+    best_fitness = fitnesses[best_idx]
 
     history: list[float] = []
     for t in range(1, params.iterations + 1):
-        ref_best = best_position.copy()
-        mean_loudness = float(loudness.mean())
-
-        candidates = np.empty((n, dims))
-        accept_coins = np.empty(n)
+        ref_best = best_position
+        # numpy's pairwise sum, not sum()/n: the pinned artifacts use it.
+        mean_loudness = float(np.mean(loudness))
         for i, gen in enumerate(gens):
             beta = gen.uniform()
             freq = params.f_min + (params.f_max - params.f_min) * beta
             velocities[i] += (positions[i] - ref_best) * freq
             cand = positions[i] + velocities[i]
             if gen.uniform() > pulse_rate[i]:
-                cand = ref_best + gen.uniform(-1.0, 1.0, size=dims) * mean_loudness
-            candidates[i] = np.clip(cand, lower, upper)
-            accept_coins[i] = gen.uniform()
-
-        cand_fitness = np.array([float(fitness(candidates[i])) for i in range(n)])
-
-        for i in range(n):
-            if accept_coins[i] < loudness[i] and cand_fitness[i] > fitnesses[i]:
-                positions[i] = candidates[i]
-                fitnesses[i] = cand_fitness[i]
+                cand = ref_best + gen.uniform(-1.0, 1.0) * mean_loudness
+            cand = min(max(cand, _LOW), _HIGH)
+            accept_coin = gen.uniform()
+            cand_fitness = float(fitness(cand))
+            if accept_coin < loudness[i] and cand_fitness > fitnesses[i]:
+                positions[i] = cand
+                fitnesses[i] = cand_fitness
                 loudness[i] *= params.alpha
                 pulse_rate[i] = params.r0 * (1.0 - math.exp(-params.gamma * t))
-            if cand_fitness[i] > best_fitness:
-                best_fitness = float(cand_fitness[i])
-                best_position = candidates[i].copy()
+            if cand_fitness > best_fitness:
+                best_fitness = cand_fitness
+                best_position = cand
         history.append(best_fitness)
 
     return BatState(
-        positions=positions,
-        velocities=velocities,
-        loudness=loudness,
-        pulse_rate=pulse_rate,
+        positions=np.array(positions),
+        velocities=np.array(velocities),
+        loudness=np.array(loudness),
+        pulse_rate=np.array(pulse_rate),
         best_position=best_position,
         best_fitness=best_fitness,
         history=history,
@@ -203,12 +188,14 @@ def otsu_threshold(hist: np.ndarray) -> int:
 
 
 def otsu_fitness(image: np.ndarray) -> FitnessFn:
-    """Fitness mapping a 1-D position x to sigma_B^2(floor(x)) of ``image``."""
-    table = between_class_variance(histogram(image))
+    """Fitness mapping a position x to sigma_B^2(floor(x)) of ``image``.
 
-    def fitness(x: np.ndarray) -> float:
-        t = int(np.clip(math.floor(float(np.asarray(x).ravel()[0])), 0, 255))
-        return float(table[t])
+    Positions outside [0, 255] score as the nearest end of the table.
+    """
+    table = between_class_variance(histogram(image)).tolist()
+
+    def fitness(x: float) -> float:
+        return table[min(max(math.floor(x), 0), 255)]
 
     return fitness
 
@@ -217,18 +204,13 @@ def optimize_threshold(image: np.ndarray, params: BatParams) -> tuple[int, BatSt
     """Search the best global intensity threshold of ``image``.
 
     Runs the bat algorithm over [0, 255] with the between-class-variance
-    objective and returns floor(best position) clamped to [0, 255]
+    objective and returns floor(best position), an integer in [0, 255],
     together with the final state (whose history is the convergence
     curve).
     """
-    if params.dims != 1:
-        raise ValueError(f"threshold search is 1-D, got dims={params.dims}")
-    if params.lower != (0.0,) or params.upper != (255.0,):
-        raise ValueError("threshold search bounds must be [0, 255]")
     img = as_gray(image)
     state = bat_optimize(params, otsu_fitness(img))
-    threshold = int(np.clip(math.floor(float(state.best_position[0])), 0, 255))
-    return threshold, state
+    return math.floor(state.best_position), state
 
 
 def write_convergence_csv(state: BatState, path) -> None:

@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from . import bat, histeq, metrics
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, parse_scales
 from .image import (
     PhantomSpec,
     generate_phantom,
+    labels_to_gray8,
+    mask_to_gray8,
     read_pgm,
     scale_to_255,
     to_gray8,
@@ -45,10 +47,6 @@ def _read_mask(path) -> np.ndarray:
     return read_pgm(path) > 0
 
 
-def _parse_kept(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
-
-
 def _load_pipeline_config(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if getattr(args, "seed", None) is not None:
@@ -73,7 +71,7 @@ def _cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_pgm(image, out / "image.pgm")
-    write_pgm(mask.astype(np.uint8) * 255, out / "truth.pgm")
+    write_pgm(mask_to_gray8(mask), out / "truth.pgm")
     print(f"wrote {out / 'image.pgm'} and {out / 'truth.pgm'}")
     return EXIT_OK
 
@@ -81,7 +79,7 @@ def _cmd_synth(args) -> int:
 def _cmd_decompose(args) -> int:
     image = read_pgm(args.input)
     pyramid = iuwt_decompose(image, args.levels)
-    kept = _parse_kept(args.kept) if args.kept else tuple(range(1, args.levels + 1))
+    kept = parse_scales(args.kept) if args.kept else tuple(range(1, args.levels + 1))
     enhanced = enhance_scales(pyramid, kept)
     write_pgm(enhanced, args.out)
     if args.dump_planes:
@@ -116,9 +114,9 @@ def _cmd_segment(args) -> int:
     image = read_pgm(args.input)
     seg = segment(image, args.h_min, fixed_threshold=args.fixed_threshold)
     if args.out_labels:
-        write_pgm(np.minimum(seg.labels, 255).astype(np.uint8), args.out_labels)
+        write_pgm(labels_to_gray8(seg.labels), args.out_labels)
     if args.out_mask:
-        write_pgm(seg.mask.astype(np.uint8) * 255, args.out_mask)
+        write_pgm(mask_to_gray8(seg.mask), args.out_mask)
     if args.out_overlay:
         write_overlay(image, seg.boundary, args.out_overlay)
     print(f"basins {seg.labels.max()}")
@@ -131,10 +129,8 @@ def _cmd_segment(args) -> int:
 def _cmd_evaluate(args) -> int:
     pred = _read_mask(args.pred)
     truth = _read_mask(args.truth)
-    pred_img = read_pgm(args.pred_img) if args.pred_img else pred.astype(np.uint8) * 255
-    truth_img = (
-        read_pgm(args.truth_img) if args.truth_img else truth.astype(np.uint8) * 255
-    )
+    pred_img = read_pgm(args.pred_img) if args.pred_img else mask_to_gray8(pred)
+    truth_img = read_pgm(args.truth_img) if args.truth_img else mask_to_gray8(truth)
     report = metrics.full_report(pred, truth, pred_img, truth_img)
     sys.stdout.write(metrics.report_table(report))
     if args.out_csv:
@@ -184,17 +180,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a lattice phantom with ground truth")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=PhantomSpec.rng_seed)
     p.add_argument("--size", type=int, default=256)
-    p.add_argument("--period", type=int, default=32)
-    p.add_argument("--beam-width", type=int, default=10)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--period", type=int, default=PhantomSpec.beam_period)
+    p.add_argument("--beam-width", type=int, default=PhantomSpec.beam_width)
+    p.add_argument("--noise", type=float, default=PhantomSpec.noise_sigma)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("decompose", help="wavelet decomposition / enhancement")
     p.add_argument("--input", required=True)
-    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--levels", type=int, default=PipelineConfig.wavelet_levels)
     p.add_argument("--kept", default=None, help="comma-separated kept scales")
     p.add_argument("--out", required=True, help="enhanced image path")
     p.add_argument("--dump-planes", default=None, help="directory for plane dumps")
@@ -214,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", help="gradient watershed segmentation")
     p.add_argument("--input", required=True)
-    p.add_argument("--h-min", type=float, default=5.0)
+    p.add_argument("--h-min", type=float, default=PipelineConfig.h_min)
     p.add_argument(
         "--fixed-threshold",
         type=int,

@@ -2,8 +2,10 @@
 
 The format is deliberately minimal: ``[section]`` headers, ``key = value``
 lines, ``#`` comments, UTF-8.  Unknown sections or keys are rejected
-outright so that typos fail fast.  Serialization is canonical (fixed
-section and key order), which makes parse -> serialize idempotent.
+outright so that typos fail fast.  One table, :data:`_SCHEMA`, maps every
+``(section, key)`` to the config field it sets and fixes the canonical
+order; parsing, serialization and the unknown-key check all read it, and
+every default comes from the dataclasses themselves.
 """
 
 from __future__ import annotations
@@ -13,7 +15,14 @@ from dataclasses import dataclass, field, replace
 
 from .bat import BatParams
 
-__all__ = ["RoiRect", "PipelineConfig", "parse_config", "load_config", "serialize_config"]
+__all__ = [
+    "RoiRect",
+    "PipelineConfig",
+    "parse_config",
+    "parse_scales",
+    "load_config",
+    "serialize_config",
+]
 
 
 @dataclass(frozen=True)
@@ -32,11 +41,10 @@ class RoiRect:
 class PipelineConfig:
     wavelet_levels: int = 3
     kept_scales: tuple[int, ...] = (2, 3)
-    bat: BatParams = field(default_factory=BatParams)
+    bat: BatParams = field(default_factory=BatParams)  # bat.seed is the run's seed
     roi: RoiRect | None = None
     h_min: float = 5.0
     basin_rule: str = "otsu"  # "otsu" or "threshold" (uses the bat threshold)
-    seed: int = 0
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
@@ -48,35 +56,62 @@ class PipelineConfig:
             raise ValueError(
                 f"kept_scales {self.kept_scales} outside 1..{self.wavelet_levels}"
             )
-        if self.h_min < 0:
+        if not self.h_min >= 0:  # also rejects NaN
             raise ValueError("h_min must be non-negative")
         if self.basin_rule not in ("otsu", "threshold"):
             raise ValueError(f"unknown basin_rule {self.basin_rule!r}")
 
     def with_seed(self, seed: int) -> "PipelineConfig":
-        return replace(self, seed=seed, bat=replace(self.bat, seed=seed))
+        return replace(self, bat=replace(self.bat, seed=seed))
 
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "wavelet": ("levels", "kept_scales"),
-    "bat": (
-        "population",
-        "iterations",
-        "f_min",
-        "f_max",
-        "alpha",
-        "gamma",
-        "loudness",
-        "pulse_rate",
-    ),
-    "roi": ("x0", "y0", "w", "h"),
-    "watershed": ("h_min", "basin_rule"),
-    "pipeline": ("seed", "output_dir"),
+def parse_scales(text: str) -> tuple[int, ...]:
+    """Comma-separated scale indices, e.g. ``"2, 3"`` -> ``(2, 3)``."""
+    return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+
+
+def _fmt_float(x: float) -> str:
+    # Short form when it reads back exactly, else the shortest exact repr.
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
+# (parse, format) pairs of the value kinds.
+_INT = (int, str)
+_FLOAT = (float, _fmt_float)
+_STR = (str, str)
+_SCALES = (parse_scales, lambda scales: ",".join(str(k) for k in scales))
+
+# (section, key) -> (field, kind), in canonical order.  A field is an
+# attribute of PipelineConfig, or ``bat.<name>`` / ``roi.<name>``.
+_SCHEMA = {
+    ("wavelet", "levels"): ("wavelet_levels", _INT),
+    ("wavelet", "kept_scales"): ("kept_scales", _SCALES),
+    ("bat", "population"): ("bat.population", _INT),
+    ("bat", "iterations"): ("bat.iterations", _INT),
+    ("bat", "f_min"): ("bat.f_min", _FLOAT),
+    ("bat", "f_max"): ("bat.f_max", _FLOAT),
+    ("bat", "alpha"): ("bat.alpha", _FLOAT),
+    ("bat", "gamma"): ("bat.gamma", _FLOAT),
+    ("bat", "loudness"): ("bat.a0", _FLOAT),
+    ("bat", "pulse_rate"): ("bat.r0", _FLOAT),
+    ("roi", "x0"): ("roi.x0", _INT),
+    ("roi", "y0"): ("roi.y0", _INT),
+    ("roi", "w"): ("roi.w", _INT),
+    ("roi", "h"): ("roi.h", _INT),
+    ("watershed", "h_min"): ("h_min", _FLOAT),
+    ("watershed", "basin_rule"): ("basin_rule", _STR),
+    ("pipeline", "seed"): ("bat.seed", _INT),
+    ("pipeline", "output_dir"): ("output_dir", _STR),
 }
 
 
 def parse_config(text: str) -> PipelineConfig:
-    """Parse configuration text, rejecting anything outside the schema."""
+    """Parse configuration text, rejecting anything outside the schema.
+
+    Keys left out keep their dataclass defaults; a ``[roi]`` section must
+    give all four of its keys.
+    """
     parser = configparser.ConfigParser(
         comment_prefixes=("#",), inline_comment_prefixes=("#",), interpolation=None
     )
@@ -85,57 +120,28 @@ def parse_config(text: str) -> PipelineConfig:
     except configparser.Error as exc:
         raise ValueError(f"bad config syntax: {exc}") from exc
 
+    sections = {section for section, _ in _SCHEMA}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _SCHEMA:
                 raise ValueError(f"unknown config key {key!r} in section [{section}]")
 
-    def get(section: str, key: str, default):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
+    if parser.has_section("roi"):
+        missing = [k for s, k in _SCHEMA if s == "roi" and not parser.has_option(s, k)]
+        if missing:
+            raise ValueError(f"[roi] section is missing keys {missing}")
 
     try:
-        levels = int(get("wavelet", "levels", 3))
-        kept_raw = str(get("wavelet", "kept_scales", "2,3"))
-        kept = tuple(int(tok) for tok in kept_raw.replace(" ", "").split(",") if tok)
-        seed = int(get("pipeline", "seed", 0))
-        bat = BatParams(
-            population=int(get("bat", "population", 20)),
-            iterations=int(get("bat", "iterations", 500)),
-            f_min=float(get("bat", "f_min", 0.0)),
-            f_max=float(get("bat", "f_max", 2.0)),
-            alpha=float(get("bat", "alpha", 0.9)),
-            gamma=float(get("bat", "gamma", 0.9)),
-            a0=float(get("bat", "loudness", 1.0)),
-            r0=float(get("bat", "pulse_rate", 0.5)),
-            lower=(0.0,),
-            upper=(255.0,),
-            seed=seed,
-        )
-        roi = None
-        if parser.has_section("roi"):
-            missing = [k for k in _SCHEMA["roi"] if not parser.has_option("roi", k)]
-            if missing:
-                raise ValueError(f"[roi] section is missing keys {missing}")
-            roi = RoiRect(
-                x0=int(parser.get("roi", "x0")),
-                y0=int(parser.get("roi", "y0")),
-                w=int(parser.get("roi", "w")),
-                h=int(parser.get("roi", "h")),
-            )
-        return PipelineConfig(
-            wavelet_levels=levels,
-            kept_scales=kept,
-            bat=bat,
-            roi=roi,
-            h_min=float(get("watershed", "h_min", 5.0)),
-            basin_rule=str(get("watershed", "basin_rule", "otsu")),
-            seed=seed,
-            output_dir=str(get("pipeline", "output_dir", "out")),
-        )
+        # Field values by owner: "" is PipelineConfig itself.
+        values: dict[str, dict] = {"": {}, "bat": {}, "roi": {}}
+        for (section, key), (path, (parse, _)) in _SCHEMA.items():
+            if parser.has_option(section, key):
+                owner, _, name = path.rpartition(".")
+                values[owner][name] = parse(parser.get(section, key))
+        roi = RoiRect(**values["roi"]) if parser.has_section("roi") else None
+        return PipelineConfig(bat=BatParams(**values["bat"]), roi=roi, **values[""])
     except ValueError:
         raise
     except Exception as exc:  # configparser corner cases
@@ -147,44 +153,17 @@ def load_config(path) -> PipelineConfig:
         return parse_config(fh.read())
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:g}"
-
-
 def serialize_config(cfg: PipelineConfig) -> str:
-    """Canonical INI text; parse(serialize(c)) == c."""
-    lines = [
-        "[wavelet]",
-        f"levels = {cfg.wavelet_levels}",
-        f"kept_scales = {','.join(str(k) for k in cfg.kept_scales)}",
-        "",
-        "[bat]",
-        f"population = {cfg.bat.population}",
-        f"iterations = {cfg.bat.iterations}",
-        f"f_min = {_fmt_float(cfg.bat.f_min)}",
-        f"f_max = {_fmt_float(cfg.bat.f_max)}",
-        f"alpha = {_fmt_float(cfg.bat.alpha)}",
-        f"gamma = {_fmt_float(cfg.bat.gamma)}",
-        f"loudness = {_fmt_float(cfg.bat.a0)}",
-        f"pulse_rate = {_fmt_float(cfg.bat.r0)}",
-        "",
-    ]
-    if cfg.roi is not None:
-        lines += [
-            "[roi]",
-            f"x0 = {cfg.roi.x0}",
-            f"y0 = {cfg.roi.y0}",
-            f"w = {cfg.roi.w}",
-            f"h = {cfg.roi.h}",
-            "",
-        ]
-    lines += [
-        "[watershed]",
-        f"h_min = {_fmt_float(cfg.h_min)}",
-        f"basin_rule = {cfg.basin_rule}",
-        "",
-        "[pipeline]",
-        f"seed = {cfg.seed}",
-        f"output_dir = {cfg.output_dir}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Canonical INI text; parse(serialize(c)) == c.
+
+    Sections and keys follow :data:`_SCHEMA`; ``[roi]`` is left out when
+    there is no ROI.
+    """
+    blocks: dict[str, list[str]] = {}
+    for (section, key), (path, (_, fmt)) in _SCHEMA.items():
+        owner, _, name = path.rpartition(".")
+        obj = getattr(cfg, owner) if owner else cfg
+        if obj is not None:
+            lines = blocks.setdefault(section, [f"[{section}]"])
+            lines.append(f"{key} = {fmt(getattr(obj, name))}")
+    return "\n\n".join("\n".join(lines) for lines in blocks.values()) + "\n"

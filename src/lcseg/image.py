@@ -27,6 +27,8 @@ __all__ = [
     "generate_phantom",
     "scale_to_255",
     "to_gray8",
+    "labels_to_gray8",
+    "mask_to_gray8",
     "as_gray",
 ]
 
@@ -65,6 +67,16 @@ def to_gray8(values: np.ndarray) -> np.ndarray:
     """
     rounded = np.floor(np.asarray(values, dtype=np.float64) + 0.5)
     return np.clip(rounded, 0, 255).astype(np.uint8)
+
+
+def labels_to_gray8(labels: np.ndarray) -> np.ndarray:
+    """Label map as an 8-bit raster; basins above 255 saturate at 255."""
+    return np.minimum(labels, 255).astype(np.uint8)
+
+
+def mask_to_gray8(mask: np.ndarray) -> np.ndarray:
+    """Binary mask as an 8-bit raster: 255 tissue, 0 pore."""
+    return np.asarray(mask, dtype=bool).astype(np.uint8) * 255
 
 
 # ---------------------------------------------------------------------------

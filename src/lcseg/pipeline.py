@@ -22,7 +22,16 @@ import numpy as np
 
 from . import bat, histeq, metrics, watershed as ws
 from .config import PipelineConfig, RoiRect
-from .image import as_gray, crop, scale_to_255, to_gray8, write_overlay, write_pgm
+from .image import (
+    as_gray,
+    crop,
+    labels_to_gray8,
+    mask_to_gray8,
+    scale_to_255,
+    to_gray8,
+    write_overlay,
+    write_pgm,
+)
 from .wavelet import enhance_scales, iuwt_decompose
 
 __all__ = [
@@ -96,7 +105,7 @@ def segment(
     ``image``), by Otsu or, when given, by mean >= ``fixed_threshold``.
     """
     gradient = scale_to_255(ws.gradient_magnitude(image))
-    labels = ws.watershed_segment(gradient, ws.WatershedParams(h_min=h_min))
+    labels = ws.watershed_segment(gradient, h_min)
     means_of = image if basin_image is None else basin_image
     mask = ws.labels_to_mask(labels, means_of, fixed_threshold=fixed_threshold)
     return Segmentation(gradient, labels, mask, ws.mask_boundary(mask))
@@ -191,11 +200,6 @@ def run_pipeline(
     )
 
 
-def _labels_to_pgm(labels: np.ndarray) -> np.ndarray:
-    """Label map as an 8-bit raster; basins above 255 saturate at 255."""
-    return np.minimum(labels, 255).astype(np.uint8)
-
-
 def write_outputs(result: PipelineResult, out_dir, dump: bool = False) -> list[str]:
     """Write the run's artifact files; returns the file names written.
 
@@ -213,11 +217,8 @@ def write_outputs(result: PipelineResult, out_dir, dump: bool = False) -> list[s
 
     _write("enhanced.pgm", lambda p: write_pgm(result.enhanced, p))
     _write("equalized.pgm", lambda p: write_pgm(result.equalized, p))
-    _write("labels.pgm", lambda p: write_pgm(_labels_to_pgm(result.labels), p))
-    _write(
-        "mask.pgm",
-        lambda p: write_pgm(result.mask.astype(np.uint8) * 255, p),
-    )
+    _write("labels.pgm", lambda p: write_pgm(labels_to_gray8(result.labels), p))
+    _write("mask.pgm", lambda p: write_pgm(mask_to_gray8(result.mask), p))
     _write("overlay.ppm", lambda p: write_overlay(result.cropped, result.boundary, p))
     _write("convergence.csv", lambda p: bat.write_convergence_csv(result.bat_state, p))
 

@@ -10,7 +10,6 @@ can reproduce label maps pixel for pixel.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .bat import between_class_variance
 from .image import as_gray
 
 __all__ = [
-    "WatershedParams",
     "gradient_magnitude",
     "h_minima",
     "regional_minima",
@@ -26,16 +24,6 @@ __all__ = [
     "labels_to_mask",
     "mask_boundary",
 ]
-
-@dataclass(frozen=True)
-class WatershedParams:
-    """Flooding options; connectivity is fixed to the 4-neighborhood."""
-
-    h_min: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.h_min < 0:
-            raise ValueError("h_min must be non-negative")
 
 
 def _mirror_pad(img: np.ndarray, pad: int) -> np.ndarray:
@@ -79,7 +67,7 @@ def h_minima(surface: np.ndarray, h: float) -> np.ndarray:
     surface, with the 4-connected structuring element: iterate
     R <- max(erode(R), surface) from R = surface + h until stable.
     """
-    if h < 0:
+    if not h >= 0:  # also rejects NaN, which would never converge
         raise ValueError("h must be non-negative")
     surf = np.asarray(surface, dtype=np.float64)
     if h == 0:
@@ -142,15 +130,14 @@ def regional_minima(surface: np.ndarray) -> tuple[np.ndarray, int]:
     return number[root].reshape(h, w), int(is_minimum_root.sum())
 
 
-def watershed_segment(
-    surface: np.ndarray, params: WatershedParams = WatershedParams()
-) -> np.ndarray:
-    """Marker-controlled priority flood of ``surface``.
+def watershed_segment(surface: np.ndarray, h_min: float = 0.0) -> np.ndarray:
+    """Marker-controlled priority flood of ``surface``, 4-connected.
 
     Contract, in full (an independent implementation following these
     rules reproduces the output exactly):
 
-    1. The flooded surface is ``h_minima(surface, params.h_min)``.
+    1. The flooded surface is ``h_minima(surface, h_min)``, which
+       rejects a negative or NaN ``h_min``.
     2. Markers are its 4-connected regional minima, labeled 1..K in
        row-major order of each component's first pixel.
     3. The queue holds (surface value, insertion sequence) entries and
@@ -172,7 +159,7 @@ def watershed_segment(
         raise ValueError("expected a 2-D surface")
     if not np.isfinite(surf).all():
         raise ValueError("surface must be finite")
-    filled = h_minima(surf, params.h_min)
+    filled = h_minima(surf, h_min)
     markers, count = regional_minima(filled)
     h, w = filled.shape
 

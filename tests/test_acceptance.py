@@ -24,7 +24,7 @@ from lcseg.metrics import (
 )
 from lcseg.pipeline import run_pipeline, write_outputs
 from lcseg.wavelet import enhance_scales, iuwt_decompose, iuwt_reconstruct
-from lcseg.watershed import WatershedParams, watershed_segment
+from lcseg.watershed import watershed_segment
 
 from test_histeq import oracle_equalize
 from test_metrics import oracle_rand_index
@@ -88,7 +88,7 @@ def test_criterion_4_watershed_hand_flood_oracle():
     matches = 0
     cases = 0
 
-    got = watershed_segment(TWO_PIT, WatershedParams(0.0))
+    got = watershed_segment(TWO_PIT, 0.0)
     cases += 1
     matches += np.array_equal(got, TWO_PIT_LABELS) and np.array_equal(
         oracle_flood(TWO_PIT), TWO_PIT_LABELS
@@ -99,7 +99,7 @@ def test_criterion_4_watershed_hand_flood_oracle():
         surf = rng.integers(0, 5, size=(8, 8)).astype(float)
         cases += 1
         matches += np.array_equal(
-            watershed_segment(surf, WatershedParams(0.0)), oracle_flood(surf)
+            watershed_segment(surf, 0.0), oracle_flood(surf)
         )
     ok = matches == cases
     _report(4, "watershed matches brute-force Meyer flood", ok,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lcseg.cli import main
+from lcseg.config import PipelineConfig
 from lcseg.image import read_pgm, write_pgm
 
 
@@ -250,6 +251,24 @@ def test_segment_standalone(tmp_path, phantom_dir):
     )
     assert code == 0
     assert mask.exists() and overlay.exists()
+
+
+def test_segment_h_min_defaults_to_the_config_default(tmp_path):
+    assert run_cli(
+        "synth", "--seed", "3", "--size", "48", "--noise", "20", "--out", str(tmp_path),
+    ) == 0
+    image = str(tmp_path / "image.pgm")
+    masks = {}
+    for tag, extra in (
+        ("default", []),
+        ("config", ["--h-min", str(PipelineConfig().h_min)]),
+        ("zero", ["--h-min", "0"]),
+    ):
+        path = tmp_path / f"{tag}.pgm"
+        assert run_cli("segment", "--input", image, *extra, "--out-mask", str(path)) in (0, 3)
+        masks[tag] = path.read_bytes()
+    assert masks["default"] == masks["config"]
+    assert masks["default"] != masks["zero"]  # the setting matters on this input
 
 
 def test_roc_prints_aucs(tmp_path, phantom_dir, capsys):

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lcseg.bat import BatParams
 from lcseg.config import PipelineConfig, RoiRect, parse_config, serialize_config
 
 SAMPLE = """\
@@ -36,10 +39,9 @@ def test_parse_sample():
     assert cfg.bat.iterations == 80
     assert cfg.bat.alpha == 0.85
     assert cfg.bat.f_max == 2.0  # default preserved
-    assert cfg.bat.seed == 77  # master seed feeds the optimizer
+    assert cfg.bat.seed == 77  # [pipeline] seed is the optimizer's seed
     assert cfg.roi == RoiRect(8, 16, 32, 24)
     assert cfg.h_min == 3.5
-    assert cfg.seed == 77
     assert cfg.output_dir == "results"
 
 
@@ -83,6 +85,23 @@ def test_bad_value_rejected():
         parse_config("[watershed]\nbasin_rule = magic\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[watershed]\nh_min = nan\n",  # h-minima reconstruction never converged
+        "[bat]\nf_min = nan\n",
+        "[bat]\nf_max = nan\n",
+        "[bat]\nalpha = nan\n",
+        "[bat]\ngamma = nan\n",
+        "[bat]\nloudness = nan\n",
+        "[bat]\npulse_rate = nan\n",
+    ],
+)
+def test_nan_setting_rejected(text):
+    with pytest.raises(ValueError):
+        parse_config(text)
+
+
 def test_round_trip_is_idempotent():
     cfg = parse_config(SAMPLE)
     text1 = serialize_config(cfg)
@@ -99,9 +118,113 @@ def test_round_trip_without_roi():
     assert parse_config(text) == cfg
 
 
+# The canonical text, pinned byte for byte: the CLI benchmark workload
+# writes it as its config file, and a run manifest will embed it.
+DEFAULT_TEXT = """\
+[wavelet]
+levels = 3
+kept_scales = 2,3
+
+[bat]
+population = 20
+iterations = 500
+f_min = 0
+f_max = 2
+alpha = 0.9
+gamma = 0.9
+loudness = 1
+pulse_rate = 0.5
+
+[watershed]
+h_min = 5
+basin_rule = otsu
+
+[pipeline]
+seed = 0
+output_dir = out
+"""
+
+SAMPLE_TEXT = """\
+[wavelet]
+levels = 4
+kept_scales = 2,3,4
+
+[bat]
+population = 12
+iterations = 80
+f_min = 0
+f_max = 2
+alpha = 0.85
+gamma = 0.9
+loudness = 1
+pulse_rate = 0.5
+
+[roi]
+x0 = 8
+y0 = 16
+w = 32
+h = 24
+
+[watershed]
+h_min = 3.5
+basin_rule = otsu
+
+[pipeline]
+seed = 77
+output_dir = results
+"""
+
+
+def test_canonical_text_is_pinned():
+    assert serialize_config(PipelineConfig()) == DEFAULT_TEXT
+    assert serialize_config(parse_config(SAMPLE)) == SAMPLE_TEXT
+
+
+def _floats(lo, hi=1e6, **kwargs):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+@st.composite
+def configs(draw):
+    levels = draw(st.integers(1, 6))
+    f_min = draw(_floats(-1e6))
+    bat = BatParams(
+        population=draw(st.integers(2, 1000)),
+        iterations=draw(st.integers(1, 100_000)),
+        f_min=f_min,
+        f_max=draw(_floats(f_min)),
+        alpha=draw(_floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        gamma=draw(_floats(0.0, exclude_min=True)),
+        a0=draw(_floats(0.0, exclude_min=True)),
+        r0=draw(_floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    side = st.integers(1, 4096)
+    corner = st.integers(0, 4096)
+    return PipelineConfig(
+        wavelet_levels=levels,
+        kept_scales=tuple(draw(st.lists(st.integers(1, levels), min_size=1, max_size=6))),
+        bat=bat,
+        roi=draw(st.none() | st.builds(RoiRect, corner, corner, side, side)),
+        h_min=draw(_floats(0.0)),
+        basin_rule=draw(st.sampled_from(("otsu", "threshold"))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs())
+def test_every_valid_config_round_trips(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_with_seed_survives_serialization():
+    text = serialize_config(PipelineConfig().with_seed(5))
+    assert "\nseed = 5\n" in text
+    assert parse_config(text).bat.seed == 5
+
+
 def test_with_seed_updates_bat_seed():
     cfg = PipelineConfig().with_seed(99)
-    assert cfg.seed == 99
     assert cfg.bat.seed == 99
 
 

@@ -8,6 +8,8 @@ from lcseg.image import (
     PhantomSpec,
     crop,
     generate_phantom,
+    labels_to_gray8,
+    mask_to_gray8,
     read_pgm,
     write_overlay,
     write_pgm,
@@ -159,6 +161,22 @@ def test_overlay_rejects_mismatched_shapes(tmp_path):
             np.zeros((3, 2), dtype=bool),
             tmp_path / "x.ppm",
         )
+
+
+def test_label_raster_saturates_at_255():
+    labels = np.array([[0, 1, 254], [255, 256, 70000]], dtype=np.int32)
+    got = labels_to_gray8(labels)
+    assert got.dtype == np.uint8
+    assert got.tolist() == [[0, 1, 254], [255, 255, 255]]
+
+
+def test_mask_raster_round_trips_through_pgm(tmp_path):
+    mask = np.array([[True, False, True], [False, False, True]])
+    raster = mask_to_gray8(mask)
+    assert raster.dtype == np.uint8
+    assert raster.tolist() == [[255, 0, 255], [0, 0, 255]]
+    write_pgm(raster, tmp_path / "m.pgm")
+    assert np.array_equal(read_pgm(tmp_path / "m.pgm") > 0, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ def _fast_config(seed=0, **kwargs):
     from lcseg.bat import BatParams
 
     cfg = PipelineConfig(**kwargs)
-    return replace(cfg, bat=BatParams(seed=seed, **FAST_BAT), seed=seed)
+    return replace(cfg, bat=BatParams(seed=seed, **FAST_BAT))
 
 
 def test_pipeline_produces_consistent_result():

@@ -7,7 +7,6 @@ from lcseg.config import PipelineConfig
 from lcseg.image import PhantomSpec, generate_phantom
 from lcseg.image import scale_to_255
 from lcseg.watershed import (
-    WatershedParams,
     gradient_magnitude,
     h_minima,
     labels_to_mask,
@@ -259,6 +258,15 @@ def test_gradient_rejects_tiny_images():
 # h-minima
 # ---------------------------------------------------------------------------
 
+def test_h_minima_rejects_negative_and_nan_depth():
+    surf = np.arange(16.0).reshape(4, 4)
+    for h in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="non-negative"):
+            h_minima(surf, h)
+        with pytest.raises(ValueError, match="non-negative"):
+            watershed_segment(surf, h)
+
+
 def test_h_minima_zero_is_identity():
     rng = np.random.default_rng(0)
     surf = rng.uniform(0, 100, size=(6, 6))
@@ -400,7 +408,7 @@ TWO_PIT_LABELS = np.array(
 
 
 def test_two_pit_fixture_exact_labels():
-    labels = watershed_segment(TWO_PIT, WatershedParams(0.0))
+    labels = watershed_segment(TWO_PIT, 0.0)
     assert np.array_equal(labels, TWO_PIT_LABELS)
     assert labels.max() == 2
 
@@ -410,7 +418,7 @@ def test_two_pit_matches_oracle():
 
 
 def test_constant_surface_single_basin():
-    labels = watershed_segment(np.zeros((6, 6)), WatershedParams(0.0))
+    labels = watershed_segment(np.zeros((6, 6)), 0.0)
     assert labels.max() == 1
     assert (labels == 1).all()
 
@@ -419,7 +427,7 @@ def test_flood_matches_oracle_on_random_surfaces():
     rng = np.random.default_rng(12)
     for _ in range(10):
         surf = rng.integers(0, 5, size=(8, 8)).astype(float)
-        got = watershed_segment(surf, WatershedParams(0.0))
+        got = watershed_segment(surf, 0.0)
         want = oracle_flood(surf)
         assert np.array_equal(got, want)
 
@@ -428,7 +436,7 @@ def test_flood_with_h_min_matches_oracle():
     rng = np.random.default_rng(13)
     for _ in range(5):
         surf = rng.integers(0, 12, size=(8, 8)).astype(float)
-        got = watershed_segment(surf, WatershedParams(3.0))
+        got = watershed_segment(surf, 3.0)
         want = oracle_flood(surf, 3.0)
         assert np.array_equal(got, want)
 
@@ -437,7 +445,7 @@ def test_ridge_count_equals_minima_count_at_zero_h():
     rng = np.random.default_rng(14)
     surf = rng.integers(0, 9, size=(12, 12)).astype(float)
     _, k = regional_minima(surf)
-    labels = watershed_segment(surf, WatershedParams(0.0))
+    labels = watershed_segment(surf, 0.0)
     assert labels.max() == k
 
 
@@ -446,7 +454,7 @@ def test_basin_count_non_increasing_in_h():
     surf = gradient_magnitude(img)
     counts = []
     for h in (0.0, 5.0, 20.0, 60.0):
-        labels = watershed_segment(surf, WatershedParams(h))
+        labels = watershed_segment(surf, h)
         counts.append(int(labels.max()))
     assert counts == sorted(counts, reverse=True)
     assert counts[1] < counts[0]
@@ -455,15 +463,15 @@ def test_basin_count_non_increasing_in_h():
 def test_flood_determinism():
     rng = np.random.default_rng(15)
     surf = rng.integers(0, 4, size=(10, 10)).astype(float)
-    a = watershed_segment(surf, WatershedParams(0.0))
-    b = watershed_segment(surf, WatershedParams(0.0))
+    a = watershed_segment(surf, 0.0)
+    b = watershed_segment(surf, 0.0)
     assert np.array_equal(a, b)
 
 
 def test_basins_are_connected_and_contain_their_marker():
     rng = np.random.default_rng(16)
     surf = rng.integers(0, 5, size=(9, 9)).astype(float)
-    labels = watershed_segment(surf, WatershedParams(0.0))
+    labels = watershed_segment(surf, 0.0)
     markers, k = regional_minima(surf)
     assert labels.max() == k
     for basin in range(1, k + 1):
@@ -491,7 +499,7 @@ def test_basins_are_connected_and_contain_their_marker():
 def test_flood_matches_oracle_at_scale(name):
     make, h_min = LARGE_SURFACES[name]
     surf = make()
-    got = watershed_segment(surf, WatershedParams(h_min))
+    got = watershed_segment(surf, h_min)
     assert got.dtype == np.int32
     assert np.array_equal(got, oracle_flood(surf, h_min))
 
@@ -502,14 +510,14 @@ def test_flood_without_markers_raises(monkeypatch):
 
     monkeypatch.setattr(lcseg.watershed, "regional_minima", no_markers)
     with pytest.raises(RuntimeError, match="undecided"):
-        watershed_segment(np.zeros((5, 5)), WatershedParams(0.0))
+        watershed_segment(np.zeros((5, 5)), 0.0)
 
 
 def test_rejects_non_finite_surface():
     surf = np.zeros((4, 4))
     surf[1, 1] = np.nan
     with pytest.raises(ValueError):
-        watershed_segment(surf, WatershedParams(0.0))
+        watershed_segment(surf, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +611,7 @@ def test_labels_to_mask_matches_oracle(fixed_threshold):
 
 def test_labels_to_mask_matches_oracle_on_flooded_phantom():
     img, _ = generate_phantom(PhantomSpec(32, 32, 32, 10, 20.0, 7))
-    labels = watershed_segment(_phantom_gradient(), WatershedParams(PipelineConfig().h_min))
+    labels = watershed_segment(_phantom_gradient(), PipelineConfig().h_min)
     assert (labels == 0).any()
     for fixed_threshold in (None, 128):
         got = labels_to_mask(labels, img, fixed_threshold=fixed_threshold)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -179,3 +180,190 @@ def test_csv_round_trip(tmp_path):
         got = float(row["best_fitness"])
         want = state.history[i]
         assert got == pytest.approx(want, rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# Pinned final state
+# ---------------------------------------------------------------------------
+
+def _smooth_fake(x):
+    # A polynomial, so the value is the same on every IEEE-754 platform.
+    return -(x - 97.3) * (x - 97.3) + 0.5 * x
+
+
+def _pinned_fitness(name):
+    if name == "otsu":
+        img, _ = generate_phantom(PhantomSpec(64, 64, 16, 5, 20.0, 7))
+        return otsu_fitness(img)
+    return _smooth_fake
+
+
+_PINNED_PARAMS = {
+    "default": {},
+    "small": dict(population=6, iterations=80, alpha=0.6, r0=0.9, f_max=1.5),
+}
+
+
+def _sha(values):
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def _state_record(state):
+    return (
+        _sha(state.positions),
+        _sha(state.velocities),
+        _sha(state.loudness),
+        _sha(state.pulse_rate),
+        _sha(state.history),
+        repr(state.best_position),
+        repr(state.best_fitness),
+    )
+
+# Taken before the bat read its draws from per-bat blocks, under numpy 2.4.6
+# on Python 3.11: (sha256 of positions, velocities, loudness, pulse_rate,
+# history as float64 bytes; repr of best_position, best_fitness).
+_PINNED_STATES = {
+    ("otsu", "default", 0): (
+        "80c5e6ca9d27852f14cc1537e6984848bd2a78844b634a9059b597db14f4aefa",
+        "d132d209ba35769fbb23bc63d0aac614d7de7b8089453733b8973c59a1e5647e",
+        "363fdcf0ed7e1db2c7265da7d31fe39992567b3851ac79f8480aa889e8207733",
+        "6b53acfafd6f8ec96ea3ffdf33be6bcd5f9a8ed3a2932a126f3eb8b963bd38d8",
+        "37e2b21dfde8f75bd451e6cf7052dcbc4ee6e96739d11bc49333fb6acf44a2b1",
+        "126.72168209279988",
+        "5670.928323979844",
+    ),
+    ("otsu", "default", 5): (
+        "62e9c0b31a816264e9eb52a1128cd9d3f367601cfcf6567b70a3c23d8d7e05f2",
+        "ea2fba5376cd649fdf9d10f72ce412e73b482879418ff7acd05ae931aca5ce4d",
+        "620333bdea773d08b140578d28e3717d422388f41fcb861b6db08a3192755588",
+        "76f417c698abf3a4447393dc4987988ab80ea163cff66636ab3c2250ff0ce846",
+        "37e2b21dfde8f75bd451e6cf7052dcbc4ee6e96739d11bc49333fb6acf44a2b1",
+        "113.20669799491256",
+        "5670.928323979844",
+    ),
+    ("otsu", "default", 2024): (
+        "a853e31b359d3c5e3e37b3c3b4ae696add077f731ce54b592320f134133fbfe8",
+        "bdfb19dc716c74cf887e4db346f28e4236f154a8665fa65f53b34e532ecf66a1",
+        "82492640e2940024d46a672d45d9d256f29500952f1bbc302c676064ea541a82",
+        "2d07478c6287d6a94da913c1a7988c3c17557879853bfa5cb6286466bac36625",
+        "73f8c5621c9b5b7f8557fc3f0063d564ce20e6cac21a440db6187464977b8a7c",
+        "120.02459201169683",
+        "5670.928323979844",
+    ),
+    ("otsu", "small", 0): (
+        "751360845fe3a5fdc83f0ac1e3469e7fe7aac3f7dabc569fae2ccc4ec481dccf",
+        "ceafacc682b3ed2342f16ca6c13dd07e96c2b89b80f38045efe175bec64f54bb",
+        "b74f4b63e36cae3a0b419c1a6654c8fe8639aa0fb0dfd3e3b9625951f169a279",
+        "02c31034080ef67ca2f90fa5d365c98ed00e25700eb01665219add3b2f577002",
+        "84084fc14a8d1d5c289f075c022d5685d4aa072ee7feced0e0081185a4d4eff5",
+        "95.17297249833985",
+        "5637.731316921514",
+    ),
+    ("otsu", "small", 5): (
+        "87d1c7adec7550bf84c52b105ec4b6b8d70dc42a200e01344c6560622c7b714c",
+        "8c016f2c19cd74b2071b551432e8c55644399a72f68bc4d88c9ab7066c8306f4",
+        "662a2cab8fa5b52f92a34b10b59a8b0796a661115ff3b2b2d369b579d8ad3e4f",
+        "92e954ce8bd892250a4a7ed634c40d167d1a7389268455d3bae0a3ac56a8761b",
+        "1d9fd45d8c2ea2f6d986d99fed5b35f5a77a997d76db817dee0811b1b70323cd",
+        "102.79521128423266",
+        "5665.964584547178",
+    ),
+    ("otsu", "small", 2024): (
+        "21c5a63a76e375f8d76dba05a02ebd73c9bb5553a27cd4876849d1e95689d1dd",
+        "05ab3e1bca4711e01de0d5f1048b0fc8e124d32881e6dba7a9f91acc7cfd3de2",
+        "703e8858a633347cebf531d39053edd68b0eeb10134bbdcb261952da07a4b627",
+        "3dfe368d7d4d4be277226427da128b3cd742f9fbeda504359e40c434323043c6",
+        "3ea29366b9735f42e2f89d9758f4434ef045874ba0cb22992baf640f06671c8f",
+        "162.905221514975",
+        "5532.815423387138",
+    ),
+    ("smooth", "default", 0): (
+        "722a1ab89fadbc1757c6badcfb10e5840bd658428d152685da9cab9c03116fe0",
+        "d213de6a97bb20c3dedd0f0074c5ae877e43d50f4c66e6bc8a7a0d0f517f6163",
+        "fcb644bdcecf5bb391370ecec5d50b1b1a6aa81517750e11947afa1bb16582c1",
+        "a25bbfbd5d694e837fda1972f5d841a340e4b9f5a6068b27895e848697a85638",
+        "b0534c59846ac7c9828dd6868d060f360f36d30b27d1dc1a3e525eb0e9b8bb97",
+        "97.54989430023757",
+        "48.71249998882756",
+    ),
+    ("smooth", "default", 5): (
+        "67eab8b95417e57f40e9c00bbc2146c8cb566aa62c39c2fd72b876d3c47aa201",
+        "d5a9497cbb24de67a1e2523671333a6f6e2725f3dc6c13ce42942c3ccb5cbc47",
+        "563a3fe260b3489c24f438804e7da8e7df93b05e189fa676d74ea140241f6e7a",
+        "630c4d578ba403788c64067fe6fc1847f9753e1ed3e31e5feb70fe30946f5608",
+        "6119c3c76abdb3917d7ae36452b9b3ecbc7946e73e524fca4c3a8eaf1b074f8b",
+        "97.54979391028134",
+        "48.71249995752703",
+    ),
+    ("smooth", "default", 2024): (
+        "34860bbff99874b0ebf5cee9a3f5a2434ddd55652741b0bfaced1861fa3a782b",
+        "070397d624aebae400e4015917da41f64c268d019d1aee87ad816b8a08985264",
+        "03f48727b810a7504fc7675191c8f385687afb4c57a819e66cca11ed6e0a2bab",
+        "a25bbfbd5d694e837fda1972f5d841a340e4b9f5a6068b27895e848697a85638",
+        "d064fb1e2c3cc5efbc326a6ce543be0a96fee41e2ed49c84ab7f44b9d8aa650c",
+        "97.55031673553053",
+        "48.712499899678605",
+    ),
+    ("smooth", "small", 0): (
+        "e249f5e2de49f9d0318bbaedd2172442d04cb460a21f1f19b9b316cafcf663aa",
+        "897cb32f63234d5cf6b8f7955796bfda96abf39323ffaa0fc0170ea4df936b62",
+        "c9680916203f02ecbee0ec79117fbc17047929cf0510413af4c4a33796f8d04d",
+        "8155015048da6be12d5de489c308e7c00b301e8d4f1dccc95b0359673f2aaa5b",
+        "f0fb06757535d248f8ff76359e3c6fcaad45f08be902a63b28b1a633f736f93e",
+        "97.54036671568541",
+        "48.712407199833315",
+    ),
+    ("smooth", "small", 5): (
+        "ec15ee682b4b24deec3b6875f8755aee6201a7ba91aa2a414930b8658f533a74",
+        "d99b5d5f2a112ecbbaa7ccfb4b007f1d790d9dd24e2420b295d4d87254afb7c5",
+        "fa3c42d799b257503de22a0c602192d9440288da8f7695e6976c85b6bf1958de",
+        "ab33bcd53afc8b1c922938f75b0fbe48e363646b4fd918e9dce3c1473b0f0f14",
+        "dccb4985c50960bae6da6fd05de089f48ba3ba6e02dc275df3c98402c2ea435d",
+        "98.76519807896437",
+        "47.23579362888128",
+    ),
+    ("smooth", "small", 2024): (
+        "b3600143c6202ec9ed5bd5b05724439e8ab765a51abc053db3292b720f5e8724",
+        "3eb662fc56dd80970b223f602b5a0441d53601b7e4a87402bf6f65fee288d28c",
+        "c62d068efbef308436336ac8b15588eeebbd8c526d1561458064540ace6bec9b",
+        "738e8c460d12d70b502d0837c81d8eb87295f0b7bf0bf5f4386a27900bd20a6a",
+        "56e701c39a1cbd12c0afe46c821b7258c34e4f2d6d5e25fe1096b83831632f3b",
+        "36.65623278318275",
+        "-3659.338385855927",
+    ),
+}
+
+
+@pytest.mark.parametrize("fitness_name", ["otsu", "smooth"])
+@pytest.mark.parametrize("params_name", sorted(_PINNED_PARAMS))
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_final_state_is_pinned(fitness_name, params_name, seed):
+    """The whole final state matches a recorded value bit for bit.
+
+    ``convergence.csv`` keeps six significant digits, so it cannot see a
+    one-ulp drift in the loop; these hashes can.
+    """
+    params = BatParams(seed=seed, **_PINNED_PARAMS[params_name])
+    state = bat_optimize(params, _pinned_fitness(fitness_name))
+    assert len(state.history) == params.iterations
+    assert _state_record(state) == _PINNED_STATES[(fitness_name, params_name, seed)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 99, 2**40 + 3])
+def test_block_draws_equal_single_uniform_draws(seed):
+    """One ``random(m)`` block is the same stream as m scalar draws.
+
+    The bat draws each stream as one block and maps a draw d to
+    ``uniform()`` as d and to ``uniform(-1.0, 1.0)`` as -1.0 + 2.0*d.
+    This checks that identity bit for bit on spawned PCG64 streams, with
+    the two kinds of call mixed in an irregular order.
+    """
+    m = 257
+    pattern = np.random.default_rng(seed).random(m) < 0.3  # True: uniform(-1, 1)
+    children = np.random.SeedSequence(seed).spawn(4)
+    for child in children:
+        block = np.random.Generator(np.random.PCG64(child)).random(m).tolist()
+        single = np.random.Generator(np.random.PCG64(child))
+        want = [-1.0 + 2.0 * d if wide else d for d, wide in zip(block, pattern)]
+        got = [single.uniform(-1.0, 1.0) if wide else single.uniform() for wide in pattern]
+        assert np.array(got).tobytes() == np.array(want).tobytes()

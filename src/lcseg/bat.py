@@ -18,12 +18,19 @@ evaluated candidate, accepted or not, so the best-so-far history is
 non-decreasing by construction.
 
 Determinism contract: the master seed is split into one PCG64 stream per
-bat via ``numpy.random.SeedSequence.spawn``; bat i draws, in order, its
-initial position, then per iteration beta, the local-walk coin, the walk
-offset (only when the walk is taken) and the acceptance coin.  x_best
-and the mean loudness are snapshotted at the start of each iteration and
-the bats are updated in bat order, so a bat's move never depends on
-another bat's move in the same iteration.
+bat via ``numpy.random.SeedSequence.spawn``.  Bat i draws its stream as
+one block, ``random(1 + 4 * iterations)``, up front and reads it through
+its own cursor: draw 0 sets the initial position (255 * d), then each
+iteration takes, in order, beta, the local-walk coin, the walk offset
+(only when the walk is taken) and the acceptance coin, so the cursor
+advances by 4 with the walk and by 3 without; the block's tail is never
+read.  A draw d stands for ``uniform()`` and -1 + 2d for
+``uniform(-1, 1)``, which numpy computes the same way, so the block
+yields bit for bit the values scalar draws in that order would.  x_best
+and the mean loudness are snapshotted at the start of each iteration
+(the mean is recomputed only after some loudness changed) and the bats
+are updated in bat order, so a bat's move never depends on another bat's
+move in the same iteration.
 """
 
 from __future__ import annotations
@@ -69,6 +76,8 @@ class BatParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.population < 2:
             raise ValueError("population must be at least 2")
         if self.iterations < 1:
@@ -107,10 +116,15 @@ def bat_optimize(params: BatParams, fitness: FitnessFn) -> BatState:
     every move.
     """
     n = params.population
-    streams = np.random.SeedSequence(params.seed).spawn(n)
-    gens = [np.random.Generator(np.random.PCG64(s)) for s in streams]
+    # One block of draws per bat, read through its own cursor in the
+    # order the module docstring fixes.
+    blocks = [
+        np.random.Generator(np.random.PCG64(s)).random(1 + 4 * params.iterations).tolist()
+        for s in np.random.SeedSequence(params.seed).spawn(n)
+    ]
+    cursors = [1] * n
 
-    positions = [_LOW + (_HIGH - _LOW) * gen.uniform() for gen in gens]
+    positions = [_LOW + (_HIGH - _LOW) * block[0] for block in blocks]
     velocities = [0.0] * n
     loudness = [params.a0] * n
     pulse_rate = [params.r0] * n
@@ -119,26 +133,39 @@ def bat_optimize(params: BatParams, fitness: FitnessFn) -> BatState:
     best_position = positions[best_idx]
     best_fitness = fitnesses[best_idx]
 
+    f_min, f_span = params.f_min, params.f_max - params.f_min
+    alpha, r0, gamma = params.alpha, params.r0, params.gamma
     history: list[float] = []
+    loudness_changed = True
     for t in range(1, params.iterations + 1):
         ref_best = best_position
-        # numpy's pairwise sum, not sum()/n: the pinned artifacts use it.
-        mean_loudness = float(np.mean(loudness))
-        for i, gen in enumerate(gens):
-            beta = gen.uniform()
-            freq = params.f_min + (params.f_max - params.f_min) * beta
-            velocities[i] += (positions[i] - ref_best) * freq
-            cand = positions[i] + velocities[i]
-            if gen.uniform() > pulse_rate[i]:
-                cand = ref_best + gen.uniform(-1.0, 1.0) * mean_loudness
-            cand = min(max(cand, _LOW), _HIGH)
-            accept_coin = gen.uniform()
+        if loudness_changed:
+            # numpy's pairwise sum, not sum()/n: the pinned artifacts use it.
+            mean_loudness = float(np.mean(loudness))
+            loudness_changed = False
+        for i in range(n):
+            block = blocks[i]
+            c = cursors[i]
+            velocities[i] += (positions[i] - ref_best) * (f_min + f_span * block[c])
+            if block[c + 1] > pulse_rate[i]:
+                cand = ref_best + (-1.0 + 2.0 * block[c + 2]) * mean_loudness
+                c += 4
+            else:
+                cand = positions[i] + velocities[i]
+                c += 3
+            accept_coin = block[c - 1]  # the iteration's last draw
+            cursors[i] = c
+            if cand < _LOW:  # the clamp min(max(cand, _LOW), _HIGH)
+                cand = _LOW
+            elif cand > _HIGH:
+                cand = _HIGH
             cand_fitness = float(fitness(cand))
             if accept_coin < loudness[i] and cand_fitness > fitnesses[i]:
                 positions[i] = cand
                 fitnesses[i] = cand_fitness
-                loudness[i] *= params.alpha
-                pulse_rate[i] = params.r0 * (1.0 - math.exp(-params.gamma * t))
+                loudness[i] *= alpha
+                pulse_rate[i] = r0 * (1.0 - math.exp(-gamma * t))
+                loudness_changed = True
             if cand_fitness > best_fitness:
                 best_fitness = cand_fitness
                 best_position = cand

@@ -4,10 +4,11 @@ Stage order: input checks -> wavelet enhancement -> bat threshold
 optimization -> histogram equalization -> :func:`segment` on the ROI
 frame (gradient-magnitude watershed, basin classification, boundary) ->
 metrics/ROC (when ground truth is supplied).  The input stage crops the
-input to the ROI and checks the ROI and the truth shape, so bad inputs
-fail before the expensive stages run.  The optimizer's threshold feeds
-the ROC/baseline comparison and, optionally, basin classification; the
-main path segments via watershed, not by binarizing at the threshold.
+input to the ROI and checks the image size against the wavelet levels,
+the ROI and the truth shape, so bad inputs fail before the expensive
+stages run.  The optimizer's threshold feeds the ROC/baseline comparison
+and, optionally, basin classification; the main path segments via
+watershed, not by binarizing at the threshold.
 ``lcseg segment`` runs the same :func:`segment`.
 """
 
@@ -32,7 +33,7 @@ from .image import (
     write_overlay,
     write_pgm,
 )
-from .wavelet import enhance_scales, iuwt_decompose
+from .wavelet import enhance_scales, iuwt_decompose, min_size_for_levels
 
 __all__ = [
     "PipelineError",
@@ -131,15 +132,22 @@ def run_pipeline(
 
     When a ROI is configured, ``truth`` may match either the full input
     or the cropped frame.  A degenerate segmentation (single-class mask)
-    sets the ``degenerate`` flag rather than failing.  A ROI too small
-    for the watershed (or, with truth, for SSIM) or outside the image,
-    and a truth matching neither shape, fail in the ``input`` stage,
-    before any other stage runs.
+    sets the ``degenerate`` flag rather than failing.  An image too small
+    for the wavelet levels, a ROI too small for the watershed (or, with
+    truth, for SSIM) or outside the image, and a truth matching neither
+    shape, fail in the ``input`` stage, before any other stage runs.
     """
     img = as_gray(image)
     roi = config.roi
 
     with _stage("input"):
+        min_side = min_size_for_levels(config.wavelet_levels)
+        if min(img.shape) < min_side:
+            h, w = img.shape
+            raise ValueError(
+                f"image {w}x{h} too small for {config.wavelet_levels} wavelet levels "
+                f"(needs >= {min_side} per axis)"
+            )
         if truth is None:
             need, user = _MIN_ROI, "the Sobel gradient"
         else:

@@ -81,6 +81,12 @@ def test_params_validation():
         BatParams(f_min=3.0, f_max=1.0)
 
 
+def test_params_reject_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        BatParams(seed=-1)
+    assert BatParams(seed=0).seed == 0
+
+
 # ---------------------------------------------------------------------------
 # Otsu objective
 # ---------------------------------------------------------------------------

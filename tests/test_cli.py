@@ -115,6 +115,17 @@ def test_run_degenerate_input_exits_3(tmp_path, fast_config, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+def test_run_negative_seed_exits_2_before_running(tmp_path, phantom_dir, capsys):
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "--input", str(phantom_dir / "image.pgm"), "--seed", "-1", "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "-1" in err
+    assert not out.exists()
+
+
 def test_run_determinism_byte_identical(tmp_path, phantom_dir, fast_config):
     outs = []
     for sub in ("r1", "r2"):

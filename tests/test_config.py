@@ -3,7 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcseg.bat import BatParams
-from lcseg.config import PipelineConfig, RoiRect, parse_config, serialize_config
+from lcseg.config import (
+    PipelineConfig,
+    RoiRect,
+    load_config,
+    parse_config,
+    serialize_config,
+)
 
 SAMPLE = """\
 # experiment settings
@@ -221,6 +227,18 @@ def test_with_seed_survives_serialization():
     text = serialize_config(PipelineConfig().with_seed(5))
     assert "\nseed = 5\n" in text
     assert parse_config(text).bat.seed == 5
+
+
+def test_negative_seed_rejected_at_parse(tmp_path):
+    text = "[pipeline]\nseed = -1\n"
+    with pytest.raises(ValueError, match="seed"):
+        parse_config(text)
+    path = tmp_path / "neg.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="seed"):
+        load_config(path)
+    with pytest.raises(ValueError, match="seed"):
+        PipelineConfig().with_seed(-1)
 
 
 def test_with_seed_updates_bat_seed():

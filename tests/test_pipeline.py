@@ -71,7 +71,7 @@ def test_pipeline_roi_truth_shape_mismatch(monkeypatch):
 
 def test_pipeline_stage_error_is_tagged():
     img = np.zeros((8, 8), dtype=np.uint8)  # too small for 3 levels
-    with pytest.raises(PipelineError, match=r"\[wavelet\]"):
+    with pytest.raises(PipelineError, match=r"\[input\]"):
         run_pipeline(img, None, PipelineConfig())
 
 
@@ -117,6 +117,28 @@ def test_pipeline_roi_outside_image_fails_at_entry(monkeypatch, roi):
     for t in (None, truth):
         with pytest.raises(PipelineError, match=r"\[input\] crop rectangle .* exceeds image 64x64"):
             run_pipeline(img, t, _fast_config(roi=roi))
+
+
+def _refuse_iuwt(*args, **kwargs):
+    raise AssertionError("the wavelet ran before the image size was checked")
+
+
+def test_pipeline_image_too_small_for_wavelet_fails_at_entry(monkeypatch):
+    from lcseg import pipeline
+
+    monkeypatch.setattr(pipeline, "iuwt_decompose", _refuse_iuwt)
+    img, truth = generate_phantom(PhantomSpec(12, 12, 6, 2, 0.0, 1))
+    for t in (None, truth):
+        with pytest.raises(
+            PipelineError, match=r"\[input\] image 12x12 too small for 3 wavelet levels"
+        ) as err:
+            run_pipeline(img, t, _fast_config())
+        assert err.value.stage == "input"
+    # one axis short is enough; the smallest admissible size passes the check
+    with pytest.raises(PipelineError, match=r"\[input\] image 40x16 too small"):
+        run_pipeline(np.zeros((16, 40), dtype=np.uint8), None, _fast_config())
+    with pytest.raises(PipelineError, match=r"\[wavelet\] the wavelet ran"):
+        run_pipeline(np.zeros((17, 17), dtype=np.uint8), None, _fast_config())
 
 
 def test_pipeline_small_roi_without_truth_still_runs():

@@ -33,7 +33,7 @@ from .image import (
     write_overlay,
     write_pgm,
 )
-from .wavelet import enhance_scales, iuwt_decompose, min_size_for_levels
+from .wavelet import check_size_for_levels, enhance_scales, iuwt_decompose
 
 __all__ = [
     "PipelineError",
@@ -141,13 +141,7 @@ def run_pipeline(
     roi = config.roi
 
     with _stage("input"):
-        min_side = min_size_for_levels(config.wavelet_levels)
-        if min(img.shape) < min_side:
-            h, w = img.shape
-            raise ValueError(
-                f"image {w}x{h} too small for {config.wavelet_levels} wavelet levels "
-                f"(needs >= {min_side} per axis)"
-            )
+        check_size_for_levels(img.shape, config.wavelet_levels)
         if truth is None:
             need, user = _MIN_ROI, "the Sobel gradient"
         else:

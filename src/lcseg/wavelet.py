@@ -22,6 +22,7 @@ __all__ = [
     "iuwt_reconstruct",
     "enhance_scales",
     "min_size_for_levels",
+    "check_size_for_levels",
 ]
 
 _KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -62,6 +63,16 @@ def min_size_for_levels(levels: int) -> int:
     return 2 ** (levels - 1) * 4 + 1
 
 
+def check_size_for_levels(shape: tuple[int, int], levels: int) -> None:
+    """Raise ``ValueError`` if an image of ``shape`` is too small for ``levels``."""
+    need = min_size_for_levels(levels)
+    h, w = shape
+    if h < need or w < need:
+        raise ValueError(
+            f"image {w}x{h} too small for {levels} levels (needs >= {need} per axis)"
+        )
+
+
 def _mirror_indices(n: int, offset: int) -> np.ndarray:
     """Index vector implementing reflect-without-repeat at both borders."""
     idx = np.arange(n) + offset
@@ -96,12 +107,7 @@ def iuwt_decompose(image: np.ndarray, levels: int) -> WaveletPyramid:
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("expected a 2-D image")
-    need = min_size_for_levels(levels)
-    h, w = img.shape
-    if h < need or w < need:
-        raise ValueError(
-            f"image {w}x{h} too small for {levels} levels (needs >= {need} per axis)"
-        )
+    check_size_for_levels(img.shape, levels)
 
     details: list[np.ndarray] = []
     current = img

@@ -130,7 +130,7 @@ def test_pipeline_image_too_small_for_wavelet_fails_at_entry(monkeypatch):
     img, truth = generate_phantom(PhantomSpec(12, 12, 6, 2, 0.0, 1))
     for t in (None, truth):
         with pytest.raises(
-            PipelineError, match=r"\[input\] image 12x12 too small for 3 wavelet levels"
+            PipelineError, match=r"\[input\] image 12x12 too small for 3 levels"
         ) as err:
             run_pipeline(img, t, _fast_config())
         assert err.value.stage == "input"

@@ -76,8 +76,9 @@ class BatParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         if self.population < 2:
             raise ValueError("population must be at least 2")
         if self.iterations < 1:

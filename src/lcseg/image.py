@@ -26,6 +26,7 @@ __all__ = [
     "crop",
     "generate_phantom",
     "scale_to_255",
+    "separable_filter",
     "to_gray8",
     "labels_to_gray8",
     "mask_to_gray8",
@@ -56,6 +57,28 @@ def scale_to_255(surface: np.ndarray) -> np.ndarray:
     if hi == lo:
         return np.zeros_like(surface)
     return (surface - lo) / (hi - lo) * 255.0
+
+
+def separable_filter(plane: np.ndarray, taps: np.ndarray, spacing: int = 1) -> np.ndarray:
+    """Correlate a 2-D float plane with ``taps`` along rows, then columns.
+
+    The taps are centered (odd count) and spaced ``spacing`` pixels apart;
+    the border is mirror-extended (reflection about the edge pixel, no
+    edge repeat), so the reach ``len(taps) // 2 * spacing`` must not
+    exceed ``n - 1`` on either axis.  Each pass sums the tap products in
+    tap order, starting from zero.
+    """
+    h, w = plane.shape
+    reach = len(taps) // 2 * spacing
+    padded = np.pad(plane, ((reach, reach), (0, 0)), mode="reflect")
+    rows = np.zeros_like(plane, dtype=np.float64)
+    for k, tap in enumerate(taps):
+        rows += tap * padded[k * spacing : k * spacing + h, :]
+    padded = np.pad(rows, ((0, 0), (reach, reach)), mode="reflect")
+    out = np.zeros_like(rows)
+    for k, tap in enumerate(taps):
+        out += tap * padded[:, k * spacing : k * spacing + w]
+    return out
 
 
 def to_gray8(values: np.ndarray) -> np.ndarray:

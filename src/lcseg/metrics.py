@@ -3,7 +3,8 @@
 Covers the eight-entry evaluation suite (PSNR, MSE, F-measure, Rand
 index, sensitivity, specificity, SSIM, accuracy) and threshold-sweep ROC
 curves with trapezoidal AUC.  All ratio metrics use the 0/0 -> 0
-convention so every function is total.
+convention so every function is total.  SSIM's Gaussian window is
+:func:`lcseg.image.separable_filter`, the filter the wavelet uses too.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import as_gray
+from .image import as_gray, separable_filter
 
 __all__ = [
     "ConfusionCounts",
@@ -111,26 +112,16 @@ def precision_recall_f(counts: ConfusionCounts) -> tuple[float, float, float]:
     return precision, recall, f
 
 
-def rand_index(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Fraction of pixel pairs on which the two partitions agree.
+def _rand_from_table(table) -> float:
+    """Rand index from the contingency table of two partitions.
 
-    Accepts binary masks or multi-label maps of equal size.  Computed
-    from the contingency table in O(K1*K2), never by pair enumeration:
-    with n(n-1)/2 total pairs, a = pairs co-clustered in both and
+    With n(n-1)/2 total pairs, a = pairs co-clustered in both and
     b = pairs separated in both, RI = (a + b) / C(n, 2).
     """
-    p = np.asarray(pred).ravel()
-    t = np.asarray(truth).ravel()
-    if p.size != t.size:
-        raise ValueError(f"size mismatch: {p.size} vs {t.size}")
-    n = p.size
+    table = np.asarray(table)
+    n = int(table.sum())
     if n < 2:
         raise ValueError("rand index needs at least 2 pixels")
-    _, pi = np.unique(p, return_inverse=True)
-    _, ti = np.unique(t, return_inverse=True)
-    k1 = int(pi.max()) + 1
-    k2 = int(ti.max()) + 1
-    table = np.bincount(pi * k2 + ti, minlength=k1 * k2).reshape(k1, k2)
 
     def comb2(x: np.ndarray) -> float:
         x = x.astype(np.float64)
@@ -142,6 +133,23 @@ def rand_index(pred: np.ndarray, truth: np.ndarray) -> float:
     sum_cols = comb2(table.sum(axis=0))
     b = pairs_total - sum_rows - sum_cols + a
     return (a + b) / pairs_total
+
+
+def rand_index(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Fraction of pixel pairs on which the two partitions agree.
+
+    Accepts binary masks or multi-label maps of equal size.  Computed
+    from the contingency table in O(K1*K2), never by pair enumeration.
+    """
+    p = np.asarray(pred).ravel()
+    t = np.asarray(truth).ravel()
+    if p.size != t.size:
+        raise ValueError(f"size mismatch: {p.size} vs {t.size}")
+    p_values, pi = np.unique(p, return_inverse=True)
+    t_values, ti = np.unique(t, return_inverse=True)
+    k1, k2 = p_values.size, t_values.size
+    table = np.bincount(pi * k2 + ti, minlength=k1 * k2).reshape(k1, k2)
+    return _rand_from_table(table)
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +169,6 @@ def _gaussian_taps() -> np.ndarray:
     return g / g.sum()
 
 
-def _gaussian_filter(img: np.ndarray) -> np.ndarray:
-    """Separable Gaussian window sum with mirror boundary extension."""
-    taps = _gaussian_taps()
-    half = SSIM_WINDOW // 2
-    p = np.pad(img, half, mode="reflect")
-    rows = np.zeros_like(img, dtype=np.float64)
-    for k, off in enumerate(range(-half, half + 1)):
-        rows += taps[k] * p[half + off : half + off + img.shape[0], half:-half]
-    p2 = np.pad(rows, ((0, 0), (half, half)), mode="reflect")
-    out = np.zeros_like(rows)
-    for k, off in enumerate(range(-half, half + 1)):
-        out += taps[k] * p2[:, half + off : half + off + img.shape[1]]
-    return out
-
-
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean local structural similarity in [-1, 1].
 
@@ -188,11 +181,12 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     _check_same_shape(x, y, "images")
     if x.shape[0] < SSIM_WINDOW or x.shape[1] < SSIM_WINDOW:
         raise ValueError(f"ssim needs images of at least {SSIM_WINDOW}x{SSIM_WINDOW}")
-    mu_x = _gaussian_filter(x)
-    mu_y = _gaussian_filter(y)
-    xx = _gaussian_filter(x * x) - mu_x * mu_x
-    yy = _gaussian_filter(y * y) - mu_y * mu_y
-    xy = _gaussian_filter(x * y) - mu_x * mu_y
+    taps = _gaussian_taps()
+    mu_x = separable_filter(x, taps)
+    mu_y = separable_filter(y, taps)
+    xx = separable_filter(x * x, taps) - mu_x * mu_x
+    yy = separable_filter(y * y, taps) - mu_y * mu_y
+    xy = separable_filter(x * y, taps) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + _SSIM_C1) * (2.0 * xy + _SSIM_C2)
     den = (mu_x * mu_x + mu_y * mu_y + _SSIM_C1) * (xx + yy + _SSIM_C2)
     return float(np.mean(num / den))
@@ -204,11 +198,14 @@ def full_report(
     pred_img: np.ndarray,
     truth_img: np.ndarray,
 ) -> MetricsReport:
-    """Assemble the eight-measure report from masks and an image pair.
+    """Assemble the eight-measure report from two masks and an image pair.
 
-    Classification measures come from one confusion computation (single
-    source of truth); PSNR/MSE/SSIM compare ``pred_img`` to
-    ``truth_img``; SSIM is reported times 100.
+    ``pred`` and ``truth`` are read as boolean masks; for the Rand index
+    of two multi-label maps call :func:`rand_index` directly.
+
+    Classification measures, the Rand index included, come from one
+    confusion computation (single source of truth); PSNR/MSE/SSIM compare
+    ``pred_img`` to ``truth_img``; SSIM is reported times 100.
     """
     counts = confusion(pred, truth)
     _, _, f = precision_recall_f(counts)
@@ -217,7 +214,8 @@ def full_report(
         psnr=psnr,
         mse=mse,
         f_measure=f,
-        rand_index=rand_index(pred, truth),
+        # Rows: pred False/True; columns: truth False/True.
+        rand_index=_rand_from_table([[counts.tn, counts.fn], [counts.fp, counts.tp]]),
         sensitivity=counts.sensitivity,
         specificity=counts.specificity,
         ssim=100.0 * ssim(pred_img, truth_img),

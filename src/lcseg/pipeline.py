@@ -72,11 +72,10 @@ class PipelineResult:
 
 @contextmanager
 def _stage(name: str):
+    """Tag input errors with the stage name; other errors are bugs and propagate."""
     try:
         yield
-    except PipelineError:
-        raise
-    except Exception as exc:
+    except (ValueError, OSError) as exc:
         raise PipelineError(name, exc) from exc
 
 

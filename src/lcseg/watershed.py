@@ -26,10 +26,6 @@ __all__ = [
 ]
 
 
-def _mirror_pad(img: np.ndarray, pad: int) -> np.ndarray:
-    return np.pad(img, pad, mode="reflect")
-
-
 def gradient_magnitude(image: np.ndarray) -> np.ndarray:
     """Per-pixel sqrt(Gx^2 + Gy^2) with 3x3 Sobel kernels.
 
@@ -38,7 +34,7 @@ def gradient_magnitude(image: np.ndarray) -> np.ndarray:
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 3 or img.shape[1] < 3:
         raise ValueError("gradient_magnitude needs an image of at least 3x3")
-    p = _mirror_pad(img, 1)
+    p = np.pad(img, 1, mode="reflect")
     # Sobel x: [[-1,0,1],[-2,0,2],[-1,0,1]], y is its transpose.
     right = p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]
     left = p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2]

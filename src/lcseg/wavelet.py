@@ -2,9 +2,10 @@
 
 Decomposes an image into same-size detail planes w_1..w_J plus a coarse
 approximation c_J such that the input is exactly c_J + sum(w_j).  The
-scaling kernel is the cubic B3 spline (1/16)[1, 4, 6, 4, 1], applied
-separably with hole spacing 2**(j-1) at level j and mirror boundary
-extension (reflection about the edge pixel, no edge repeat).
+scaling kernel is the cubic B3 spline (1/16)[1, 4, 6, 4, 1], applied by
+:func:`lcseg.image.separable_filter` (the package's one filter) with hole
+spacing 2**(j-1) at level j and mirror boundary extension (reflection
+about the edge pixel, no edge repeat).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .image import scale_to_255, to_gray8
+from .image import scale_to_255, separable_filter, to_gray8
 
 __all__ = [
     "WaveletPyramid",
@@ -26,7 +27,6 @@ __all__ = [
 ]
 
 _KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-_OFFSETS = (-2, -1, 0, 1, 2)
 
 
 @dataclass
@@ -73,27 +73,6 @@ def check_size_for_levels(shape: tuple[int, int], levels: int) -> None:
         )
 
 
-def _mirror_indices(n: int, offset: int) -> np.ndarray:
-    """Index vector implementing reflect-without-repeat at both borders."""
-    idx = np.arange(n) + offset
-    idx = np.abs(idx)  # reflect the left border: -k -> k
-    over = idx > n - 1
-    idx[over] = 2 * (n - 1) - idx[over]
-    return idx
-
-
-def _smooth_pass(plane: np.ndarray, spacing: int) -> np.ndarray:
-    """One separable B3 smoothing with holes of size ``spacing``."""
-    h, w = plane.shape
-    rows = np.zeros_like(plane)
-    for k, off in zip(_KERNEL, _OFFSETS):
-        rows += k * plane[_mirror_indices(h, off * spacing), :]
-    out = np.zeros_like(plane)
-    for k, off in zip(_KERNEL, _OFFSETS):
-        out += k * rows[:, _mirror_indices(w, off * spacing)]
-    return out
-
-
 def iuwt_decompose(image: np.ndarray, levels: int) -> WaveletPyramid:
     """Decompose ``image`` into ``levels`` undecimated wavelet planes.
 
@@ -112,7 +91,7 @@ def iuwt_decompose(image: np.ndarray, levels: int) -> WaveletPyramid:
     details: list[np.ndarray] = []
     current = img
     for j in range(1, levels + 1):
-        smoothed = _smooth_pass(current, 2 ** (j - 1))
+        smoothed = separable_filter(current, _KERNEL, 2 ** (j - 1))
         details.append(current - smoothed)
         current = smoothed
     return WaveletPyramid(levels=levels, smooth=current, details=details)

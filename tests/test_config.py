@@ -241,6 +241,22 @@ def test_negative_seed_rejected_at_parse(tmp_path):
         PipelineConfig().with_seed(-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, "3", True, 2.0])
+def test_non_integer_seed_rejected(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        PipelineConfig().with_seed(seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers() | st.floats() | st.booleans() | st.text(max_size=4))
+def test_every_accepted_seed_round_trips(seed):
+    try:
+        cfg = PipelineConfig().with_seed(seed)
+    except ValueError:
+        return
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_with_seed_updates_bat_seed():
     cfg = PipelineConfig().with_seed(99)
     assert cfg.bat.seed == 99

@@ -184,6 +184,74 @@ def test_ssim_range():
     assert -1.0 <= value <= 1.0
 
 
+def oracle_ssim(a, b):
+    """Mean SSIM with scalar loops and explicit mirror indexing (test oracle).
+
+    The 11-tap Gaussian (sigma 1.5) runs in tap order, along rows first,
+    then along columns, over x, y, x*x, y*y and x*y.
+    """
+    x = np.asarray(a, dtype=np.float64).tolist()
+    y = np.asarray(b, dtype=np.float64).tolist()
+    h, w = len(x), len(x[0])
+    g = [math.exp(-(k * k) / (2.0 * 1.5 * 1.5)) for k in range(-5, 6)]
+    taps = [v / sum(g) for v in g]
+
+    def mirror(i, n):
+        if i < 0:
+            return -i
+        if i > n - 1:
+            return 2 * (n - 1) - i
+        return i
+
+    def smooth(plane):
+        rows = [[0.0] * w for _ in range(h)]
+        for r in range(h):
+            for c in range(w):
+                acc = 0.0
+                for k, t in enumerate(taps):
+                    acc += t * plane[mirror(r + k - 5, h)][c]
+                rows[r][c] = acc
+        out = [[0.0] * w for _ in range(h)]
+        for r in range(h):
+            for c in range(w):
+                acc = 0.0
+                for k, t in enumerate(taps):
+                    acc += t * rows[r][mirror(c + k - 5, w)]
+                out[r][c] = acc
+        return out
+
+    def product(p, q):
+        return [[p[r][c] * q[r][c] for c in range(w)] for r in range(h)]
+
+    mx, my = smooth(x), smooth(y)
+    fxx, fyy, fxy = smooth(product(x, x)), smooth(product(y, y)), smooth(product(x, y))
+    c1 = (0.01 * 255.0) ** 2
+    c2 = (0.03 * 255.0) ** 2
+    total = 0.0
+    for r in range(h):
+        for c in range(w):
+            ux, uy = mx[r][c], my[r][c]
+            sxx = fxx[r][c] - ux * ux
+            syy = fyy[r][c] - uy * uy
+            sxy = fxy[r][c] - ux * uy
+            num = (2.0 * ux * uy + c1) * (2.0 * sxy + c2)
+            den = (ux * ux + uy * uy + c1) * (sxx + syy + c2)
+            total += num / den
+    return total / (h * w)
+
+
+@pytest.mark.parametrize("shape", [(11, 11), (12, 15), (16, 16)])
+def test_ssim_matches_scalar_oracle(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for _ in range(3):
+        a = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        noise = rng.integers(-40, 41, size=shape)
+        b = np.clip(a + noise, 0, 255).astype(np.uint8)
+        c = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        for other in (b, c):
+            assert ssim(a, other) == pytest.approx(oracle_ssim(a, other), abs=1e-12)
+
+
 def test_ssim_rejects_small_images():
     with pytest.raises(ValueError):
         ssim(np.zeros((10, 10), np.uint8), np.zeros((10, 10), np.uint8))
@@ -215,6 +283,29 @@ def test_full_report_inverted_masks():
     r = full_report(~truth, truth, img, img)
     assert r.sensitivity == 0.0
     assert r.specificity == 0.0
+
+
+def test_full_report_rand_index_equals_rand_index():
+    # Masks need not match the image pair's shape; 11x11 is SSIM's minimum.
+    rng = np.random.default_rng(9)
+    img = np.zeros((11, 11), dtype=np.uint8)
+    for i in range(300):
+        shape = (int(rng.integers(1, 12)), int(rng.integers(2, 12)))
+        pred = rng.uniform(size=shape) < rng.uniform()
+        truth = rng.uniform(size=shape) < rng.uniform()
+        if i % 3 == 1:
+            pred[:] = True
+        elif i % 3 == 2:
+            truth[:] = False
+        got = full_report(pred, truth, img, img).rand_index
+        assert got == rand_index(pred, truth)
+
+
+def test_full_report_rand_index_needs_two_pixels():
+    one = np.ones((1, 1), dtype=bool)
+    img = np.zeros((11, 11), dtype=np.uint8)
+    with pytest.raises(ValueError, match="at least 2 pixels"):
+        full_report(one, one, img, img)
 
 
 def test_reference_profile_confusion_fixture():

@@ -137,8 +137,21 @@ def test_pipeline_image_too_small_for_wavelet_fails_at_entry(monkeypatch):
     # one axis short is enough; the smallest admissible size passes the check
     with pytest.raises(PipelineError, match=r"\[input\] image 40x16 too small"):
         run_pipeline(np.zeros((16, 40), dtype=np.uint8), None, _fast_config())
-    with pytest.raises(PipelineError, match=r"\[wavelet\] the wavelet ran"):
+    # 17x17 passes [input]; the refusing wavelet's own error surfaces unwrapped.
+    with pytest.raises(AssertionError, match=r"^the wavelet ran"):
         run_pipeline(np.zeros((17, 17), dtype=np.uint8), None, _fast_config())
+
+
+def test_stage_programming_errors_are_not_wrapped(monkeypatch):
+    from lcseg import pipeline
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken stage")
+
+    monkeypatch.setattr(pipeline, "iuwt_decompose", broken)
+    img, _ = generate_phantom(PhantomSpec(64, 64, 16, 5, 0.0, 1))
+    with pytest.raises(TypeError, match="broken stage"):
+        run_pipeline(img, None, _fast_config())
 
 
 def test_pipeline_small_roi_without_truth_still_runs():

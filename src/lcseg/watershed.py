@@ -1,15 +1,12 @@
 """Gradient-magnitude surface, h-minima suppression and Meyer flooding.
 
 The label map convention is 0 for watershed ridge pixels and 1..K for
-catchment basins.  Flooding is fully deterministic; the exact contract
-(neighbor order, queue seeding, tie-breaking, ridge rule) is spelled out
-in :func:`watershed_segment` so that an independent re-implementation
-can reproduce label maps pixel for pixel.
+catchment basins.  The flood drains one FIFO list per surface value in
+increasing order (Beucher & Meyer's hierarchical queue); its exact,
+deterministic contract is spelled out in :func:`watershed_segment`.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -159,56 +156,58 @@ def watershed_segment(surface: np.ndarray, h_min: float = 0.0) -> np.ndarray:
     markers, count = regional_minima(filled)
     h, w = filled.shape
 
-    # Flat row-major lists with a one-pixel border labeled -1, so that
-    # the 4 neighbors of an image pixel p are p + offset, in the order
-    # up, left, right, down, with no bounds checks.
+    # Flat row-major lists with a one-pixel border: the 4 neighbors of p
+    # are p + (up, left, right, down), with no bounds checks.  Labels are
+    # -2 unqueued, -1 border, 0 queued or ridge, and >0 basin.
     width = w + 2
-    size = (h + 2) * width
-    padded = np.pad(markers, 1, constant_values=-1).ravel()
-    labels = padded.tolist()
-    queued = (padded != 0).tolist()
-    marker_pixels = np.flatnonzero(padded > 0).tolist()
-    # Rule 3's (value, sequence) order as one integer key per entry:
-    # rank(value) * size**2 + sequence * size + pixel.  Equal values share
-    # a rank, so the sequence breaks their ties first-in first-out.
-    rank = np.unique(filled, return_inverse=True)[1].reshape(h, w)
-    rank = np.pad(rank, 1).ravel().tolist()
-    rank_step = size * size
     up, left, right, down = -width, -1, 1, width
-
-    heap: list[int] = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    seq_key = 0  # insertion sequence * size
-    for p in marker_pixels:
-        for q in (p + up, p + left, p + right, p + down):
-            if not queued[q]:
-                queued[q] = True
-                push(heap, rank[q] * rank_step + seq_key + q)
-                seq_key += size
+    padded = np.pad(np.where(markers > 0, markers, -2), 1, constant_values=-1).ravel()
+    marker_pixels = np.flatnonzero(padded > 0)
+    # Rule 4 at once: all candidates in scan order, first occurrence of each.
+    seeds = (marker_pixels[:, None] + (up, left, right, down)).ravel()
+    seeds = seeds[padded[seeds] == -2]
+    seeds = seeds[np.sort(np.unique(seeds, return_index=True)[1])]
+    padded[seeds] = 0
+    labels = padded.tolist()
+    # Rule 3's queue as one FIFO list per distinct value, drained in
+    # increasing order (bucket_of[p] is p's list).  Exact, because every
+    # component of a strict sublevel set holds a marker (a regional minimum):
+    # all strictly lower neighbors of a pixel pop before it, so a pop appends
+    # only to its own bucket or a later one, in (value, insertion) order.
+    values, rank = np.unique(filled, return_inverse=True)
+    buckets = np.fromiter(([] for _ in values), dtype=object, count=len(values))
+    bucket_of = buckets[np.pad(rank.reshape(h, w), 1).ravel()].tolist()
+    for q in seeds.tolist():
+        bucket_of[q].append(q)
 
     popped = 0
-    while heap:
-        p = pop(heap) % size
-        popped += 1
-        a = labels[p + up]
-        b = labels[p + left]
-        c = labels[p + right]
-        d = labels[p + down]
-        claim = max(a, b, c, d)
-        if (
-            claim > 0
-            and (a <= 0 or a == claim)
-            and (b <= 0 or b == claim)
-            and (c <= 0 or c == claim)
-            and (d <= 0 or d == claim)
-        ):
-            labels[p] = claim
-        for q in (p + up, p + left, p + right, p + down):
-            if not queued[q]:
-                queued[q] = True
-                push(heap, rank[q] * rank_step + seq_key + q)
-                seq_key += size
+    for bucket in buckets:
+        for p in bucket:  # the bucket grows while it is drained
+            qa, qb, qc, qd = p + up, p + left, p + right, p + down
+            a, b, c, d = labels[qa], labels[qb], labels[qc], labels[qd]
+            claim = max(a, b, c, d)
+            if (
+                claim > 0
+                and (a <= 0 or a == claim)
+                and (b <= 0 or b == claim)
+                and (c <= 0 or c == claim)
+                and (d <= 0 or d == claim)
+            ):
+                labels[p] = claim
+            if a == -2:
+                labels[qa] = 0
+                bucket_of[qa].append(qa)
+            if b == -2:
+                labels[qb] = 0
+                bucket_of[qb].append(qb)
+            if c == -2:
+                labels[qc] = 0
+                bucket_of[qc].append(qc)
+            if d == -2:
+                labels[qd] = 0
+                bucket_of[qd].append(qd)
+        popped += len(bucket)
+        bucket.clear()
 
     if count < 1 or len(marker_pixels) + popped != h * w:
         raise RuntimeError(
@@ -216,8 +215,7 @@ def watershed_segment(surface: np.ndarray, h_min: float = 0.0) -> np.ndarray:
             f"{len(marker_pixels)} marker pixels + {popped} popped "
             f"!= {h * w} pixels"
         )
-    labels = np.asarray(labels, dtype=np.int32).reshape(h + 2, width)
-    return labels[1:-1, 1:-1].copy()
+    return np.asarray(labels, dtype=np.int32).reshape(h + 2, width)[1:-1, 1:-1].copy()
 
 
 def labels_to_mask(
@@ -232,12 +230,14 @@ def labels_to_mask(
     means (one sample per basin): basins whose floored mean exceeds the
     lowest maximizer are foreground.  When no split has positive
     between-class variance (a single basin, or all means equal) every
-    basin is foreground.  With ``fixed_threshold`` set, a basin is
-    foreground iff its mean is >= that value.
+    basin is foreground.  With ``fixed_threshold`` set, which must lie
+    in 0..255, a basin is foreground iff its mean is >= that value.
 
     Ridge pixels inherit the majority class of their 4-connected basin
     neighbors; ties (including no basin neighbor) go to foreground.
     """
+    if fixed_threshold is not None and not 0 <= fixed_threshold <= 255:
+        raise ValueError(f"fixed_threshold must be in 0..255, got {fixed_threshold}")
     lab = np.asarray(labels)
     img = as_gray(image)
     if lab.shape != img.shape:

@@ -84,6 +84,14 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert "error" in capsys.readouterr().err
 
 
+def test_segment_fixed_threshold_out_of_range_exits_2(phantom_dir, capsys):
+    code = run_cli(
+        "segment", "--input", str(phantom_dir / "image.pgm"), "--fixed-threshold", "999",
+    )
+    assert code == 2
+    assert "fixed_threshold must be in 0..255, got 999" in capsys.readouterr().err
+
+
 def test_run_writes_manifest(tmp_path, phantom_dir, fast_config, capsys):
     out = tmp_path / "out"
     code = run_cli(

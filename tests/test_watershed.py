@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lcseg.watershed
 from lcseg.bat import otsu_threshold
@@ -355,11 +357,28 @@ def _checkerboard():
     return ((ys + xs) % 2).astype(float)
 
 
+def _wide_shelf():
+    """A flat shelf 25 pixels wide on the ramps between two pit columns.
+
+    Both pits flood the shelf from its edges, so its 600 pixels are one
+    long first-in first-out run of equal values, split by insertion order.
+    """
+    xs = np.arange(40.0)
+    return np.tile(np.minimum(np.minimum(xs, 2.0 * (39.0 - xs)), 10.0), (24, 1))
+
+
+def _all_distinct():
+    """A random permutation of 0..1599: no two pixels share a value."""
+    return np.random.default_rng(32).permutation(1600).reshape(40, 40).astype(float)
+
+
 LARGE_SURFACES = {
     "phantom_gradient": (_phantom_gradient, PipelineConfig().h_min),
     "heavy_ties": (_heavy_ties, 0.0),
     "serpentine": (_serpentine, 0.0),
     "checkerboard": (_checkerboard, 0.0),
+    "wide_shelf": (_wide_shelf, 0.0),
+    "all_distinct": (_all_distinct, 0.0),
 }
 
 
@@ -430,6 +449,31 @@ def test_flood_matches_oracle_on_random_surfaces():
         got = watershed_segment(surf, 0.0)
         want = oracle_flood(surf)
         assert np.array_equal(got, want)
+
+
+SHAPES = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 12)),
+    st.tuples(st.integers(1, 12), st.just(1)),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    shape=SHAPES,
+    levels=st.integers(1, 5),
+    jitter=st.booleans(),
+    h_min=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+)
+def test_flood_matches_oracle_on_generated_surfaces(data, shape, levels, jitter, h_min):
+    n = shape[0] * shape[1]
+    cells = data.draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+    surf = np.array(cells, dtype=float).reshape(shape)
+    if jitter:
+        jitters = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)
+        surf += np.reshape(data.draw(jitters), shape)
+    assert np.array_equal(watershed_segment(surf, h_min), oracle_flood(surf, h_min))
 
 
 def test_flood_with_h_min_matches_oracle():
@@ -551,6 +595,14 @@ def test_fixed_threshold_rule():
     assert mask[:, 2:].all() and not mask[:, :2].any()
 
 
+@pytest.mark.parametrize("fixed_threshold", [-1, 256, 999, float("nan")])
+def test_fixed_threshold_outside_gray_range_is_rejected(fixed_threshold):
+    labels = np.ones((4, 4), dtype=np.int32)
+    img = np.full((4, 4), 60, dtype=np.uint8)
+    with pytest.raises(ValueError, match="fixed_threshold must be in 0..255"):
+        labels_to_mask(labels, img, fixed_threshold=fixed_threshold)
+
+
 def test_ridge_majority_and_tie():
     # three columns: basin1 (dark) | ridge | basin2 (bright)
     labels = np.array([[1, 0, 2]] * 3, dtype=np.int32)
@@ -625,8 +677,25 @@ def test_labels_to_mask_dimension_mismatch():
         )
 
 
-def test_noise_free_phantom_end_to_end_mask():
-    img, truth = generate_phantom(PhantomSpec(256, 256, 128, 96, 0.0, 5))
+EDGE_EROSION = pytest.mark.xfail(
+    reason="edge erosion: Sobel makes each beam edge a two-pixel ridge plateau, "
+    "which the flood splits by scan order, so beams lose a pixel on each side",
+    strict=True,
+)
+
+
+@pytest.mark.parametrize(
+    "period, beam, sigma",
+    [
+        (16, 4, 0.0),
+        pytest.param(32, 10, 0.0, marks=EDGE_EROSION),  # 92.29%
+        pytest.param(48, 20, 0.0, marks=EDGE_EROSION),  # 95.57%
+        (128, 96, 0.0),
+        pytest.param(32, 10, 20.0, marks=EDGE_EROSION),  # 87.11%
+    ],
+)
+def test_geometry_sweep_end_to_end_mask(period, beam, sigma):
+    img, truth = generate_phantom(PhantomSpec(256, 256, period, beam, sigma, 7))
     from lcseg.pipeline import run_pipeline
 
     result = run_pipeline(img, truth, PipelineConfig())

@@ -47,6 +47,14 @@ def _read_mask(path) -> np.ndarray:
     return read_pgm(path) > 0
 
 
+def _exit_code(degenerate: bool) -> int:
+    """EXIT_DEGENERATE with a warning for a single-class mask, else EXIT_OK."""
+    if degenerate:
+        print("warning: degenerate segmentation (single-class mask)", file=sys.stderr)
+        return EXIT_DEGENERATE
+    return EXIT_OK
+
+
 def _load_pipeline_config(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if getattr(args, "seed", None) is not None:
@@ -120,10 +128,7 @@ def _cmd_segment(args) -> int:
     if args.out_overlay:
         write_overlay(image, seg.boundary, args.out_overlay)
     print(f"basins {seg.labels.max()}")
-    if seg.degenerate:
-        print("warning: degenerate segmentation (single-class mask)", file=sys.stderr)
-        return EXIT_DEGENERATE
-    return EXIT_OK
+    return _exit_code(seg.degenerate)
 
 
 def _cmd_evaluate(args) -> int:
@@ -165,10 +170,7 @@ def _cmd_run(args) -> int:
             print(f"auc {result.roc[0].auc:.6g}")
             print(f"baseline_auc {result.roc[1].auc:.6g}")
     print(f"wrote {len(written)} files to {out_dir}")
-    if result.degenerate:
-        print("warning: degenerate segmentation (single-class mask)", file=sys.stderr)
-        return EXIT_DEGENERATE
-    return EXIT_OK
+    return _exit_code(result.degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +260,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (OSError, ValueError) as exc:
+    except (PipelineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

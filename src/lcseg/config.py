@@ -14,6 +14,7 @@ import configparser
 from dataclasses import dataclass, field, replace
 
 from .bat import BatParams
+from .wavelet import check_scales
 
 __all__ = [
     "RoiRect",
@@ -48,14 +49,7 @@ class PipelineConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if self.wavelet_levels < 1:
-            raise ValueError("wavelet levels must be at least 1")
-        if not self.kept_scales:
-            raise ValueError("kept_scales must be non-empty")
-        if any(k < 1 or k > self.wavelet_levels for k in self.kept_scales):
-            raise ValueError(
-                f"kept_scales {self.kept_scales} outside 1..{self.wavelet_levels}"
-            )
+        check_scales(self.wavelet_levels, self.kept_scales)
         if not self.h_min >= 0:  # also rejects NaN
             raise ValueError("h_min must be non-negative")
         if self.basin_rule not in ("otsu", "threshold"):

@@ -27,6 +27,7 @@ __all__ = [
     "generate_phantom",
     "scale_to_255",
     "separable_filter",
+    "check_same_shape",
     "to_gray8",
     "labels_to_gray8",
     "mask_to_gray8",
@@ -59,26 +60,35 @@ def scale_to_255(surface: np.ndarray) -> np.ndarray:
     return (surface - lo) / (hi - lo) * 255.0
 
 
-def separable_filter(plane: np.ndarray, taps: np.ndarray, spacing: int = 1) -> np.ndarray:
-    """Correlate a 2-D float plane with ``taps`` along rows, then columns.
+def separable_filter(
+    plane: np.ndarray, taps_y: np.ndarray, taps_x: np.ndarray, spacing: int = 1
+) -> np.ndarray:
+    """Correlate a 2-D float plane with ``taps_y`` along y, then ``taps_x`` along x.
 
     The taps are centered (odd count) and spaced ``spacing`` pixels apart;
     the border is mirror-extended (reflection about the edge pixel, no
-    edge repeat), so the reach ``len(taps) // 2 * spacing`` must not
-    exceed ``n - 1`` on either axis.  Each pass sums the tap products in
+    edge repeat), so each axis's reach ``len(taps) // 2 * spacing`` must
+    not exceed ``n - 1`` on that axis.  Each pass sums the tap products in
     tap order, starting from zero.
     """
     h, w = plane.shape
-    reach = len(taps) // 2 * spacing
+    reach = len(taps_y) // 2 * spacing
     padded = np.pad(plane, ((reach, reach), (0, 0)), mode="reflect")
     rows = np.zeros_like(plane, dtype=np.float64)
-    for k, tap in enumerate(taps):
+    for k, tap in enumerate(taps_y):
         rows += tap * padded[k * spacing : k * spacing + h, :]
+    reach = len(taps_x) // 2 * spacing
     padded = np.pad(rows, ((0, 0), (reach, reach)), mode="reflect")
     out = np.zeros_like(rows)
-    for k, tap in enumerate(taps):
+    for k, tap in enumerate(taps_x):
         out += tap * padded[:, k * spacing : k * spacing + w]
     return out
+
+
+def check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` ("dimension mismatch: <what> ...") unless the shapes agree."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {what} {a.shape} vs {b.shape}")
 
 
 def to_gray8(values: np.ndarray) -> np.ndarray:
@@ -196,10 +206,7 @@ def write_overlay(image: np.ndarray, boundary: np.ndarray, path) -> None:
     """
     img = as_gray(image)
     mask = np.asarray(boundary, dtype=bool)
-    if mask.shape != img.shape:
-        raise ValueError(
-            f"dimension mismatch: image {img.shape} vs boundary {mask.shape}"
-        )
+    check_same_shape(img, mask, "image vs boundary")
     h, w = img.shape
     rgb = np.repeat(img[:, :, np.newaxis], 3, axis=2)
     rgb[mask] = (255, 0, 0)

@@ -4,7 +4,8 @@ Covers the eight-entry evaluation suite (PSNR, MSE, F-measure, Rand
 index, sensitivity, specificity, SSIM, accuracy) and threshold-sweep ROC
 curves with trapezoidal AUC.  All ratio metrics use the 0/0 -> 0
 convention so every function is total.  SSIM's Gaussian window is
-:func:`lcseg.image.separable_filter`, the filter the wavelet uses too.
+:func:`lcseg.image.separable_filter`, the filter the wavelet and the Sobel
+gradient use too.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import as_gray, separable_filter
+from .image import as_gray, check_same_shape, separable_filter
 
 __all__ = [
     "ConfusionCounts",
@@ -78,16 +79,11 @@ class MetricsReport:
     accuracy: float
 
 
-def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {what} {a.shape} vs {b.shape}")
-
-
 def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
     """Pixelwise confusion counts; foreground (True) is the positive class."""
     p = np.asarray(pred, dtype=bool)
     t = np.asarray(truth, dtype=bool)
-    _check_same_shape(p, t, "pred vs truth")
+    check_same_shape(p, t, "pred vs truth")
     tp = int(np.count_nonzero(p & t))
     fp = int(np.count_nonzero(p & ~t))
     fn = int(np.count_nonzero(~p & t))
@@ -99,7 +95,7 @@ def mse_psnr(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Mean squared error and 10*log10(255^2 / mse); psnr is inf at mse 0."""
     x = as_gray(a).astype(np.float64)
     y = as_gray(b).astype(np.float64)
-    _check_same_shape(x, y, "images")
+    check_same_shape(x, y, "images")
     mse = float(np.mean((x - y) ** 2))
     psnr = math.inf if mse == 0 else 10.0 * math.log10(255.0 ** 2 / mse)
     return mse, psnr
@@ -178,15 +174,15 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """
     x = as_gray(a).astype(np.float64)
     y = as_gray(b).astype(np.float64)
-    _check_same_shape(x, y, "images")
+    check_same_shape(x, y, "images")
     if x.shape[0] < SSIM_WINDOW or x.shape[1] < SSIM_WINDOW:
         raise ValueError(f"ssim needs images of at least {SSIM_WINDOW}x{SSIM_WINDOW}")
     taps = _gaussian_taps()
-    mu_x = separable_filter(x, taps)
-    mu_y = separable_filter(y, taps)
-    xx = separable_filter(x * x, taps) - mu_x * mu_x
-    yy = separable_filter(y * y, taps) - mu_y * mu_y
-    xy = separable_filter(x * y, taps) - mu_x * mu_y
+    mu_x = separable_filter(x, taps, taps)
+    mu_y = separable_filter(y, taps, taps)
+    xx = separable_filter(x * x, taps, taps) - mu_x * mu_x
+    yy = separable_filter(y * y, taps, taps) - mu_y * mu_y
+    xy = separable_filter(x * y, taps, taps) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + _SSIM_C1) * (2.0 * xy + _SSIM_C2)
     den = (mu_x * mu_x + mu_y * mu_y + _SSIM_C1) * (xx + yy + _SSIM_C2)
     return float(np.mean(num / den))
@@ -246,7 +242,7 @@ def _sweep_rates(score_image: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray
     """(fpr, tpr) of predicting score >= t, for every t in 0..255."""
     img = as_gray(score_image)
     t = np.asarray(truth, dtype=bool)
-    _check_same_shape(img, t, "score vs truth")
+    check_same_shape(img, t, "score vs truth")
     pos = int(np.count_nonzero(t))
     neg = t.size - pos
     pos_hist = np.bincount(img[t].ravel(), minlength=256)

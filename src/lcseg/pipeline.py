@@ -6,9 +6,9 @@ frame (gradient-magnitude watershed, basin classification, boundary) ->
 metrics/ROC (when ground truth is supplied).  The input stage crops the
 input to the ROI and checks the image size against the wavelet levels,
 the ROI and the truth shape, so bad inputs fail before the expensive
-stages run.  The optimizer's threshold feeds the ROC/baseline comparison
-and, optionally, basin classification; the main path segments via
-watershed, not by binarizing at the threshold.
+stages run.  The optimizer's threshold feeds basin classification only
+under ``basin_rule = threshold``; the ROC sweeps the enhanced frame, and
+the main path segments via watershed, not by binarizing at the threshold.
 ``lcseg segment`` runs the same :func:`segment`.
 """
 
@@ -102,8 +102,10 @@ def segment(
     Floods the Sobel gradient magnitude of ``image``, rescaled to
     [0, 255] so that the ``h_min`` depth is comparable across images.
     Basins are classified by their mean over ``basin_image`` (default:
-    ``image``), by Otsu or, when given, by mean >= ``fixed_threshold``.
+    ``image``), by Otsu or, when given, by mean >= ``fixed_threshold``,
+    which is checked before the gradient.
     """
+    ws._check_fixed_threshold(fixed_threshold)
     gradient = scale_to_255(ws.gradient_magnitude(image))
     labels = ws.watershed_segment(gradient, h_min)
     means_of = image if basin_image is None else basin_image

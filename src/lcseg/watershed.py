@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bat import between_class_variance
-from .image import as_gray
+from .image import as_gray, check_same_shape, separable_filter
 
 __all__ = [
     "gradient_magnitude",
@@ -31,26 +31,26 @@ def gradient_magnitude(image: np.ndarray) -> np.ndarray:
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 3 or img.shape[1] < 3:
         raise ValueError("gradient_magnitude needs an image of at least 3x3")
-    p = np.pad(img, 1, mode="reflect")
-    # Sobel x: [[-1,0,1],[-2,0,2],[-1,0,1]], y is its transpose.
-    right = p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]
-    left = p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2]
-    gx = right - left
-    bottom = p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:]
-    top = p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:]
-    gy = bottom - top
+    # Sobel x is [1, 2, 1] down the columns times [-1, 0, 1] along the rows;
+    # Sobel y is its transpose.
+    gx = separable_filter(img, (1, 2, 1), (-1, 0, 1))
+    gy = separable_filter(img, (-1, 0, 1), (1, 2, 1))
     return np.sqrt(gx * gx + gy * gy)
 
 
-def _erode4(surface: np.ndarray) -> np.ndarray:
-    """Minimum over each pixel and its in-bounds 4-neighbors."""
-    p = np.pad(surface, 1, mode="constant", constant_values=np.inf)
-    out = surface.copy()
-    np.minimum(out, p[:-2, 1:-1], out=out)
-    np.minimum(out, p[2:, 1:-1], out=out)
-    np.minimum(out, p[1:-1, :-2], out=out)
-    np.minimum(out, p[1:-1, 2:], out=out)
-    return out
+def _shifted4(a: np.ndarray, fill) -> tuple[np.ndarray, ...]:
+    """The up, down, left and right 4-neighbor of every pixel of ``a``.
+
+    Views into one copy of ``a`` padded with ``fill``, which stands for
+    the neighbors outside the image.
+    """
+    p = np.pad(a, 1, constant_values=fill)
+    return p[:-2, 1:-1], p[2:, 1:-1], p[1:-1, :-2], p[1:-1, 2:]
+
+
+def _check_fixed_threshold(fixed_threshold: float | None) -> None:
+    if fixed_threshold is not None and not 0 <= fixed_threshold <= 255:
+        raise ValueError(f"fixed_threshold must be in 0..255, got {fixed_threshold}")
 
 
 def h_minima(surface: np.ndarray, h: float) -> np.ndarray:
@@ -67,7 +67,10 @@ def h_minima(surface: np.ndarray, h: float) -> np.ndarray:
         return surf.copy()
     rec = surf + h
     while True:
-        nxt = np.maximum(_erode4(rec), surf)
+        nxt = rec.copy()
+        for neighbor in _shifted4(rec, np.inf):
+            np.minimum(nxt, neighbor, out=nxt)
+        np.maximum(nxt, surf, out=nxt)
         if np.array_equal(nxt, rec):
             return rec
         rec = nxt
@@ -110,10 +113,8 @@ def regional_minima(surface: np.ndarray) -> tuple[np.ndarray, int]:
             root = jumped
 
     lower = np.zeros((h, w), dtype=bool)
-    lower[1:] |= surf[:-1] < surf[1:]
-    lower[:-1] |= surf[1:] < surf[:-1]
-    lower[:, 1:] |= surf[:, :-1] < surf[:, 1:]
-    lower[:, :-1] |= surf[:, 1:] < surf[:, :-1]
+    for neighbor in _shifted4(surf, np.inf):
+        lower |= neighbor < surf
     not_minimum = np.zeros(n, dtype=bool)
     not_minimum[root[lower.ravel()]] = True
 
@@ -236,14 +237,10 @@ def labels_to_mask(
     Ridge pixels inherit the majority class of their 4-connected basin
     neighbors; ties (including no basin neighbor) go to foreground.
     """
-    if fixed_threshold is not None and not 0 <= fixed_threshold <= 255:
-        raise ValueError(f"fixed_threshold must be in 0..255, got {fixed_threshold}")
+    _check_fixed_threshold(fixed_threshold)
     lab = np.asarray(labels)
     img = as_gray(image)
-    if lab.shape != img.shape:
-        raise ValueError(
-            f"dimension mismatch: labels {lab.shape} vs image {img.shape}"
-        )
+    check_same_shape(lab, img, "labels vs image")
     k = int(lab.max())
     if k < 1:
         raise ValueError("label map has no basins")
@@ -267,15 +264,15 @@ def labels_to_mask(
             t = int(np.argmax(sigma))
             foreground[basin_ids] = binned > t
 
-    mask = foreground[lab]
-    # Ridge vote: count foreground and background basin neighbors of
-    # every pixel at once; the zero padding stands for "no basin".
-    fg_map = np.pad(mask, 1).astype(np.int8)
-    bg_map = np.pad((lab > 0) & ~mask, 1).astype(np.int8)
-    fg = fg_map[:-2, 1:-1] + fg_map[2:, 1:-1] + fg_map[1:-1, :-2] + fg_map[1:-1, 2:]
-    bg = bg_map[:-2, 1:-1] + bg_map[2:, 1:-1] + bg_map[1:-1, :-2] + bg_map[1:-1, 2:]
+    # Side of each pixel: +1 foreground basin, -1 background basin, 0 ridge;
+    # a ridge pixel's vote sums its 4 neighbors' sides (0 outside the image).
+    ballot = np.where(foreground, 1, -1).astype(np.int8)
+    ballot[0] = 0
+    side = ballot[lab]
+    mask = side > 0
+    vote = sum(_shifted4(side, 0))
     ridge = lab == 0
-    mask[ridge] = fg[ridge] >= bg[ridge]
+    mask[ridge] = vote[ridge] >= 0
     return mask
 
 
@@ -286,6 +283,5 @@ def mask_boundary(mask: np.ndarray) -> np.ndarray:
     border are always boundary.
     """
     m = np.asarray(mask, dtype=bool)
-    p = np.pad(m, 1, mode="constant", constant_values=False)
-    interior = p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]
-    return m & ~interior
+    up, down, left, right = _shifted4(m, False)
+    return m & ~(up & down & left & right)

@@ -11,7 +11,7 @@ about the edge pixel, no edge repeat).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "enhance_scales",
     "min_size_for_levels",
     "check_size_for_levels",
+    "check_scales",
 ]
 
 _KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -64,7 +65,9 @@ def min_size_for_levels(levels: int) -> int:
 
 
 def check_size_for_levels(shape: tuple[int, int], levels: int) -> None:
-    """Raise ``ValueError`` if an image of ``shape`` is too small for ``levels``."""
+    """Raise ``ValueError`` if ``levels < 1`` or ``shape`` is too small for ``levels``."""
+    if levels < 1:
+        raise ValueError("wavelet levels must be at least 1")
     need = min_size_for_levels(levels)
     h, w = shape
     if h < need or w < need:
@@ -73,16 +76,22 @@ def check_size_for_levels(shape: tuple[int, int], levels: int) -> None:
         )
 
 
+def check_scales(levels: int, kept_scales: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless ``kept_scales`` is a non-empty selection of 1..``levels``."""
+    if not kept_scales:
+        raise ValueError("kept_scales must be non-empty")
+    if min(kept_scales) < 1 or max(kept_scales) > levels:
+        raise ValueError(f"kept_scales {kept_scales} outside the wavelet levels 1..{levels}")
+
+
 def iuwt_decompose(image: np.ndarray, levels: int) -> WaveletPyramid:
     """Decompose ``image`` into ``levels`` undecimated wavelet planes.
 
     Level j smooths the previous approximation with the B3 kernel dilated
     by 2**(j-1); the detail plane is the difference of successive
-    approximations.  Raises if the image is too small for the dilated
-    kernel support.
+    approximations.  Raises if ``levels < 1`` or the image is too small
+    for the dilated kernel support.
     """
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("expected a 2-D image")
@@ -91,7 +100,7 @@ def iuwt_decompose(image: np.ndarray, levels: int) -> WaveletPyramid:
     details: list[np.ndarray] = []
     current = img
     for j in range(1, levels + 1):
-        smoothed = separable_filter(current, _KERNEL, 2 ** (j - 1))
+        smoothed = separable_filter(current, _KERNEL, _KERNEL, 2 ** (j - 1))
         details.append(current - smoothed)
         current = smoothed
     return WaveletPyramid(levels=levels, smooth=current, details=details)
@@ -114,12 +123,7 @@ def enhance_scales(pyramid: WaveletPyramid, kept_scales: Iterable[int]) -> np.nd
     sum yields the all-zero image.
     """
     kept = sorted(set(int(k) for k in kept_scales))
-    if not kept:
-        raise ValueError("kept_scales must be non-empty")
-    if kept[0] < 1 or kept[-1] > pyramid.levels:
-        raise ValueError(
-            f"kept_scales {kept} outside valid range 1..{pyramid.levels}"
-        )
+    check_scales(pyramid.levels, kept)
     total = pyramid.smooth.copy()
     for j in kept:
         total += pyramid.details[j - 1]

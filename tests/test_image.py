@@ -11,9 +11,55 @@ from lcseg.image import (
     labels_to_gray8,
     mask_to_gray8,
     read_pgm,
+    separable_filter,
     write_overlay,
     write_pgm,
 )
+
+
+def _mirror(i, n):
+    if i < 0:
+        return -i
+    if i > n - 1:
+        return 2 * (n - 1) - i
+    return i
+
+
+def oracle_separable(plane, taps_y, taps_x, spacing):
+    """``taps_y`` down each column, then ``taps_x`` along each row, with
+    scalar loops and mirror indexing (test oracle)."""
+    h, w = plane.shape
+    rows = np.zeros((h, w))
+    for y in range(h):
+        for x in range(w):
+            acc = 0.0
+            for k, tap in enumerate(taps_y):
+                acc += tap * plane[_mirror(y + (k - len(taps_y) // 2) * spacing, h), x]
+            rows[y, x] = acc
+    out = np.zeros((h, w))
+    for y in range(h):
+        for x in range(w):
+            acc = 0.0
+            for k, tap in enumerate(taps_x):
+                acc += tap * rows[y, _mirror(x + (k - len(taps_x) // 2) * spacing, w)]
+            out[y, x] = acc
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape, taps_y, taps_x, spacing",
+    [
+        ((7, 9), (1, 2, 1), (-1, 0, 1), 1),  # Sobel x
+        ((7, 9), (-1, 0, 1), (1, 2, 1), 1),  # Sobel y
+        ((7, 9), (0.25, 0.5, 0.25), (1.0, -3.0, 0.5, 2.0, 7.0), 2),
+        ((5, 9), (1.0, -3.0, 0.5, 2.0, 7.0), (0.5, 1.5, -1.0), 2),  # reach n - 1 in y
+        ((6, 10), (2.0,), (3.0, 1.0, -2.0), 3),
+    ],
+)
+def test_separable_filter_matches_scalar_oracle(shape, taps_y, taps_x, spacing):
+    plane = np.random.default_rng(12).normal(100.0, 40.0, size=shape)
+    got = separable_filter(plane, taps_y, taps_x, spacing)
+    assert np.array_equal(got, oracle_separable(plane, taps_y, taps_x, spacing))
 
 
 def test_read_p5_direct_bytes(tmp_path):

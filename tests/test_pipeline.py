@@ -69,6 +69,19 @@ def test_pipeline_roi_truth_shape_mismatch(monkeypatch):
         run_pipeline(img, truth[:20, :20], cfg)
 
 
+def test_segment_checks_fixed_threshold_before_the_gradient(monkeypatch):
+    from lcseg import watershed
+    from lcseg.pipeline import segment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gradient ran before fixed_threshold was checked")
+
+    monkeypatch.setattr(watershed, "gradient_magnitude", refuse)
+    img, _ = generate_phantom(PhantomSpec(16, 16, 8, 3, 0.0, 0))
+    with pytest.raises(ValueError, match=r"fixed_threshold must be in 0\.\.255"):
+        segment(img, 5.0, fixed_threshold=300)
+
+
 def test_pipeline_stage_error_is_tagged():
     img = np.zeros((8, 8), dtype=np.uint8)  # too small for 3 levels
     with pytest.raises(PipelineError, match=r"\[input\]"):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,10 @@ def test_gradient_random_matches_oracle():
     rng = np.random.default_rng(6)
     img = rng.integers(0, 256, size=(9, 7), dtype=np.uint8)
     assert np.abs(gradient_magnitude(img) - oracle_sobel(img)).max() <= 1e-9
+    # Non-integer input: the sums run in another order than the oracle's,
+    # so only rounding in the last bits may separate the two.
+    flt = rng.normal(100.0, 30.0, size=(9, 7))
+    assert np.abs(gradient_magnitude(flt) - oracle_sobel(flt)).max() <= 1e-9
 
 
 def test_gradient_rejects_tiny_images():
@@ -741,3 +747,98 @@ def test_boundary_image_border_counts_as_background():
     b = mask_boundary(m)
     assert b[0].all() and b[-1].all() and b[:, 0].all() and b[:, -1].all()
     assert not b[1:3, 1:3].any()
+
+
+# ---------------------------------------------------------------------------
+# Pinned float surfaces
+# ---------------------------------------------------------------------------
+
+def _pinned_inputs():
+    rng = np.random.default_rng(8)
+    for h, w in [(3, 3), (5, 17), (40, 29), (64, 64)]:
+        yield f"random{h}x{w}", rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+    for sigma in (0.0, 20.0, 60.0):
+        img, _ = generate_phantom(PhantomSpec(96, 96, 32, 10, sigma, 7))
+        yield f"phantom_s{int(sigma)}", img
+
+
+# sha256 of the raw bytes of the float64 Sobel magnitude, its h-minima fill
+# (h = 5 on the [0, 255] rescale), the int32 markers and labels, and the bool
+# mask and boundary, taken at commit d010df6.  The PGM artifact pins cannot
+# see an ulp change in the gradient (gradient.pgm is quantized to 8 bits,
+# labels.pgm saturates at 255); these can.
+SURFACE_PINS = {
+    "random3x3": (
+        "efb6efbb1bce5f663d7b7164667c1bda90c130a8414cf2ccf0bf2cc8eb004aa5",
+        "03c93ea51de57fd595cf3f946fcfe879f3aa22f697c14ac444cec16ca6a4a5cf",
+        "a020a98e111c8e3b881cd7c00487854a0b68718e8ed3302fd02a0f68b5c8663a",
+        "a020a98e111c8e3b881cd7c00487854a0b68718e8ed3302fd02a0f68b5c8663a",
+        "ca535ffcfd5e742c8dc7b866c8173165ed1ab1472bf4416d43b32d1164fa6294",
+        "ca535ffcfd5e742c8dc7b866c8173165ed1ab1472bf4416d43b32d1164fa6294",
+    ),
+    "random5x17": (
+        "35a050cb3a6e3825410e1129521bfd1d737c032def9d88e64fe71eb346b009b2",
+        "2b79b25ab8b9ef0dd4683eba4b983edd2235931160f386a233f6a36aed52b7d9",
+        "4d88a2ddf7fe9fdd431dd52273329156d38c6110e59b7e8f77a7f44afae2d650",
+        "fae22522303df1b83440baa151ac2a1191de4a3b47231cdcc4daaf423a079635",
+        "8a26636f9ec4fa71c4235ee0e4b6226b6e5da44e0e033d7e07b011d58bf51083",
+        "3b6d72211d058f541943d0e2ceb0404b7cd3a37a412a21227d3c8d8251a69299",
+    ),
+    "random40x29": (
+        "25541171b41de45b8e4c210ed889ec94e1a57fdc52a2f96eafd9cecf582039c6",
+        "d898db7e3f1a88edc74460d707d17b268970be8db7e349a98121ed88b8207b0b",
+        "81366d3c2e89714da8ae0aaf1af3d07b8f68f36100ad52ed75a07e35ccb64eb6",
+        "8b97144624c7ed0e26395e8b053b051763925516f63dc0088eaadfb3ce2d5710",
+        "b5d9d596ea02e370ad21ac61d96c1bbd71cb749eca4f81f7f8077804e478d624",
+        "0496e5a054b7b7aa8b6eeddde93952e813b99392a0d477d4ef3d5fdb839dc8aa",
+    ),
+    "random64x64": (
+        "03c1f736fd46ce57a670166dd9a92713841b4017e4804385ca3acda3cdbb0a46",
+        "6f03847420cfc46e88c258864e36bc79a20492d26c2e9b45b1960f3e8a2b700a",
+        "3bc001d64ce0a6449e26e79f51871a3d4b7e4b515aaba89546a77c85242144ef",
+        "86ee8961208b366efc2194a888e435429468723fa27cd94bad25db59a2c2e1be",
+        "2846bb2f245421926937ad8def6056c55ed592bdf6806dfa32895fa042d52d45",
+        "97321b68a9caffb06593a0d12ca49573171dd2d2db4b7db68b8e15695a076728",
+    ),
+    "phantom_s0": (
+        "2173bb4b5659cc2d3c8b6893f3a8d564d481225ed81e3c13da2214e2563c6f68",
+        "a1a9d1596a800644ec80b6505d05820d3824a50e839196c0917c00a619a43bc2",
+        "1b860108abb36aa7c4a2806b29b6c0484cfad535deac3128580ab76628e1cff4",
+        "b3c70dc085931de8c3257fa35c5671d81970ca33a6d06b91ccf3bc6d32ef4cef",
+        "f017ed3b24b122fdad8d6fd7563f8697679b90517d5fbd6a2bd50edddfc187cc",
+        "b476c92c738fa82ece4127ec9684fd69e1013eb3b57de1a23085367735492959",
+    ),
+    "phantom_s20": (
+        "fad869d88fd8b872789e02f454826aa5f98499a50a017d260546714571b2c8f0",
+        "6c9c49f9a2c7f40736e7d14b941e464874b76ba990501939190e34d1e15943cd",
+        "e1775d8d804b1913ae3bf1e3d5e9ab9fc12b42040d83c9a95a8b342c460b642e",
+        "6ea70432c63c731221ee7306c2e15bda91eb7c05cf338f22de79e18790f1a740",
+        "12a864aa7da381239ec090f8e3fb5bfb20da3039f63e2dac15976581664b10bb",
+        "c596c3289db18359c593a2ec93dfd643475a1331f0e6461e57be127065eb3264",
+    ),
+    "phantom_s60": (
+        "d686e9fe57caa897e6c193b9893a5f714a288337c42e7f342d65d2c054e2cd1b",
+        "b01e2cea43d57cd00368a282167871e8bcf4b55837a3a250a269bb8ffb6de831",
+        "10c856fdcb9b455393053893e86711e1d442d4c3a80ff8fb7bd2e04fdd379bd2",
+        "f5281e73d2898d26f18c5599d4e8b4bf1311f2f57e6b57e4f06cc4c9685f859e",
+        "7b4b3415483d86a99cdeb6cb202ac9c8b5a3cbe3d89465a3d2e9ecbac9bdb078",
+        "50732944268bc82e8c345d7947e8e8bd774b989fcc00262ab054e80917984c75",
+    ),
+}
+
+
+def test_float_surfaces_are_pinned():
+    def digest(a):
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    got = {}
+    for name, img in _pinned_inputs():
+        gradient = gradient_magnitude(img)
+        surface = scale_to_255(gradient)
+        filled = h_minima(surface, 5.0)
+        labels = watershed_segment(surface, 5.0)
+        mask = labels_to_mask(labels, img)
+        markers, _ = regional_minima(filled)
+        stages = (gradient, filled, markers, labels, mask, mask_boundary(mask))
+        got[name] = tuple(digest(a) for a in stages)
+    assert got == SURFACE_PINS

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from lcseg.image import PhantomSpec, generate_phantom
 from lcseg.wavelet import (
     WaveletPyramid,
+    check_scales,
+    check_size_for_levels,
     enhance_scales,
     iuwt_decompose,
     iuwt_reconstruct,
@@ -123,6 +125,13 @@ def test_too_small_image_rejected():
     with pytest.raises(ValueError, match="too small"):
         iuwt_decompose(img, 2)
     iuwt_decompose(np.zeros((9, 9), dtype=np.uint8), 2)  # boundary case fits
+
+
+def test_levels_below_one_rejected():
+    with pytest.raises(ValueError, match="levels must be at least 1"):
+        check_size_for_levels((64, 64), 0)
+    with pytest.raises(ValueError, match=r"kept_scales \(1,\) outside the wavelet levels 1\.\.0"):
+        check_scales(0, (1,))
 
 
 def test_pyramid_validation():

@@ -257,7 +257,7 @@ class PhantomSpec:
             raise ValueError("beam_period must be at least 2")
         if not 1 <= self.beam_width < self.beam_period:
             raise ValueError("beam_width must satisfy 1 <= beam_width < beam_period")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # NaN fails too
             raise ValueError("noise_sigma must be non-negative")
 
 

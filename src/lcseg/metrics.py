@@ -134,15 +134,13 @@ def _rand_from_table(table) -> float:
 def rand_index(pred: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of pixel pairs on which the two partitions agree.
 
-    Accepts binary masks or multi-label maps of equal size.  Computed
+    Accepts binary masks or multi-label maps of equal shape.  Computed
     from the contingency table in O(K1*K2), never by pair enumeration.
     """
-    p = np.asarray(pred).ravel()
-    t = np.asarray(truth).ravel()
-    if p.size != t.size:
-        raise ValueError(f"size mismatch: {p.size} vs {t.size}")
-    p_values, pi = np.unique(p, return_inverse=True)
-    t_values, ti = np.unique(t, return_inverse=True)
+    p, t = np.asarray(pred), np.asarray(truth)
+    check_same_shape(p, t, "pred vs truth")
+    p_values, pi = np.unique(p.ravel(), return_inverse=True)
+    t_values, ti = np.unique(t.ravel(), return_inverse=True)
     k1, k2 = p_values.size, t_values.size
     table = np.bincount(pi * k2 + ti, minlength=k1 * k2).reshape(k1, k2)
     return _rand_from_table(table)

@@ -181,32 +181,48 @@ def watershed_segment(surface: np.ndarray, h_min: float = 0.0) -> np.ndarray:
     for q in seeds.tolist():
         bucket_of[q].append(q)
 
+    # Rule 5 in one pass: each pop reads each neighbor once, and one branch
+    # both counts its claim and queues it.  claim is 0 until a basin label
+    # is seen, then that label, then -1 (sticky) once a second one appears.
+    # A push writes only the neighbor it queues, never p or a neighbor still
+    # to be read, so the reads and the appends are those rule 5 prescribes.
     popped = 0
     for bucket in buckets:
         for p in bucket:  # the bucket grows while it is drained
-            qa, qb, qc, qd = p + up, p + left, p + right, p + down
-            a, b, c, d = labels[qa], labels[qb], labels[qc], labels[qd]
-            claim = max(a, b, c, d)
-            if (
-                claim > 0
-                and (a <= 0 or a == claim)
-                and (b <= 0 or b == claim)
-                and (c <= 0 or c == claim)
-                and (d <= 0 or d == claim)
-            ):
+            claim = 0
+            q = p + up
+            lab = labels[q]
+            if lab > 0:
+                claim = lab
+            elif lab == -2:
+                labels[q] = 0
+                bucket_of[q].append(q)
+            q = p + left
+            lab = labels[q]
+            if lab > 0:
+                if claim != lab:
+                    claim = -1 if claim else lab
+            elif lab == -2:
+                labels[q] = 0
+                bucket_of[q].append(q)
+            q = p + right
+            lab = labels[q]
+            if lab > 0:
+                if claim != lab:
+                    claim = -1 if claim else lab
+            elif lab == -2:
+                labels[q] = 0
+                bucket_of[q].append(q)
+            q = p + down
+            lab = labels[q]
+            if lab > 0:
+                if claim != lab:
+                    claim = -1 if claim else lab
+            elif lab == -2:
+                labels[q] = 0
+                bucket_of[q].append(q)
+            if claim > 0:
                 labels[p] = claim
-            if a == -2:
-                labels[qa] = 0
-                bucket_of[qa].append(qa)
-            if b == -2:
-                labels[qb] = 0
-                bucket_of[qb].append(qb)
-            if c == -2:
-                labels[qc] = 0
-                bucket_of[qc].append(qc)
-            if d == -2:
-                labels[qd] = 0
-                bucket_of[qd].append(qd)
         popped += len(bucket)
         bucket.clear()
 

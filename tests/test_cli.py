@@ -52,6 +52,14 @@ def test_synth_writes_reproducible_phantom(tmp_path):
     assert set(np.unique(truth).tolist()) <= {0, 255}
 
 
+def test_synth_nan_noise_exits_2(tmp_path, capsys):
+    out = tmp_path / "ph"
+    code = run_cli("synth", "--size", "16", "--noise", "nan", "--out", str(out))
+    assert code == 2
+    assert "noise_sigma must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_perfect_prediction(capsys, phantom_dir):
     code = run_cli(
         "evaluate",

@@ -318,5 +318,7 @@ def test_phantom_rejects_bad_specs():
         PhantomSpec(32, 32, 8, 8, 0.0, 0)
     with pytest.raises(ValueError):
         PhantomSpec(32, 32, 8, 3, -1.0, 0)
+    with pytest.raises(ValueError, match="noise_sigma must be non-negative"):
+        PhantomSpec(32, 32, 8, 3, float("nan"), 0)
     with pytest.raises(ValueError):
         PhantomSpec(0, 32, 8, 3, 0.0, 0)

@@ -145,6 +145,12 @@ def test_rand_index_on_binary_masks():
     assert rand_index(a, b) == pytest.approx(oracle_rand_index(a, b), abs=1e-12)
 
 
+def test_rand_index_rejects_equal_size_different_shape():
+    eye = np.eye(4, dtype=bool)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        rand_index(eye, eye.reshape(2, 8))
+
+
 def test_rand_index_needs_two_pixels():
     with pytest.raises(ValueError):
         rand_index(np.array([1]), np.array([1]))

@@ -442,6 +442,19 @@ def test_two_pit_matches_oracle():
     assert np.array_equal(oracle_flood(TWO_PIT), TWO_PIT_LABELS)
 
 
+# Surface rows [5, 0, 1, 3] and [0, 9, 2, 4]: the markers are (0, 1) -> 1 and
+# (1, 0) -> 2.  (1, 1) pops last and sees basin labels 1, 2, 1 on up, left and
+# right, so it is a ridge even though its last claim repeats an earlier one;
+# (1, 3) sees 1 on up and on left, the same basin twice, so basin 1 claims it.
+CONFLICT = np.array([[5, 0, 1, 3], [0, 9, 2, 4]], dtype=float)
+CONFLICT_LABELS = np.array([[0, 1, 1, 1], [2, 0, 1, 1]], dtype=np.int32)
+
+
+def test_conflicting_claims_make_a_ridge_and_repeated_claims_do_not():
+    assert np.array_equal(watershed_segment(CONFLICT, 0.0), CONFLICT_LABELS)
+    assert np.array_equal(oracle_flood(CONFLICT), CONFLICT_LABELS)
+
+
 def test_constant_surface_single_basin():
     labels = watershed_segment(np.zeros((6, 6)), 0.0)
     assert labels.max() == 1
@@ -842,3 +855,25 @@ def test_float_surfaces_are_pinned():
         stages = (gradient, filled, markers, labels, mask, mask_boundary(mask))
         got[name] = tuple(digest(a) for a in stages)
     assert got == SURFACE_PINS
+
+
+# sha256 of the int32 labels of the default pipeline on the phantoms the
+# benchmark runs: 256² σ=20 (about 5.7k basins, 37% ridge), the plateau-heavy
+# 256² σ=0, and a 128² σ=20 tile.  Taken at commit 0053bcf, before the drain
+# loop's one-branch-per-neighbour rewrite.
+PIPELINE_LABEL_PINS = {
+    (256, 32, 10, 20.0): "368f4d0b990f7648d26c1b4fe7648504352452f7d76552d349ea1daa7dfeb115",
+    (256, 32, 10, 0.0): "b880db9f6c176052c609de9eb3c64933c3ae2ba90789b06819e565a23af14349",
+    (128, 16, 4, 20.0): "70400aebac43f3d3fe465d011c130083d078ae966b25259cafb5cb909b26f5c5",
+}
+
+
+@pytest.mark.parametrize("size, period, beam, sigma", list(PIPELINE_LABEL_PINS))
+def test_pipeline_labels_are_pinned_at_benchmark_size(size, period, beam, sigma):
+    from lcseg.pipeline import run_pipeline
+
+    img, _ = generate_phantom(PhantomSpec(size, size, period, beam, sigma, 7))
+    labels = run_pipeline(img, None, PipelineConfig()).labels
+    assert labels.dtype == np.int32
+    digest = hashlib.sha256(np.ascontiguousarray(labels).tobytes()).hexdigest()
+    assert digest == PIPELINE_LABEL_PINS[(size, period, beam, sigma)]

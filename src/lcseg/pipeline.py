@@ -25,6 +25,7 @@ from . import bat, histeq, metrics, watershed as ws
 from .config import PipelineConfig, RoiRect
 from .image import (
     as_gray,
+    check_same_shape,
     crop,
     labels_to_gray8,
     mask_to_gray8,
@@ -154,10 +155,7 @@ def run_pipeline(
             truth = np.asarray(truth, dtype=bool)
             if truth.shape == img.shape:
                 truth = _frame(truth, roi)
-            if truth.shape != input_frame.shape:
-                raise ValueError(
-                    f"truth shape {truth.shape} does not match frame {input_frame.shape}"
-                )
+            check_same_shape(truth, input_frame, "truth vs frame")
 
     with _stage("wavelet"):
         pyramid = iuwt_decompose(img, config.wavelet_levels)

@@ -4,6 +4,25 @@ The label map convention is 0 for watershed ridge pixels and 1..K for
 catchment basins.  The flood drains one FIFO list per surface value in
 increasing order (Beucher & Meyer's hierarchical queue); its exact,
 deterministic contract is spelled out in :func:`watershed_segment`.
+
+Most pixels of a noisy gradient skip that queue.  A non-marker pixel is
+*deferred* when each of its 4 neighbors is strictly lower, or strictly
+higher and deferred itself; the other non-marker pixels are *queued*.
+The queue floods the queued pixels alone, and the deferred ones are
+labeled after it, bottom-up, in vectorized passes.  Each takes the one
+distinct basin label among its neighbors, or 0 for none or several,
+which is the label the full queue gives it:
+
+- Strict value order: the queue pops a pixel after all its strictly
+  lower neighbors and before all its strictly higher ones.  When a
+  deferred pixel pops, its lower neighbors hold their final labels and
+  its higher ones hold none yet.
+- No equal neighbor: so no first-in first-out tie between neighbors
+  decides a deferred pixel, and every neighbor is lower or higher.
+- Every higher neighbor deferred: a deferred pixel's queued and marker
+  neighbors all lie below it.  No queued pixel reads its label, and it
+  inserts no queued pixel, since those pop before it.  The queued
+  pixels keep their relative order and their labels.
 """
 
 from __future__ import annotations
@@ -159,25 +178,34 @@ def watershed_segment(surface: np.ndarray, h_min: float = 0.0) -> np.ndarray:
 
     # Flat row-major lists with a one-pixel border: the 4 neighbors of p
     # are p + (up, left, right, down), with no bounds checks.  Labels are
-    # -2 unqueued, -1 border, 0 queued or ridge, and >0 basin.
+    # -3 deferred (see the module docstring), -2 unqueued, -1 border,
+    # 0 queued or ridge, and >0 basin.
     width = w + 2
-    up, left, right, down = -width, -1, 1, width
+    steps = up, left, right, down = -width, -1, 1, width
     padded = np.pad(np.where(markers > 0, markers, -2), 1, constant_values=-1).ravel()
+    value = np.pad(filled, 1, constant_values=np.inf).ravel()
+    deferred = _deferred(value, padded == -2, steps)
+    padded[deferred] = -3  # never a claim, never queued, until the flood ends
+    queued = np.flatnonzero(padded == -2)
     marker_pixels = np.flatnonzero(padded > 0)
     # Rule 4 at once: all candidates in scan order, first occurrence of each.
-    seeds = (marker_pixels[:, None] + (up, left, right, down)).ravel()
+    seeds = (marker_pixels[:, None] + steps).ravel()
     seeds = seeds[padded[seeds] == -2]
     seeds = seeds[np.sort(np.unique(seeds, return_index=True)[1])]
     padded[seeds] = 0
     labels = padded.tolist()
-    # Rule 3's queue as one FIFO list per distinct value, drained in
-    # increasing order (bucket_of[p] is p's list).  Exact, because every
-    # component of a strict sublevel set holds a marker (a regional minimum):
-    # all strictly lower neighbors of a pixel pop before it, so a pop appends
-    # only to its own bucket or a later one, in (value, insertion) order.
-    values, rank = np.unique(filled, return_inverse=True)
+    # Rule 3's queue as one FIFO list per distinct value of a queued pixel,
+    # drained in increasing order (bucket_of[p] is p's list).  Exact, because
+    # every component of a strict sublevel set holds a marker (a regional
+    # minimum): all strictly lower neighbors of a pixel pop before it, so a
+    # pop appends only to its own bucket or a later one, in (value,
+    # insertion) order.
+    values, rank = np.unique(value[queued], return_inverse=True)
     buckets = np.fromiter(([] for _ in values), dtype=object, count=len(values))
-    bucket_of = buckets[np.pad(rank.reshape(h, w), 1).ravel()].tolist()
+    slots = np.empty(len(value), dtype=object)
+    slots[queued] = buckets[rank]
+    bucket_of = slots.tolist()
+    queued = queued.tolist()
     for q in seeds.tolist():
         bucket_of[q].append(q)
 
@@ -186,6 +214,9 @@ def watershed_segment(surface: np.ndarray, h_min: float = 0.0) -> np.ndarray:
     # is seen, then that label, then -1 (sticky) once a second one appears.
     # A push writes only the neighbor it queues, never p or a neighbor still
     # to be read, so the reads and the appends are those rule 5 prescribes.
+    # A deferred neighbor (-3) lies above p.  In the full queue it would
+    # still read 0 or -2 here, and its own pop would insert no queued pixel,
+    # so skipping it changes no queued pixel's label.
     popped = 0
     for bucket in buckets:
         for p in bucket:  # the bucket grows while it is drained
@@ -226,13 +257,87 @@ def watershed_segment(surface: np.ndarray, h_min: float = 0.0) -> np.ndarray:
         popped += len(bucket)
         bucket.clear()
 
-    if count < 1 or len(marker_pixels) + popped != h * w:
+    # Write back the queued pixels' labels, then decide the deferred ones.
+    padded[queued] = [labels[p] for p in queued]
+    settled = _settle_deferred(padded, value, deferred, steps)
+    if count < 1 or len(marker_pixels) + popped + settled != h * w:
         raise RuntimeError(
             f"flood left pixels undecided: {count} markers, "
             f"{len(marker_pixels)} marker pixels + {popped} popped "
-            f"!= {h * w} pixels"
+            f"+ {settled} deferred != {h * w} pixels"
         )
-    return np.asarray(labels, dtype=np.int32).reshape(h + 2, width)[1:-1, 1:-1].copy()
+    return padded.reshape(h + 2, width)[1:-1, 1:-1].copy()
+
+
+def _deferred(value: np.ndarray, unmarked: np.ndarray, steps) -> np.ndarray:
+    """The deferred pixels of a flat padded surface, as a boolean mask.
+
+    ``unmarked`` flags the non-marker image pixels and ``steps`` holds
+    the flat offsets of the up, left, right and down neighbors.  Unmarked
+    pixels with an equal neighbor are queued, and so is every unmarked
+    pixel one strictly descending step below a queued one; the rest are
+    deferred.
+    """
+    same = np.zeros(value.shape, dtype=bool)
+    for step in steps[2:]:  # right and down: each adjacent pair once
+        tie = value[:-step] == value[step:]
+        same[:-step] |= tie
+        same[step:] |= tie
+    frontier = np.flatnonzero(same & unmarked)
+    deferred = unmarked & ~same
+    while frontier.size:  # one pass per descending step
+        here = value[frontier]
+        grown = []
+        for step in steps:
+            q = frontier + step
+            below = deferred[q]
+            below &= value[q] < here
+            q = q[below]
+            deferred[q] = False
+            grown.append(q)
+        frontier = np.concatenate(grown)
+    return deferred
+
+
+def _settle_deferred(labels: np.ndarray, value: np.ndarray, deferred: np.ndarray, steps) -> int:
+    """Label the deferred pixels bottom-up, in place; returns how many.
+
+    A pass takes the deferred pixels whose strictly lower deferred
+    neighbors are all decided (Kahn order).  Each gets the one distinct
+    basin label among its 4 neighbors, or 0 for none or several: its
+    lower neighbors are final and its higher ones still read -3, as in
+    the full flood when it pops.  ``steps`` is as for :func:`_deferred`.
+    """
+    # Deferred pixels have no equal neighbor, so each deferred pair is
+    # ordered; count every deferred pixel's strictly lower deferred ones.
+    waiting = np.zeros(value.shape, dtype=np.int8)
+    for step in steps[2:]:  # right and down: each adjacent pair once
+        pair = deferred[:-step] & deferred[step:]
+        first_lower = value[:-step] < value[step:]
+        waiting[step:] += pair & first_lower
+        waiting[:-step] += pair & ~first_lower
+    frontier = np.flatnonzero(deferred & (waiting == 0))
+    none = np.iinfo(labels.dtype).max
+    settled = 0
+    while frontier.size:
+        settled += frontier.size
+        top = np.zeros(frontier.size, dtype=labels.dtype)
+        low = np.full(frontier.size, none, dtype=labels.dtype)
+        ready = []
+        for step in steps:
+            q = frontier + step
+            lab = labels[q]
+            np.maximum(top, lab, out=top)
+            np.minimum(low, np.where(lab > 0, lab, none), out=low)
+            # An undecided neighbor is a higher deferred one: one of its
+            # lower neighbors is now decided.
+            q = q[lab == -3]
+            waiting[q] -= 1
+            ready.append(q[waiting[q] == 0])
+        # One distinct label iff the largest and smallest positive agree.
+        labels[frontier] = np.where(top == low, top, 0)
+        frontier = np.concatenate(ready)
+    return settled
 
 
 def labels_to_mask(

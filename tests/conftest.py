@@ -1,0 +1,9 @@
+"""Hypothesis profiles for the test suite.
+
+``--hypothesis-profile=ci`` runs the property tests that read it with
+2000 examples each; see the flood step in .github/workflows/tests.yml.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("ci", max_examples=2000, deadline=None)

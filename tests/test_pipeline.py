@@ -65,7 +65,8 @@ def test_pipeline_roi_truth_shape_mismatch(monkeypatch):
     monkeypatch.setattr(bat, "optimize_threshold", _refuse_bat)
     img, truth = generate_phantom(PhantomSpec(96, 96, 16, 5, 0.0, 2))
     cfg = _fast_config(roi=RoiRect(8, 8, 48, 48))
-    with pytest.raises(PipelineError, match=r"\[input\] truth shape \(20, 20\)"):
+    mismatch = r"\[input\] dimension mismatch: truth vs frame \(20, 20\)"
+    with pytest.raises(PipelineError, match=mismatch):
         run_pipeline(img, truth[:20, :20], cfg)
 
 
@@ -117,7 +118,7 @@ def test_pipeline_truth_shape_mismatch_without_roi_fails_at_entry(monkeypatch):
 
     monkeypatch.setattr(bat, "optimize_threshold", _refuse_bat)
     img, truth = generate_phantom(PhantomSpec(64, 64, 16, 5, 0.0, 1))
-    with pytest.raises(PipelineError, match=r"\[input\] truth shape"):
+    with pytest.raises(PipelineError, match=r"\[input\] dimension mismatch: truth vs frame"):
         run_pipeline(img, truth[:, :40], _fast_config())
 
 

@@ -477,22 +477,64 @@ SHAPES = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+# 300 examples, or more under a profile that asks for more (the "ci"
+# profile of tests/conftest.py asks for 2000).
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(
     data=st.data(),
     shape=SHAPES,
     levels=st.integers(1, 5),
-    jitter=st.booleans(),
     h_min=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
 )
-def test_flood_matches_oracle_on_generated_surfaces(data, shape, levels, jitter, h_min):
+def test_flood_matches_oracle_on_generated_surfaces(data, shape, levels, h_min):
     n = shape[0] * shape[1]
     cells = data.draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
     surf = np.array(cells, dtype=float).reshape(shape)
-    if jitter:
-        jitters = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)
-        surf += np.reshape(data.draw(jitters), shape)
+    # Jitter none, some or all of the pixels: integer plateaus then sit above
+    # and below distinct-valued slopes, so queued and deferred pixels meet.
+    jittered = data.draw(
+        st.one_of(
+            st.just([False] * n),
+            st.just([True] * n),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+        )
+    )
+    picked = np.flatnonzero(jittered)
+    jitters = st.lists(
+        st.floats(0.0, 1.0, exclude_max=True), min_size=len(picked), max_size=len(picked)
+    )
+    surf.flat[picked] += data.draw(jitters)
     assert np.array_equal(watershed_segment(surf, h_min), oracle_flood(surf, h_min))
+
+
+# Markers (0, 0) -> 1 and (0, 3) -> 2.  Only the equal pair (0, 1), (0, 2)
+# is queued: (0, 1) pops first and takes basin 1, then (0, 2) sees basins 1
+# and 2 and is a ridge.  Every other pixel is deferred.  (1, 2) pops with the
+# ridge pixel (0, 2) and the basin-2 pixel (1, 3) below it and takes basin 2;
+# (1, 1), higher still, then sees basin 1 up and left and basin 2 right, and
+# is a ridge.
+RIDGE_AND_BASIN = np.array([[0, 3, 3, 0], [4, 9, 5, 1]], dtype=float)
+RIDGE_AND_BASIN_LABELS = np.array([[1, 1, 0, 2], [1, 0, 2, 2]], dtype=np.int32)
+
+# Markers (0, 0) -> 1 and (0, 4) -> 2, and no two neighbors are equal, so
+# every other pixel is deferred.  (0, 2) pops with two deferred pixels below
+# it, (0, 1) in basin 1 and (0, 3) in basin 2, so it is a ridge; so is (1, 2),
+# higher still, between (1, 1) in basin 1 and (1, 3) in basin 2.
+DEFERRED_CONFLICT = np.array([[0, 1, 5, 2, 0], [6, 8, 9, 8, 6]], dtype=float)
+DEFERRED_CONFLICT_LABELS = np.array([[1, 1, 0, 2, 2], [1, 1, 0, 2, 2]], dtype=np.int32)
+
+
+@pytest.mark.parametrize(
+    "surf, want",
+    [
+        (RIDGE_AND_BASIN, RIDGE_AND_BASIN_LABELS),
+        (DEFERRED_CONFLICT, DEFERRED_CONFLICT_LABELS),
+    ],
+    ids=["ridge-and-basin-below", "two-basins-below"],
+)
+def test_deferred_pixels_take_the_labels_they_pop_with(surf, want):
+    assert np.array_equal(watershed_segment(surf, 0.0), want)
+    assert np.array_equal(oracle_flood(surf), want)
 
 
 def test_flood_with_h_min_matches_oracle():

@@ -18,19 +18,35 @@ evaluated candidate, accepted or not, so the best-so-far history is
 non-decreasing by construction.
 
 Determinism contract: the master seed is split into one PCG64 stream per
-bat via ``numpy.random.SeedSequence.spawn``.  Bat i draws its stream as
-one block, ``random(1 + 4 * iterations)``, up front and reads it through
-its own cursor: draw 0 sets the initial position (255 * d), then each
-iteration takes, in order, beta, the local-walk coin, the walk offset
-(only when the walk is taken) and the acceptance coin, so the cursor
-advances by 4 with the walk and by 3 without; the block's tail is never
-read.  A draw d stands for ``uniform()`` and -1 + 2d for
-``uniform(-1, 1)``, which numpy computes the same way, so the block
+bat via ``numpy.random.SeedSequence.spawn``.  Bat i draws its stream up
+front, ``random(1 + 4 * iterations)`` into row i of one array, and reads
+it through its own cursor: draw 0 sets the initial position (255 * d),
+then each iteration takes, in order, beta, the local-walk coin, the walk
+offset (only when the walk is taken) and the acceptance coin, so the
+cursor advances by 4 with the walk and by 3 without; the row's tail is
+never read.  A draw d stands for ``uniform()`` and -1 + 2d for
+``uniform(-1, 1)``, which numpy computes the same way, so the row
 yields bit for bit the values scalar draws in that order would.  x_best
 and the mean loudness are snapshotted at the start of each iteration
 (the mean is recomputed only after some loudness changed) and the bats
 are updated in bat order, so a bat's move never depends on another bat's
 move in the same iteration.
+
+Evaluation in stretches: an *event* is an acceptance or a new global
+best.  Between events x_best, the mean loudness and each bat's position,
+fitness, loudness and pulse rate stay constant, so a stretch of
+iterations is computed at once as if it held none: the cursor paths
+follow from the pulse rates alone, the velocities are one ``np.cumsum``
+along the iterations, and ``fitness`` is called once on every candidate
+of the stretch.  The first iteration that holds an event is then
+resolved bat by bat, in bat order; the rest of the stretch is discarded.
+``np.cumsum`` adds in sequence, and every other value is the same
+IEEE-754 operation on the same operands as in a loop over one candidate
+at a time, so the final state is that loop's bit for bit
+(tests/test_bat.py keeps it as the oracle).  So ``fitness`` must be a
+pure, elementwise function from an array of positions to an array of
+values (a scalar return stands for every position): it may be called on
+candidates past an event, whose values are discarded.
 """
 
 from __future__ import annotations
@@ -55,10 +71,14 @@ __all__ = [
     "write_convergence_csv",
 ]
 
-FitnessFn = Callable[[float], float]
+# Positions in, their values out, elementwise; a scalar stands for all.
+FitnessFn = Callable[[np.ndarray], "np.ndarray | float"]
 
 # The search interval: every threshold of an 8-bit image.
 _LOW, _HIGH = 0.0, 255.0
+
+# Iterations evaluated at once after an event; doubled while none occurs.
+_FIRST_STRETCH = 8
 
 
 @dataclass(frozen=True)
@@ -79,10 +99,13 @@ class BatParams:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-        if self.population < 2:
-            raise ValueError("population must be at least 2")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+        for name, least in (("population", 2), ("iterations", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        for name in ("f_min", "f_max", "gamma", "a0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         # Written so that NaN fails each check.
         if not self.f_min <= self.f_max:
             raise ValueError("f_min must not exceed f_max")
@@ -112,75 +135,89 @@ class BatState:
 def bat_optimize(params: BatParams, fitness: FitnessFn) -> BatState:
     """Run the bat algorithm for exactly ``params.iterations`` iterations.
 
-    ``fitness`` must be a pure function of a position in [0, 255];
-    higher values are better.  Positions are clamped to [0, 255] after
-    every move.
+    ``fitness`` maps an array of positions in [0, 255] to the array of
+    their values, higher being better; see the module docstring.
+    Positions are clamped to [0, 255] after every move.
     """
-    n = params.population
-    # One block of draws per bat, read through its own cursor in the
-    # order the module docstring fixes.
-    blocks = [
-        np.random.Generator(np.random.PCG64(s)).random(1 + 4 * params.iterations).tolist()
-        for s in np.random.SeedSequence(params.seed).spawn(n)
-    ]
-    cursors = [1] * n
+    n, iterations = params.population, params.iterations
+    # Row i holds bat i's draws, read through its cursor in the order the
+    # module docstring fixes.  Cursors are flat indices into ``draws``.
+    draws = np.empty((n, 1 + 4 * iterations))
+    for row, seq in zip(draws, np.random.SeedSequence(params.seed).spawn(n)):
+        np.random.Generator(np.random.PCG64(seq)).random(out=row)
+    flat = draws.ravel()
+    # steps[c]: the cursor after an iteration that starts at c (walk coin at c + 1).
+    ahead = np.arange(3, flat.size + 3).reshape(draws.shape)
+    steps = ahead.copy()
+    steps.ravel()[:-1] += flat[1:] > params.r0
+    cursors = ahead[:, 0] - 2
 
-    positions = [_LOW + (_HIGH - _LOW) * block[0] for block in blocks]
-    velocities = [0.0] * n
-    loudness = [params.a0] * n
-    pulse_rate = [params.r0] * n
-    fitnesses = [float(fitness(x)) for x in positions]
-    best_idx = fitnesses.index(max(fitnesses))  # the first of equals
-    best_position = positions[best_idx]
-    best_fitness = fitnesses[best_idx]
+    positions = _LOW + (_HIGH - _LOW) * draws[:, 0]
+    velocities = np.zeros(n)
+    loudness = np.full(n, params.a0)
+    pulse_rate = np.full(n, params.r0)
+    fitnesses = np.array(_evaluate(fitness, positions))
+    initial = fitnesses.tolist()
+    best_fitness = max(initial)
+    best_position = float(positions[initial.index(best_fitness)])  # the first of equals
 
     f_min, f_span = params.f_min, params.f_max - params.f_min
-    alpha, r0, gamma = params.alpha, params.r0, params.gamma
     history: list[float] = []
-    loudness_changed = True
-    for t in range(1, params.iterations + 1):
-        ref_best = best_position
-        if loudness_changed:
+    mean_loudness = float(np.mean(loudness))
+    t, stretch = 1, _FIRST_STRETCH
+    while t <= iterations:
+        # Iterations t, t + 1, ... evaluated as if none held an event.
+        length = min(stretch, iterations + 1 - t)
+        path = np.empty((length + 1, n), dtype=np.intp)
+        path[0] = cursors
+        for k in range(length):
+            steps.take(path[k], out=path[k + 1])
+        at, after = path[:-1], path[1:]
+        vel = (positions - best_position) * (f_min + f_span * flat[at])
+        vel[0] += velocities
+        np.cumsum(vel, axis=0, out=vel)  # in sequence, as the loop adds
+        walk = best_position + (-1.0 + 2.0 * flat[at + 2]) * mean_loudness
+        cand = np.where(after - at == 4, walk, positions + vel)
+        cand[cand < _LOW] = _LOW  # the clamp min(max(cand, _LOW), _HIGH)
+        cand[cand > _HIGH] = _HIGH
+        fit = _evaluate(fitness, cand)
+        accept = (flat[after - 1] < loudness) & (fit > fitnesses)
+        events = np.flatnonzero((accept | (fit > best_fitness)).any(axis=1))
+        if not events.size:
+            history += [best_fitness] * length
+            t, stretch = t + length, 2 * stretch
+            velocities, cursors = vel[-1], path[-1]
+            continue
+        # Iteration t + k holds the first event.  No state changed before
+        # it, so its values are the loop's; resolve it in bat order and
+        # drop the rest of the stretch.
+        k = int(events[0])
+        history += [best_fitness] * k
+        t, stretch = t + k, _FIRST_STRETCH
+        velocities, cursors = vel[k], path[k + 1]
+        won = accept[k]
+        if won.any():
+            positions[won], fitnesses[won] = cand[k, won], fit[k, won]
+            loudness[won] *= params.alpha
+            pulse_rate[won] = params.r0 * (1.0 - math.exp(-params.gamma * t))
+            steps[won, :-1] = ahead[won, :-1] + (draws[won, 1:] > pulse_rate[won, None])
             # numpy's pairwise sum, not sum()/n: the pinned artifacts use it.
             mean_loudness = float(np.mean(loudness))
-            loudness_changed = False
-        for i in range(n):
-            block = blocks[i]
-            c = cursors[i]
-            velocities[i] += (positions[i] - ref_best) * (f_min + f_span * block[c])
-            if block[c + 1] > pulse_rate[i]:
-                cand = ref_best + (-1.0 + 2.0 * block[c + 2]) * mean_loudness
-                c += 4
-            else:
-                cand = positions[i] + velocities[i]
-                c += 3
-            accept_coin = block[c - 1]  # the iteration's last draw
-            cursors[i] = c
-            if cand < _LOW:  # the clamp min(max(cand, _LOW), _HIGH)
-                cand = _LOW
-            elif cand > _HIGH:
-                cand = _HIGH
-            cand_fitness = float(fitness(cand))
-            if accept_coin < loudness[i] and cand_fitness > fitnesses[i]:
-                positions[i] = cand
-                fitnesses[i] = cand_fitness
-                loudness[i] *= alpha
-                pulse_rate[i] = r0 * (1.0 - math.exp(-gamma * t))
-                loudness_changed = True
-            if cand_fitness > best_fitness:
-                best_fitness = cand_fitness
-                best_position = cand
+        row_cand = cand[k].tolist()
+        for i, value in enumerate(fit[k].tolist()):
+            if value > best_fitness:
+                best_fitness, best_position = value, row_cand[i]
         history.append(best_fitness)
+        t += 1
 
     return BatState(
-        positions=np.array(positions),
-        velocities=np.array(velocities),
-        loudness=np.array(loudness),
-        pulse_rate=np.array(pulse_rate),
-        best_position=best_position,
-        best_fitness=best_fitness,
-        history=history,
+        positions, velocities.copy(), loudness, pulse_rate, best_position, best_fitness, history
     )
+
+
+def _evaluate(fitness: FitnessFn, x: np.ndarray) -> np.ndarray:
+    """``fitness(x)`` as a float64 array of x's shape."""
+    return np.broadcast_to(np.asarray(fitness(x), dtype=np.float64), x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +257,13 @@ def otsu_fitness(image: np.ndarray) -> FitnessFn:
 
     Positions outside [0, 255] score as the nearest end of the table.
     """
-    table = between_class_variance(histogram(image)).tolist()
+    table = between_class_variance(histogram(image))
 
-    def fitness(x: float) -> float:
-        return table[min(max(math.floor(x), 0), 255)]
+    def fitness(x):
+        x = np.clip(x, _LOW, _HIGH)
+        if np.isnan(x).any():
+            raise ValueError("cannot score a NaN position")
+        return table[x.astype(np.intp)]  # floor, as x >= 0
 
     return fitness
 

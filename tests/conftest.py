@@ -1,7 +1,8 @@
 """Hypothesis profiles for the test suite.
 
 ``--hypothesis-profile=ci`` runs the property tests that read it with
-2000 examples each; see the flood step in .github/workflows/tests.yml.
+2000 examples each; see the flood and bat steps in
+.github/workflows/tests.yml.
 """
 
 from hypothesis import settings

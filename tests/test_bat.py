@@ -1,11 +1,15 @@
 import csv
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcseg.bat import (
     BatParams,
+    BatState,
     bat_optimize,
     between_class_variance,
     optimize_threshold,
@@ -14,7 +18,85 @@ from lcseg.bat import (
     write_convergence_csv,
 )
 from lcseg.histeq import histogram
+from lcseg.config import load_config
 from lcseg.image import PhantomSpec, generate_phantom
+
+
+def oracle_bat(params, fitness):
+    """The bat algorithm one candidate at a time, as the module docstring
+    states it; ``fitness`` is called on one float per candidate.
+
+    ``bat_optimize`` evaluates the iterations between events as arrays
+    and must return this function's final state bit for bit.
+    """
+    n = params.population
+    blocks = [
+        np.random.Generator(np.random.PCG64(s)).random(1 + 4 * params.iterations).tolist()
+        for s in np.random.SeedSequence(params.seed).spawn(n)
+    ]
+    cursors = [1] * n
+
+    positions = [0.0 + 255.0 * block[0] for block in blocks]
+    velocities = [0.0] * n
+    loudness = [params.a0] * n
+    pulse_rate = [params.r0] * n
+    fitnesses = [float(fitness(x)) for x in positions]
+    best_idx = fitnesses.index(max(fitnesses))  # the first of equals
+    best_position = positions[best_idx]
+    best_fitness = fitnesses[best_idx]
+
+    f_min, f_span = params.f_min, params.f_max - params.f_min
+    alpha, r0, gamma = params.alpha, params.r0, params.gamma
+    history = []
+    loudness_changed = True
+    for t in range(1, params.iterations + 1):
+        ref_best = best_position
+        if loudness_changed:
+            mean_loudness = float(np.mean(loudness))
+            loudness_changed = False
+        for i in range(n):
+            block = blocks[i]
+            c = cursors[i]
+            velocities[i] += (positions[i] - ref_best) * (f_min + f_span * block[c])
+            if block[c + 1] > pulse_rate[i]:
+                cand = ref_best + (-1.0 + 2.0 * block[c + 2]) * mean_loudness
+                c += 4
+            else:
+                cand = positions[i] + velocities[i]
+                c += 3
+            accept_coin = block[c - 1]  # the iteration's last draw
+            cursors[i] = c
+            if cand < 0.0:  # the clamp min(max(cand, 0), 255)
+                cand = 0.0
+            elif cand > 255.0:
+                cand = 255.0
+            cand_fitness = float(fitness(cand))
+            if accept_coin < loudness[i] and cand_fitness > fitnesses[i]:
+                positions[i] = cand
+                fitnesses[i] = cand_fitness
+                loudness[i] *= alpha
+                pulse_rate[i] = r0 * (1.0 - math.exp(-gamma * t))
+                loudness_changed = True
+            if cand_fitness > best_fitness:
+                best_fitness = cand_fitness
+                best_position = cand
+        history.append(best_fitness)
+
+    return BatState(
+        positions=np.array(positions),
+        velocities=np.array(velocities),
+        loudness=np.array(loudness),
+        pulse_rate=np.array(pulse_rate),
+        best_position=best_position,
+        best_fitness=best_fitness,
+        history=history,
+    )
+
+
+def scalar_otsu(image):
+    """The Otsu fitness on one float at a time, as ``math.floor`` reads it."""
+    table = between_class_variance(histogram(image)).tolist()
+    return lambda x: table[min(max(math.floor(x), 0), 255)]
 
 
 def test_quadratic_argmax_found():
@@ -59,14 +141,17 @@ def test_history_monotone_and_bounds_respected():
     seen = []
 
     def instrumented(x):
-        seen.append(x)
-        return float(np.sin(x / 20.0))
+        seen.append(np.array(x))
+        return np.sin(x / 20.0)
 
     params = BatParams(population=10, iterations=100, seed=5)
     state = bat_optimize(params, instrumented)
     assert all(a <= b for a, b in zip(state.history, state.history[1:]))
     assert len(state.history) == 100
-    assert all(lower <= v <= upper for v in seen)
+    seen = np.concatenate([x.ravel() for x in seen])
+    # Every candidate of every iteration was scored, and maybe some past an event.
+    assert seen.size >= 10 * 101
+    assert all(lower <= v <= upper for v in seen.tolist())
     assert state.positions.min() >= lower and state.positions.max() <= upper
 
 
@@ -79,6 +164,33 @@ def test_params_validation():
         BatParams(alpha=1.0)
     with pytest.raises(ValueError):
         BatParams(f_min=3.0, f_max=1.0)
+
+
+@pytest.mark.parametrize("name", ["population", "iterations"])
+@pytest.mark.parametrize("value", [3.5, 10.0, "8", True])
+def test_params_reject_non_integer_counts(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        BatParams(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["f_min", "f_max", "gamma", "a0"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite_settings(name, value):
+    kwargs = {name: value}
+    if name == "f_min" and value == -math.inf:
+        kwargs["f_max"] = -math.inf  # so that f_min <= f_max alone would pass
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        BatParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "line", ["f_min = -inf", "f_max = inf", "gamma = inf", "loudness = inf"]
+)
+def test_config_file_with_non_finite_bat_setting_fails_to_load(tmp_path, line):
+    path = tmp_path / "bat.ini"
+    path.write_text(f"[bat]\n{line}\n")
+    with pytest.raises(ValueError, match="must be finite"):
+        load_config(path)
 
 
 def test_params_reject_negative_seed():
@@ -118,6 +230,19 @@ def test_otsu_fitness_floor_semantics():
     assert fit(49.999) == sigma[49]
     assert fit(300.0) == sigma[255]
     assert fit(-3.0) == sigma[0]
+    # The same on arrays, elementwise and shape for shape.
+    x = np.array([[50.9, 49.999, 300.0, -3.0], [0.0, 255.0, 254.5, 1e300]])
+    want = sigma[[[50, 49, 255, 0], [0, 255, 254, 255]]]
+    got = fit(x)
+    assert got.shape == x.shape and got.tobytes() == want.tobytes()
+    assert fit(np.array([-np.inf, np.inf])).tolist() == [sigma[0], sigma[255]]
+
+
+@pytest.mark.parametrize("x", [math.nan, np.array([1.0, math.nan]), np.full((2, 2), math.nan)])
+def test_otsu_fitness_rejects_nan_positions(x):
+    img = np.array([[50] * 8 + [200] * 8], dtype=np.uint8).reshape(4, 4)
+    with pytest.raises(ValueError, match="NaN"):
+        otsu_fitness(img)(x)
 
 
 def test_bat_reaches_exhaustive_max_on_phantom():
@@ -373,3 +498,68 @@ def test_block_draws_equal_single_uniform_draws(seed):
         want = [-1.0 + 2.0 * d if wide else d for d, wide in zip(block, pattern)]
         got = [single.uniform(-1.0, 1.0) if wide else single.uniform() for wide in pattern]
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the one-candidate-at-a-time oracle
+# ---------------------------------------------------------------------------
+
+def _state_bytes(state):
+    arrays = (state.positions, state.velocities, state.loudness, state.pulse_rate, state.history)
+    return tuple(np.asarray(a, dtype=np.float64).tobytes() for a in arrays) + (
+        repr(state.best_position),
+        repr(state.best_fitness),
+    )
+
+
+@st.composite
+def bat_params(draw):
+    f_min = draw(st.floats(-4.0, 4.0))
+    return BatParams(
+        population=draw(st.integers(2, 30)),
+        iterations=draw(st.integers(1, 300)),
+        f_min=f_min,
+        f_max=f_min + draw(st.floats(0.0, 6.0)),
+        alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        gamma=draw(st.floats(1e-3, 10.0)),
+        a0=draw(st.floats(1e-3, 2.0)),
+        r0=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@st.composite
+def fitness_pairs(draw):
+    """(array fitness for ``bat_optimize``, scalar fitness for the oracle)."""
+    kind = draw(st.sampled_from(["otsu", "smooth", "constant", "steps"]))
+    if kind == "otsu":
+        # A few intensity clusters, so the table has plateaus and a clear peak.
+        centers = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4))
+        values = draw(st.lists(st.sampled_from(centers), min_size=1, max_size=64))
+        jitter = draw(st.lists(st.integers(-20, 20), min_size=len(values), max_size=len(values)))
+        img = np.clip(np.add(values, jitter), 0, 255).astype(np.uint8).reshape(1, -1)
+        return otsu_fitness(img), scalar_otsu(img)
+    if kind == "smooth":
+        return _smooth_fake, _smooth_fake
+    if kind == "constant":
+        value = draw(st.floats(-1e6, 1e6))
+        return (lambda x: value), (lambda x: value)
+    # Plateaus a few intensities wide, capped: many exact ties.
+    width = draw(st.sampled_from([0.5, 1.0, 7.0, 64.0, 300.0]))
+    cap = draw(st.sampled_from([0.0, 1.0, 3.0, 1e9]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return (
+        lambda x: sign * np.minimum(np.floor(x / width), cap),
+        lambda x: sign * min(math.floor(x / width), cap),
+    )
+
+
+# 300 examples, or more under a profile that asks for more (the "ci"
+# profile of tests/conftest.py asks for 2000).
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(params=bat_params(), fitness=fitness_pairs())
+def test_bat_matches_oracle_bit_for_bit(params, fitness):
+    array_fitness, scalar_fitness = fitness
+    got = bat_optimize(params, array_fitness)
+    want = oracle_bat(params, scalar_fitness)
+    assert _state_bytes(got) == _state_bytes(want)

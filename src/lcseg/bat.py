@@ -253,13 +253,13 @@ def otsu_threshold(hist: np.ndarray) -> int:
 
 
 def otsu_fitness(image: np.ndarray) -> FitnessFn:
-    """Fitness mapping a position x to sigma_B^2(floor(x)) of ``image``.
+    """Fitness mapping positions x, elementwise, to sigma_B^2(floor(x)) of ``image``.
 
-    Positions outside [0, 255] score as the nearest end of the table.
+    Positions outside [0, 255] score as the nearest end of the table; NaN raises.
     """
     table = between_class_variance(histogram(image))
 
-    def fitness(x):
+    def fitness(x: np.ndarray) -> np.ndarray:
         x = np.clip(x, _LOW, _HIGH)
         if np.isnan(x).any():
             raise ValueError("cannot score a NaN position")

@@ -109,6 +109,8 @@ class BatParams:
         # Written so that NaN fails each check.
         if not self.f_min <= self.f_max:
             raise ValueError("f_min must not exceed f_max")
+        if not math.isfinite(self.f_max - self.f_min):
+            raise ValueError(f"f_max - f_min must be finite, got {self.f_max - self.f_min!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not self.gamma > 0.0:

@@ -68,17 +68,19 @@ def separable_filter(
     The taps are centered (odd count) and spaced ``spacing`` pixels apart;
     the border is mirror-extended (reflection about the edge pixel, no
     edge repeat), so each axis's reach ``len(taps) // 2 * spacing`` must
-    not exceed ``n - 1`` on that axis.  Each pass sums the tap products in
-    tap order, starting from zero.
+    not exceed ``n - 1`` on that axis (``ValueError`` otherwise).  Each
+    pass sums the tap products in tap order, starting from zero.
     """
     h, w = plane.shape
-    reach = len(taps_y) // 2 * spacing
-    padded = np.pad(plane, ((reach, reach), (0, 0)), mode="reflect")
+    reach_y, reach_x = (len(taps) // 2 * spacing for taps in (taps_y, taps_x))
+    for axis, reach, n in (("y", reach_y, h), ("x", reach_x, w)):
+        if reach > n - 1:
+            raise ValueError(f"separable_filter: {axis} reach {reach} exceeds n - 1 for n = {n}")
+    padded = np.pad(plane, ((reach_y, reach_y), (0, 0)), mode="reflect")
     rows = np.zeros_like(plane, dtype=np.float64)
     for k, tap in enumerate(taps_y):
         rows += tap * padded[k * spacing : k * spacing + h, :]
-    reach = len(taps_x) // 2 * spacing
-    padded = np.pad(rows, ((0, 0), (reach, reach)), mode="reflect")
+    padded = np.pad(rows, ((0, 0), (reach_x, reach_x)), mode="reflect")
     out = np.zeros_like(rows)
     for k, tap in enumerate(taps_x):
         out += tap * padded[:, k * spacing : k * spacing + w]

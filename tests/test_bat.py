@@ -183,8 +183,23 @@ def test_params_reject_non_finite_settings(name, value):
         BatParams(**kwargs)
 
 
+@pytest.mark.parametrize("f_min, f_max", [(-1e308, 1e308), (-9e307, 9e307)])
+def test_params_reject_overflowing_frequency_span(f_min, f_max):
+    # Each bound is finite, but the span the velocity update scales by is not.
+    with pytest.raises(ValueError, match="f_max - f_min must be finite"):
+        BatParams(f_min=f_min, f_max=f_max)
+    assert BatParams(f_min=f_min / 2.0, f_max=f_max / 2.0).f_max == f_max / 2.0
+
+
 @pytest.mark.parametrize(
-    "line", ["f_min = -inf", "f_max = inf", "gamma = inf", "loudness = inf"]
+    "line",
+    [
+        "f_min = -inf",
+        "f_max = inf",
+        "gamma = inf",
+        "loudness = inf",
+        pytest.param("f_min = -1e308\nf_max = 1e308", id="f_max - f_min = inf"),
+    ],
 )
 def test_config_file_with_non_finite_bat_setting_fails_to_load(tmp_path, line):
     path = tmp_path / "bat.ini"

@@ -62,6 +62,24 @@ def test_separable_filter_matches_scalar_oracle(shape, taps_y, taps_x, spacing):
     assert np.array_equal(got, oracle_separable(plane, taps_y, taps_x, spacing))
 
 
+@pytest.mark.parametrize("axis", ["y", "x"])
+def test_separable_filter_rejects_reach_past_one_mirror(axis):
+    """Reach n - 1 needs one mirror and matches the oracle; reach n raises."""
+    rng = np.random.default_rng(13)
+    plane = rng.normal(size=(7, 9))
+    n = plane.shape[0] if axis == "y" else plane.shape[1]
+
+    def taps_with_reach(reach):
+        taps = rng.normal(size=2 * reach + 1)
+        return (taps, (1.0,)) if axis == "y" else ((1.0,), taps)
+
+    at_limit = taps_with_reach(n - 1)
+    got = separable_filter(plane, *at_limit)
+    assert np.array_equal(got, oracle_separable(plane, *at_limit, 1))
+    with pytest.raises(ValueError, match=f"{axis} reach {n} exceeds n - 1 for n = {n}"):
+        separable_filter(plane, *taps_with_reach(n))
+
+
 def test_read_p5_direct_bytes(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 128, 255, 7]))

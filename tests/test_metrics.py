@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcseg.metrics import (
     ConfusionCounts,
@@ -256,6 +258,42 @@ def test_ssim_matches_scalar_oracle(shape):
         c = rng.integers(0, 256, size=shape, dtype=np.uint8)
         for other in (b, c):
             assert ssim(a, other) == pytest.approx(oracle_ssim(a, other), abs=1e-12)
+
+
+@st.composite
+def ssim_pairs(draw):
+    """Two same-shape uint8 images, 11..24 on each axis, of one of five kinds.
+
+    Near-constant images (one level, +-1) are where the variances cancel
+    worst: the filtered squares are about level^2 and the variances at
+    most 1, so most of each plane's digits are lost in the subtraction.
+    """
+    shape = (draw(st.integers(11, 24)), draw(st.integers(11, 24)))
+    kind = draw(st.sampled_from(["random", "identical", "constant", "near-constant", "negative"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "constant":
+        a, b = (np.full(shape, draw(st.integers(0, 255)), np.uint8) for _ in range(2))
+    elif kind == "near-constant":
+        level = draw(st.integers(1, 254))
+        a, b = (rng.integers(level - 1, level + 2, size=shape).astype(np.uint8) for _ in range(2))
+    else:
+        a = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        if kind == "random":
+            b = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        elif kind == "identical":
+            b = a.copy()
+        else:
+            b = 255 - a
+    return a, b
+
+
+# 300 examples, or more under a profile that asks for more (the "ci"
+# profile of tests/conftest.py asks for 2000).
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(pair=ssim_pairs())
+def test_ssim_matches_oracle_on_generated_pairs(pair):
+    a, b = pair
+    assert ssim(a, b) == pytest.approx(oracle_ssim(a, b), abs=1e-12)
 
 
 def test_ssim_rejects_small_images():

@@ -288,3 +288,24 @@ def test_artifacts_are_pinned(tmp_path, sigma, rule):
     assert sorted(written) == sorted(want)
     got = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in written}
     assert got == want
+
+
+# The data row of report.csv for the default pipeline, with truth, on the
+# phantoms of test_watershed.PIPELINE_LABEL_PINS (the sizes the benchmark
+# runs).  Taken at commit 1700f44, before SSIM moved to four filtered planes
+# and a folded window of its own; that change reorders SSIM's sums, which
+# could flip its sixth digit here while the 64x64 artifact pins above hold.
+REPORT_ROW_PINS = {
+    (256, 32, 10, 20.0): "18.3863,942.867,0.866249,0.775418,79.158,95.9808,59.8695,87.1094",
+    (256, 32, 10, 0.0): "14.6003,2254.52,0.921646,0.857631,86.0243,99.2736,58.522,92.2867",
+    (128, 16, 4, 20.0): "17.6638,1113.52,0.894132,0.826211,92.7874,88.52,75.4074,90.387",
+}
+
+
+@pytest.mark.parametrize("size, period, beam, sigma", list(REPORT_ROW_PINS))
+def test_report_row_is_pinned_at_benchmark_size(size, period, beam, sigma):
+    from lcseg.metrics import report_csv
+
+    img, truth = generate_phantom(PhantomSpec(size, size, period, beam, sigma, 7))
+    report = run_pipeline(img, truth, PipelineConfig()).report
+    assert report_csv(report).splitlines()[1] == REPORT_ROW_PINS[(size, period, beam, sigma)]

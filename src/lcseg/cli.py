@@ -26,7 +26,7 @@ from .image import (
     write_pgm,
 )
 from .pipeline import PipelineError, run_pipeline, segment, write_outputs
-from .wavelet import enhance_scales, iuwt_decompose
+from .wavelet import check_scales, check_size_for_levels, enhance_scales, iuwt_decompose
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,8 +86,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_decompose(args) -> int:
     image = read_pgm(args.input)
-    pyramid = iuwt_decompose(image, args.levels)
+    check_size_for_levels(image.shape, args.levels)
     kept = parse_scales(args.kept) if args.kept else tuple(range(1, args.levels + 1))
+    check_scales(args.levels, kept)
+    pyramid = iuwt_decompose(image, args.levels)
     enhanced = enhance_scales(pyramid, kept)
     write_pgm(enhanced, args.out)
     if args.dump_planes:
@@ -139,7 +141,7 @@ def _cmd_evaluate(args) -> int:
     report = metrics.full_report(pred, truth, pred_img, truth_img)
     sys.stdout.write(metrics.report_table(report))
     if args.out_csv:
-        Path(args.out_csv).write_text(metrics.report_csv(report), encoding="utf-8")
+        Path(args.out_csv).write_text(metrics.report_csv(report), encoding="utf-8", newline="\n")
     return EXIT_OK
 
 
@@ -148,8 +150,8 @@ def _cmd_roc(args) -> int:
     truth = _read_mask(args.truth)
     baseline = read_pgm(args.baseline)
     opt_curve, base_curve = metrics.roc_sweep(score, truth, baseline)
-    Path(args.out_csv).write_text(metrics.roc_csv(opt_curve), encoding="utf-8")
-    Path(args.out_baseline_csv).write_text(metrics.roc_csv(base_curve), encoding="utf-8")
+    for curve, out in ((opt_curve, args.out_csv), (base_curve, args.out_baseline_csv)):
+        Path(out).write_text(metrics.roc_csv(curve), encoding="utf-8", newline="\n")
     print(f"auc {opt_curve.auc:.6g}")
     print(f"baseline_auc {base_curve.auc:.6g}")
     return EXIT_OK

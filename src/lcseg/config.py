@@ -19,6 +19,7 @@ from .wavelet import check_scales
 __all__ = [
     "RoiRect",
     "PipelineConfig",
+    "check_h_min",
     "parse_config",
     "parse_scales",
     "load_config",
@@ -34,8 +35,16 @@ class RoiRect:
     h: int
 
     def __post_init__(self) -> None:
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in vars(self).values()):
+            raise ValueError(f"ROI fields must be integers, got {self}")
         if self.x0 < 0 or self.y0 < 0 or self.w < 1 or self.h < 1:
             raise ValueError(f"invalid ROI rectangle {self}")
+
+
+def check_h_min(h_min: float) -> None:
+    """Raise ``ValueError`` unless the watershed depth ``h_min`` is >= 0 (NaN fails)."""
+    if not h_min >= 0:
+        raise ValueError("h_min must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -50,8 +59,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         check_scales(self.wavelet_levels, self.kept_scales)
-        if not self.h_min >= 0:  # also rejects NaN
-            raise ValueError("h_min must be non-negative")
+        check_h_min(self.h_min)
         if self.basin_rule not in ("otsu", "threshold"):
             raise ValueError(f"unknown basin_rule {self.basin_rule!r}")
 

@@ -13,6 +13,7 @@ returns fresh arrays and never mutates its inputs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,38 +119,17 @@ def mask_to_gray8(mask: np.ndarray) -> np.ndarray:
 # netpbm I/O
 # ---------------------------------------------------------------------------
 
-def _tokenize_header(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """Return the first ``count`` whitespace-separated header tokens.
-
-    ``#`` starts a comment running to end of line, as allowed by the
-    netpbm specification.  Returns the tokens and the offset of the first
-    byte after the single whitespace character terminating the last token.
-    """
-    tokens: list[bytes] = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        if i >= n:
-            raise PgmError("malformed PGM header: unexpected end of file")
-        start = i
-        while i < n and not data[i : i + 1].isspace() and data[i : i + 1] != b"#":
-            i += 1
-        tokens.append(data[start:i])
-    if i < n and data[i : i + 1].isspace():
-        i += 1  # single whitespace after maxval, then raw pixel data
-    return tokens, i
+# One header token after any whitespace and comments.  A comment runs from
+# "#" to the end of its line or of the file, never less, so every header
+# has one parse and a failed match (end of file) takes linear time.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)")
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a P5 (binary) or P2 (ASCII) PGM file with maxval 255.
 
-    The two encodings of the same raster yield identical arrays.
+    ``#`` comments, each to the end of its line, may precede any header
+    field.  The two encodings of the same raster yield identical arrays.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -157,7 +137,15 @@ def read_pgm(path) -> np.ndarray:
     if data[:2] not in (b"P5", b"P2"):
         raise PgmError("malformed PGM header: expected P2 or P5 magic")
     magic = data[:2]
-    tokens, offset = _tokenize_header(data[2:], 3)
+    tokens, offset = [], 2
+    for _ in range(3):  # width, height, maxval
+        match = _HEADER_TOKEN.match(data, offset)
+        if match is None:
+            raise PgmError("malformed PGM header: unexpected end of file")
+        tokens.append(match[1])
+        offset = match.end()
+    if data[offset : offset + 1].isspace():
+        offset += 1  # single whitespace after maxval, then raw pixel data
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
@@ -168,7 +156,7 @@ def read_pgm(path) -> np.ndarray:
         raise PgmError(f"unsupported maxval {maxval} (only 255 is supported)")
 
     npix = width * height
-    body = data[2 + offset :]
+    body = data[offset:]
     if magic == b"P5":
         if len(body) < npix:
             raise PgmError(

@@ -13,7 +13,7 @@ for SSIM alone would make shared code branch on its caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -250,47 +250,44 @@ class RocCurve:
     """Threshold-sweep operating points plus (0,0)/(1,1) anchors.
 
     ``fpr[t]`` and ``tpr[t]`` are the rates of predicting score >= t for
-    t in 0..255, in sweep order; ``points`` holds the same rates plus the
-    anchors, sorted by false-positive rate.
+    t in 0..255, in sweep order.  Neither rises with t, so ``points``,
+    which reads them backwards between the anchors, is ordered by
+    false-positive rate; ``auc`` is the trapezoidal area under it.
     """
 
-    points: tuple[tuple[float, float], ...]
-    auc: float
     fpr: tuple[float, ...]
     tpr: tuple[float, ...]
+    auc: float = field(init=False)
 
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return ((0.0, 0.0), *zip(self.fpr[::-1], self.tpr[::-1]), (1.0, 1.0))
 
-def _sweep_rates(score_image: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(fpr, tpr) of predicting score >= t, for every t in 0..255."""
-    img = as_gray(score_image)
-    t = np.asarray(truth, dtype=bool)
-    check_same_shape(img, t, "score vs truth")
-    pos = int(np.count_nonzero(t))
-    neg = t.size - pos
-    pos_hist = np.bincount(img[t].ravel(), minlength=256)
-    neg_hist = np.bincount(img[~t].ravel(), minlength=256)
-    # tp(t) = count of positives with score >= t (suffix sums).
-    tp = np.cumsum(pos_hist[::-1])[::-1]
-    fp = np.cumsum(neg_hist[::-1])[::-1]
-    tpr = tp / pos if pos > 0 else np.zeros(256)
-    fpr = fp / neg if neg > 0 else np.zeros(256)
-    return fpr, tpr
+    def __post_init__(self) -> None:
+        pts = self.points
+        auc = 0.0
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            auc += (x1 - x0) * (y0 + y1) / 2.0
+        object.__setattr__(self, "auc", auc)
 
 
 def roc_curve_from_scores(score_image: np.ndarray, truth: np.ndarray) -> RocCurve:
     """ROC of thresholding ``score_image`` at every t in 0..255.
 
-    A pixel is predicted positive when its score is >= t.  Points are
-    ordered by increasing false-positive rate (anchors included) and the
-    AUC is the trapezoidal area under that polyline.  Degenerate truth
-    (an empty class) yields rates of 0 for that class.
+    A pixel is predicted positive when its score is >= t.  Degenerate
+    truth (an empty class) yields rates of 0 for that class.
     """
-    fpr, tpr = (tuple(r.tolist()) for r in _sweep_rates(score_image, truth))
-    pts = sorted([*zip(fpr, tpr), (0.0, 0.0), (1.0, 1.0)])
-    auc = 0.0
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        auc += (x1 - x0) * (y0 + y1) / 2.0
-    return RocCurve(points=tuple(pts), auc=auc, fpr=fpr, tpr=tpr)
+    img = as_gray(score_image)
+    t = np.asarray(truth, dtype=bool)
+    check_same_shape(img, t, "score vs truth")
+    pos = int(np.count_nonzero(t))
+    neg = t.size - pos
+    # tp(t) = count of positives with score >= t (suffix sums).
+    tp = np.cumsum(np.bincount(img[t], minlength=256)[::-1])[::-1]
+    fp = np.cumsum(np.bincount(img[~t], minlength=256)[::-1])[::-1]
+    tpr = tp / pos if pos > 0 else np.zeros(256)
+    fpr = fp / neg if neg > 0 else np.zeros(256)
+    return RocCurve(fpr=tuple(fpr.tolist()), tpr=tuple(tpr.tolist()))
 
 
 def roc_sweep(

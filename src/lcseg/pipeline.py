@@ -17,12 +17,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from . import bat, histeq, metrics, watershed as ws
-from .config import PipelineConfig, RoiRect
+from .config import PipelineConfig, RoiRect, check_h_min
 from .image import (
     as_gray,
     check_same_shape,
@@ -54,23 +53,6 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
-@dataclass
-class PipelineResult:
-    enhanced: np.ndarray
-    threshold: int
-    bat_state: bat.BatState
-    equalized: np.ndarray
-    cropped: np.ndarray
-    gradient: np.ndarray
-    labels: np.ndarray
-    mask: np.ndarray
-    boundary: np.ndarray
-    degenerate: bool
-    report: metrics.MetricsReport | None = None
-    roc: tuple[metrics.RocCurve, metrics.RocCurve] | None = None
-    truth: np.ndarray | None = None
-
-
 @contextmanager
 def _stage(name: str):
     """Tag input errors with the stage name; other errors are bugs and propagate."""
@@ -80,7 +62,8 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-class Segmentation(NamedTuple):
+@dataclass
+class Segmentation:
     gradient: np.ndarray  # the flooded surface: Sobel magnitude on [0, 255]
     labels: np.ndarray
     mask: np.ndarray
@@ -90,6 +73,20 @@ class Segmentation(NamedTuple):
     def degenerate(self) -> bool:
         """True when the mask holds a single class."""
         return bool(self.mask.all() or not self.mask.any())
+
+
+@dataclass
+class PipelineResult(Segmentation):
+    """The ROI frame's :class:`Segmentation` plus the other stages' outputs."""
+
+    enhanced: np.ndarray
+    threshold: int
+    bat_state: bat.BatState
+    equalized: np.ndarray
+    cropped: np.ndarray
+    report: metrics.MetricsReport | None = None
+    roc: tuple[metrics.RocCurve, metrics.RocCurve] | None = None
+    truth: np.ndarray | None = None
 
 
 def segment(
@@ -103,9 +100,10 @@ def segment(
     Floods the Sobel gradient magnitude of ``image``, rescaled to
     [0, 255] so that the ``h_min`` depth is comparable across images.
     Basins are classified by their mean over ``basin_image`` (default:
-    ``image``), by Otsu or, when given, by mean >= ``fixed_threshold``,
-    which is checked before the gradient.
+    ``image``), by Otsu or, when given, by mean >= ``fixed_threshold``.
+    ``h_min`` and ``fixed_threshold`` are checked before the gradient.
     """
+    check_h_min(h_min)
     ws._check_fixed_threshold(fixed_threshold)
     gradient = scale_to_255(ws.gradient_magnitude(image))
     labels = ws.watershed_segment(gradient, h_min)
@@ -185,16 +183,12 @@ def run_pipeline(
             roc = metrics.roc_sweep(enhanced_frame, truth, input_frame)
 
     return PipelineResult(
+        **vars(seg),
         enhanced=enhanced,
         threshold=threshold,
         bat_state=state,
         equalized=equalized,
         cropped=cropped,
-        gradient=seg.gradient,
-        labels=seg.labels,
-        mask=seg.mask,
-        boundary=seg.boundary,
-        degenerate=seg.degenerate,
         report=report,
         roc=roc,
         truth=truth,
@@ -216,6 +210,9 @@ def write_outputs(result: PipelineResult, out_dir, dump: bool = False) -> list[s
         writer(out / name)
         written.append(name)
 
+    def _write_text(name: str, text: str) -> None:
+        _write(name, lambda p: p.write_text(text, encoding="utf-8", newline="\n"))
+
     _write("enhanced.pgm", lambda p: write_pgm(result.enhanced, p))
     _write("equalized.pgm", lambda p: write_pgm(result.equalized, p))
     _write("labels.pgm", lambda p: write_pgm(labels_to_gray8(result.labels), p))
@@ -224,17 +221,10 @@ def write_outputs(result: PipelineResult, out_dir, dump: bool = False) -> list[s
     _write("convergence.csv", lambda p: bat.write_convergence_csv(result.bat_state, p))
 
     if result.report is not None:
-        _write(
-            "report.csv",
-            lambda p: p.write_text(metrics.report_csv(result.report), encoding="utf-8"),
-        )
+        _write_text("report.csv", metrics.report_csv(result.report))
     if result.roc is not None:
-        opt_curve, base_curve = result.roc
-        _write("roc.csv", lambda p: p.write_text(metrics.roc_csv(opt_curve), encoding="utf-8"))
-        _write(
-            "roc_baseline.csv",
-            lambda p: p.write_text(metrics.roc_csv(base_curve), encoding="utf-8"),
-        )
+        for name, curve in zip(("roc.csv", "roc_baseline.csv"), result.roc):
+            _write_text(name, metrics.roc_csv(curve))
     if dump:
         _write("gradient.pgm", lambda p: write_pgm(to_gray8(result.gradient), p))
     return written

@@ -39,21 +39,16 @@ class WaveletPyramid:
     1e-9 per pixel.
     """
 
-    levels: int
     smooth: np.ndarray
     details: list[np.ndarray]
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.smooth.shape
+    def levels(self) -> int:
+        return len(self.details)
 
     def __post_init__(self) -> None:
-        if self.levels < 1:
+        if not self.details:
             raise ValueError("pyramid must have at least one level")
-        if len(self.details) != self.levels:
-            raise ValueError(
-                f"expected {self.levels} detail planes, got {len(self.details)}"
-            )
         for w in self.details:
             if w.shape != self.smooth.shape:
                 raise ValueError("all planes must share the same shape")
@@ -103,7 +98,7 @@ def iuwt_decompose(image: np.ndarray, levels: int) -> WaveletPyramid:
         smoothed = separable_filter(current, _KERNEL, _KERNEL, 2 ** (j - 1))
         details.append(current - smoothed)
         current = smoothed
-    return WaveletPyramid(levels=levels, smooth=current, details=details)
+    return WaveletPyramid(smooth=current, details=details)
 
 
 def iuwt_reconstruct(pyramid: WaveletPyramid) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Hypothesis profiles for the test suite.
 
 ``--hypothesis-profile=ci`` runs the property tests that read it with
-2000 examples each; see the flood, bat and SSIM steps in
+2000 examples each; see the flood, bat, SSIM and PGM header steps in
 .github/workflows/tests.yml.
 """
 

@@ -269,6 +269,35 @@ def test_decompose_dump_planes(tmp_path, phantom_dir):
     assert (planes / "smooth.pgm").exists()
 
 
+@pytest.mark.parametrize("h_min", ["-1", "nan"])
+def test_segment_rejects_bad_h_min_before_the_gradient(monkeypatch, phantom_dir, capsys, h_min):
+    from lcseg import watershed
+
+    calls = []
+    monkeypatch.setattr(watershed, "gradient_magnitude", lambda *a: calls.append(a))
+    code = run_cli("segment", "--input", str(phantom_dir / "image.pgm"), "--h-min", h_min)
+    assert code == 2
+    assert "h_min must be non-negative" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_decompose_rejects_bad_kept_scales_before_the_transform(
+    monkeypatch, tmp_path, phantom_dir, capsys
+):
+    import lcseg.cli
+
+    calls = []
+    monkeypatch.setattr(lcseg.cli, "iuwt_decompose", lambda *a: calls.append(a))
+    out = tmp_path / "e.pgm"
+    code = run_cli(
+        "decompose", "--input", str(phantom_dir / "image.pgm"),
+        "--levels", "3", "--kept", "5", "--out", str(out),
+    )
+    assert code == 2
+    assert "kept_scales (5,) outside the wavelet levels 1..3" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_segment_standalone(tmp_path, phantom_dir):
     mask = tmp_path / "m.pgm"
     overlay = tmp_path / "o.ppm"

@@ -269,3 +269,12 @@ def test_config_validation():
         PipelineConfig(h_min=-1.0)
     with pytest.raises(ValueError):
         RoiRect(-1, 0, 4, 4)
+
+
+@pytest.mark.parametrize(
+    "fields", [(0.5, 0, 32, 32), (0, 0, 32.0, 32), (True, 0, 32, 32), (0, 0, 32, False)]
+)
+def test_roi_rejects_non_integer_and_bool_fields(fields):
+    with pytest.raises(ValueError, match="ROI fields must be integers"):
+        RoiRect(*fields)
+

@@ -135,6 +135,125 @@ def test_read_rejects_garbage_header(tmp_path):
         read_pgm(path)
 
 
+def oracle_header(data, count):
+    """The first ``count`` header tokens of ``data`` and the offset past the
+    one whitespace byte after the last, by a byte-at-a-time lexer: ``#``
+    starts a comment running to end of line (test oracle)."""
+    tokens = []
+    i = 0
+    n = len(data)
+    while len(tokens) < count:
+        while i < n and data[i : i + 1].isspace():
+            i += 1
+        if i < n and data[i : i + 1] == b"#":
+            while i < n and data[i : i + 1] != b"\n":
+                i += 1
+            continue
+        if i >= n:
+            raise PgmError("malformed PGM header: unexpected end of file")
+        start = i
+        while i < n and not data[i : i + 1].isspace() and data[i : i + 1] != b"#":
+            i += 1
+        tokens.append(data[start:i])
+    if i < n and data[i : i + 1].isspace():
+        i += 1
+    return tokens, i
+
+
+def _read_bytes(path, data):
+    """``read_pgm`` of ``data``: the array, or the ``PgmError`` message."""
+    path.write_bytes(data)
+    try:
+        return read_pgm(path)
+    except PgmError as exc:
+        return str(exc)
+
+
+def _same(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_header_comments_between_every_token_and_after_maxval(tmp_path):
+    path = tmp_path / "c.pgm"
+    header = b"# one\n2#two\n# three\n2\n#four\n255"
+    path.write_bytes(b"P5" + header + b"\n" + bytes([1, 2, 3, 4]))
+    assert read_pgm(path).ravel().tolist() == [1, 2, 3, 4]
+    path.write_bytes(b"P2" + header + b" 1 2\n3\t4\n")
+    assert read_pgm(path).ravel().tolist() == [1, 2, 3, 4]
+    # The header ends one whitespace byte after maxval, whichever; a comment there
+    # is pixel data.
+    path.write_bytes(b"P5 1 1 255\t\x05")
+    assert read_pgm(path).tolist() == [[5]]
+    path.write_bytes(b"P5" + header + b"#c\n" + bytes([1, 2]))
+    assert read_pgm(path).ravel().tolist() == [ord("#"), ord("c"), ord("\n"), 1]
+    path.write_bytes(b"P2" + header + b"\n# c\n1 2 3 4")
+    with pytest.raises(PgmError, match="non-numeric value"):
+        read_pgm(path)
+
+
+def test_header_comment_may_hold_a_hash(tmp_path):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(b"P5\n# a # b ## 7 7 255\n1 1 255\n\x09")
+    assert read_pgm(path).tolist() == [[9]]
+
+
+@pytest.mark.parametrize(
+    "data", [b"P5\n1 1 # to the end of the file", b"P5\n1 1\n#", b"P5\n1", b"P2", b"P5 \n\t"]
+)
+def test_header_cut_short_is_unexpected_end_of_file(tmp_path, data):
+    path = tmp_path / "e.pgm"
+    path.write_bytes(data)
+    with pytest.raises(PgmError, match="^malformed PGM header: unexpected end of file$"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("run", [b"#", b"#\n", b" ", b"# \n \n"])
+def test_long_comment_or_whitespace_header_fails_fast(tmp_path, run):
+    import time
+
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5" + run * (200_000 // len(run)))
+    start = time.perf_counter()
+    with pytest.raises(PgmError):
+        read_pgm(path)
+    assert time.perf_counter() - start < 1.0
+
+
+# Header pieces: the gaps around the three fields (whitespace and comments,
+# some holding "#" or numbers), the fields, mostly valid, then the body.
+_GAPS = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"# 9 #\n", b"##\n", b"\n#", b"#\r\n"]
+_DIMS = [b"1", b"2", b"3", b"1", b"2", b"3", b"0", b"+2", b"x"]
+_MAXVALS = [b"255", b"255", b"255", b"256", b"\xff"]
+_BODY = [b" ", b"\t", b"\n", b"#", b"# c\n", b"0", b"7", b"255", b"256", b"-1", b"\x00", b"\xff"]
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(
+    magic=st.sampled_from([b"P5", b"P2"]),
+    gaps=st.lists(st.lists(st.sampled_from(_GAPS), max_size=3), min_size=4, max_size=4),
+    fields=st.tuples(st.sampled_from(_DIMS), st.sampled_from(_DIMS), st.sampled_from(_MAXVALS)),
+    kept=st.sampled_from([3, 3, 3, 3, 2, 1, 0]),
+    body=st.lists(st.sampled_from(_BODY), max_size=12),
+)
+def test_read_pgm_header_matches_oracle_lexer(tmp_path_factory, magic, gaps, fields, kept, body):
+    """``read_pgm`` of any file equals ``read_pgm`` of the same file with
+    its header rewritten from the oracle's tokens, one to a line, or both
+    raise the same message."""
+    header = b"".join(b"".join(gap) + field for gap, field in zip(gaps, fields[:kept]))
+    data = magic + header + b"".join(gaps[-1]) + b"".join(body)
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    got = _read_bytes(path, data)
+    try:
+        tokens, offset = oracle_header(data[2:], 3)
+    except PgmError as exc:
+        want = str(exc)
+    else:
+        want = _read_bytes(path, magic + b"\n" + b"\n".join(tokens) + b"\n" + data[2 + offset :])
+    assert _same(got, want)
+
+
 def test_round_trip_3x3(tmp_path):
     img = np.arange(9, dtype=np.uint8).reshape(3, 3)
     path = tmp_path / "r.pgm"

@@ -30,6 +30,19 @@ def test_pipeline_produces_consistent_result():
     assert not (res.boundary & ~res.mask).any()
 
 
+def test_pipeline_result_is_the_segmentation_of_its_frame():
+    from lcseg.pipeline import Segmentation, segment
+
+    img, _ = generate_phantom(PhantomSpec(64, 64, 16, 5, 20.0, 1))
+    cfg = _fast_config(roi=RoiRect(8, 8, 48, 48))
+    res = run_pipeline(img, None, cfg)
+    seg = segment(res.cropped, cfg.h_min)
+    assert isinstance(res, Segmentation)
+    for name, value in vars(seg).items():
+        assert np.array_equal(getattr(res, name), value), name
+    assert res.degenerate == seg.degenerate
+
+
 def test_pipeline_without_truth_skips_metrics():
     img, _ = generate_phantom(PhantomSpec(64, 64, 16, 5, 0.0, 1))
     res = run_pipeline(img, None, _fast_config())
@@ -81,6 +94,22 @@ def test_segment_checks_fixed_threshold_before_the_gradient(monkeypatch):
     img, _ = generate_phantom(PhantomSpec(16, 16, 8, 3, 0.0, 0))
     with pytest.raises(ValueError, match=r"fixed_threshold must be in 0\.\.255"):
         segment(img, 5.0, fixed_threshold=300)
+
+
+@pytest.mark.parametrize("h_min", [-1.0, float("nan")])
+def test_segment_checks_h_min_like_the_config_before_the_gradient(monkeypatch, h_min):
+    from lcseg import watershed
+    from lcseg.pipeline import segment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gradient ran before h_min was checked")
+
+    monkeypatch.setattr(watershed, "gradient_magnitude", refuse)
+    with pytest.raises(ValueError) as from_config:
+        PipelineConfig(h_min=h_min)
+    with pytest.raises(ValueError) as from_segment:
+        segment(np.zeros((8, 8), dtype=np.uint8), h_min)
+    assert str(from_segment.value) == str(from_config.value) == "h_min must be non-negative"
 
 
 def test_pipeline_stage_error_is_tagged():

@@ -136,11 +136,9 @@ def test_levels_below_one_rejected():
 
 def test_pyramid_validation():
     with pytest.raises(ValueError):
-        WaveletPyramid(levels=2, smooth=np.zeros((4, 4)), details=[np.zeros((4, 4))])
+        WaveletPyramid(smooth=np.zeros((4, 4)), details=[])
     with pytest.raises(ValueError):
-        WaveletPyramid(
-            levels=1, smooth=np.zeros((4, 4)), details=[np.zeros((5, 4))]
-        )
+        WaveletPyramid(smooth=np.zeros((4, 4)), details=[np.zeros((5, 4))])
 
 
 def test_reconstruct_with_zeroed_details_returns_smooth():
@@ -148,7 +146,6 @@ def test_reconstruct_with_zeroed_details_returns_smooth():
     img = rng.integers(0, 256, size=(20, 20), dtype=np.uint8)
     pyr = iuwt_decompose(img, 2)
     zeroed = WaveletPyramid(
-        levels=2,
         smooth=pyr.smooth,
         details=[np.zeros_like(w) for w in pyr.details],
     )
@@ -160,7 +157,6 @@ def test_partial_sum_matches_independent_recomputation():
     img[4, 4] = 255
     pyr = iuwt_decompose(img, 2)
     only_w1 = WaveletPyramid(
-        levels=2,
         smooth=pyr.smooth,
         details=[pyr.details[0], np.zeros_like(pyr.details[1])],
     )

@@ -47,10 +47,19 @@ at a time, so the final state is that loop's bit for bit
 pure, elementwise function from an array of positions to an array of
 values (a scalar return stands for every position): it may be called on
 candidates past an event, whose values are discarded.
+
+Draw tables: the draw rows and the table of cursor steps at pulse rate
+r0 depend only on (seed, population, iterations, r0), and every image of
+a run uses the same ``BatParams``, so they are built once, kept
+read-only in a one-entry cache (about 0.64 MB at the defaults) and
+reused by later calls.  Each call copies only the step table, because an
+acceptance rewrites the bat's steps from its cursor on.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -142,17 +151,10 @@ def bat_optimize(params: BatParams, fitness: FitnessFn) -> BatState:
     Positions are clamped to [0, 255] after every move.
     """
     n, iterations = params.population, params.iterations
-    # Row i holds bat i's draws, read through its cursor in the order the
-    # module docstring fixes.  Cursors are flat indices into ``draws``.
-    draws = np.empty((n, 1 + 4 * iterations))
-    for row, seq in zip(draws, np.random.SeedSequence(params.seed).spawn(n)):
-        np.random.Generator(np.random.PCG64(seq)).random(out=row)
-    flat = draws.ravel()
-    # steps[c]: the cursor after an iteration that starts at c (walk coin at c + 1).
-    ahead = np.arange(3, flat.size + 3).reshape(draws.shape)
-    steps = ahead.copy()
-    steps.ravel()[:-1] += flat[1:] > params.r0
-    cursors = ahead[:, 0] - 2
+    draws, steps = _draw_tables(params.seed, n, iterations, params.r0)
+    steps = steps.copy()  # acceptances rewrite it
+    flat, row_size = draws.ravel(), draws.shape[1]
+    cursors = np.arange(1, flat.size, row_size)  # flat indices, at draw 1 of each row
 
     positions = _LOW + (_HIGH - _LOW) * draws[:, 0]
     velocities = np.zeros(n)
@@ -165,15 +167,17 @@ def bat_optimize(params: BatParams, fitness: FitnessFn) -> BatState:
 
     f_min, f_span = params.f_min, params.f_max - params.f_min
     history: list[float] = []
-    mean_loudness = float(np.mean(loudness))
+    # numpy's pairwise sum over n, as np.mean adds: the pinned artifacts use it.
+    mean_loudness = float(np.add.reduce(loudness) / n)
     t, stretch = 1, _FIRST_STRETCH
     while t <= iterations:
         # Iterations t, t + 1, ... evaluated as if none held an event.
         length = min(stretch, iterations + 1 - t)
         path = np.empty((length + 1, n), dtype=np.intp)
         path[0] = cursors
-        for k in range(length):
-            steps.take(path[k], out=path[k + 1])
+        for here, there in itertools.pairwise(path):
+            # Every cursor is in range; "clip" only spares take a buffer.
+            steps.take(here, out=there, mode="clip")
         at, after = path[:-1], path[1:]
         vel = (positions - best_position) * (f_min + f_span * flat[at])
         vel[0] += velocities
@@ -184,8 +188,9 @@ def bat_optimize(params: BatParams, fitness: FitnessFn) -> BatState:
         cand[cand > _HIGH] = _HIGH
         fit = _evaluate(fitness, cand)
         accept = (flat[after - 1] < loudness) & (fit > fitnesses)
-        events = np.flatnonzero((accept | (fit > best_fitness)).any(axis=1))
-        if not events.size:
+        event = accept | (fit > best_fitness)
+        first = int(event.argmax())  # row-major, so iteration t + first // n
+        if not event.flat[first]:
             history += [best_fitness] * length
             t, stretch = t + length, 2 * stretch
             velocities, cursors = vel[-1], path[-1]
@@ -193,18 +198,23 @@ def bat_optimize(params: BatParams, fitness: FitnessFn) -> BatState:
         # Iteration t + k holds the first event.  No state changed before
         # it, so its values are the loop's; resolve it in bat order and
         # drop the rest of the stretch.
-        k = int(events[0])
+        k = first // n
         history += [best_fitness] * k
         t, stretch = t + k, _FIRST_STRETCH
         velocities, cursors = vel[k], path[k + 1]
-        won = accept[k]
-        if won.any():
-            positions[won], fitnesses[won] = cand[k, won], fit[k, won]
-            loudness[won] *= params.alpha
-            pulse_rate[won] = params.r0 * (1.0 - math.exp(-params.gamma * t))
-            steps[won, :-1] = ahead[won, :-1] + (draws[won, 1:] > pulse_rate[won, None])
-            # numpy's pairwise sum, not sum()/n: the pinned artifacts use it.
-            mean_loudness = float(np.mean(loudness))
+        won = np.flatnonzero(accept[k]).tolist()
+        if won:
+            rate = params.r0 * (1.0 - math.exp(-params.gamma * t))
+            for i in won:
+                positions[i], fitnesses[i] = cand[k, i], fit[k, i]
+                loudness[i] *= params.alpha
+                pulse_rate[i] = rate
+                # Bat i reads no step before its cursor again.
+                c, end = cursors[i], (i + 1) * row_size - 1
+                ahead = steps[c:end]
+                np.greater(flat[c + 1 : end + 1], rate, out=ahead)
+                ahead += np.arange(c + 3, end + 3)
+            mean_loudness = float(np.add.reduce(loudness) / n)
         row_cand = cand[k].tolist()
         for i, value in enumerate(fit[k].tolist()):
             if value > best_fitness:
@@ -217,9 +227,32 @@ def bat_optimize(params: BatParams, fitness: FitnessFn) -> BatState:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _draw_tables(
+    seed: int, population: int, iterations: int, r0: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The draw rows and the initial step table of a run, read-only.
+
+    Row i of ``draws`` is bat i's stream, read through its cursor in the
+    order the module docstring fixes; cursors are flat indices into
+    ``draws``.  ``steps[c]`` is the cursor after an iteration that starts
+    at c with pulse rate ``r0``: c + 4 when the walk coin at c + 1 exceeds
+    it, else c + 3.
+    """
+    draws = np.empty((population, 1 + 4 * iterations))
+    for row, seq in zip(draws, np.random.SeedSequence(seed).spawn(population)):
+        np.random.Generator(np.random.PCG64(seq)).random(out=row)
+    flat = draws.ravel()
+    steps = np.arange(3, flat.size + 3)
+    steps[:-1] += flat[1:] > r0
+    draws.flags.writeable = steps.flags.writeable = False
+    return draws, steps
+
+
 def _evaluate(fitness: FitnessFn, x: np.ndarray) -> np.ndarray:
     """``fitness(x)`` as a float64 array of x's shape."""
-    return np.broadcast_to(np.asarray(fitness(x), dtype=np.float64), x.shape)
+    values = np.asarray(fitness(x), dtype=np.float64)
+    return values if values.shape == x.shape else np.broadcast_to(values, x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +295,10 @@ def otsu_fitness(image: np.ndarray) -> FitnessFn:
     table = between_class_variance(histogram(image))
 
     def fitness(x: np.ndarray) -> np.ndarray:
-        x = np.clip(x, _LOW, _HIGH)
+        x = np.minimum(np.maximum(x, _LOW), _HIGH)  # NaN stays NaN
         if np.isnan(x).any():
             raise ValueError("cannot score a NaN position")
-        return table[x.astype(np.intp)]  # floor, as x >= 0
+        return table.take(x.astype(np.intp))  # floor, as x >= 0
 
     return fitness
 

@@ -11,6 +11,7 @@ every default comes from the dataclasses themselves.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 
 from .bat import BatParams
@@ -42,9 +43,11 @@ class RoiRect:
 
 
 def check_h_min(h_min: float) -> None:
-    """Raise ``ValueError`` unless the watershed depth ``h_min`` is >= 0 (NaN fails)."""
-    if not h_min >= 0:
+    """Raise ``ValueError`` unless the watershed depth ``h_min`` is finite and >= 0."""
+    if not h_min >= 0:  # also rejects NaN
         raise ValueError("h_min must be non-negative")
+    if h_min == math.inf:
+        raise ValueError("h_min must be finite")
 
 
 @dataclass(frozen=True)

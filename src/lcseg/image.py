@@ -46,7 +46,7 @@ def as_gray(arr: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"expected a non-empty 2-D image, got shape {a.shape}")
     if a.dtype != np.uint8:
-        if a.min() < 0 or a.max() > 255:
+        if not (a.min() >= 0 and a.max() <= 255):  # so that NaN fails
             raise ValueError("gray image values must lie in [0, 255]")
         a = a.astype(np.uint8)
     return a

@@ -67,6 +67,13 @@ def _shifted4(a: np.ndarray, fill) -> tuple[np.ndarray, ...]:
     return p[:-2, 1:-1], p[2:, 1:-1], p[1:-1, :-2], p[1:-1, 2:]
 
 
+def _check_finite(surface: np.ndarray) -> None:
+    # A NaN never compares equal, so h_minima would iterate forever and
+    # regional_minima would make it a minimum of its own.
+    if not np.isfinite(surface).all():
+        raise ValueError("surface must be finite")
+
+
 def _check_fixed_threshold(fixed_threshold: float | None) -> None:
     if fixed_threshold is not None and not 0 <= fixed_threshold <= 255:
         raise ValueError(f"fixed_threshold must be in 0..255, got {fixed_threshold}")
@@ -78,10 +85,14 @@ def h_minima(surface: np.ndarray, h: float) -> np.ndarray:
     Morphological reconstruction by erosion of (surface + h) over
     surface, with the 4-connected structuring element: iterate
     R <- max(erode(R), surface) from R = surface + h until stable.
+    ``surface`` must be finite.
     """
     if not h >= 0:  # also rejects NaN, which would never converge
         raise ValueError("h must be non-negative")
+    if h == np.inf:  # it would fill every pixel to inf
+        raise ValueError("h must be finite")
     surf = np.asarray(surface, dtype=np.float64)
+    _check_finite(surf)
     if h == 0:
         return surf.copy()
     rec = surf + h
@@ -101,9 +112,10 @@ def regional_minima(surface: np.ndarray) -> tuple[np.ndarray, int]:
     A regional minimum is a connected plateau of equal value none of
     whose outer 4-neighbors is lower.  Components are numbered 1..K in
     row-major order of their first pixel; non-minimum pixels get 0.
-    Returns the label array and K.
+    Returns the label array and K.  ``surface`` must be finite.
     """
     surf = np.asarray(surface, dtype=np.float64)
+    _check_finite(surf)
     h, w = surf.shape
     n = h * w
     index = np.arange(n).reshape(h, w)
@@ -150,7 +162,8 @@ def watershed_segment(surface: np.ndarray, h_min: float = 0.0) -> np.ndarray:
     rules reproduces the output exactly):
 
     1. The flooded surface is ``h_minima(surface, h_min)``, which
-       rejects a negative or NaN ``h_min``.
+       rejects a negative or NaN ``h_min`` and a surface that is not
+       finite.
     2. Markers are its 4-connected regional minima, labeled 1..K in
        row-major order of each component's first pixel.
     3. The queue holds (surface value, insertion sequence) entries and
@@ -170,8 +183,6 @@ def watershed_segment(surface: np.ndarray, h_min: float = 0.0) -> np.ndarray:
     surf = np.asarray(surface, dtype=np.float64)
     if surf.ndim != 2:
         raise ValueError("expected a 2-D surface")
-    if not np.isfinite(surf).all():
-        raise ValueError("surface must be finite")
     filled = h_minima(surf, h_min)
     markers, count = regional_minima(filled)
     h, w = filled.shape

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lcseg.bat import (
     BatParams,
     BatState,
+    _draw_tables,
     bat_optimize,
     between_class_variance,
     optimize_threshold,
@@ -576,5 +577,52 @@ def fitness_pairs(draw):
 def test_bat_matches_oracle_bit_for_bit(params, fitness):
     array_fitness, scalar_fitness = fitness
     got = bat_optimize(params, array_fitness)
+    again = bat_optimize(params, array_fitness)  # reads the cached draw tables
     want = oracle_bat(params, scalar_fitness)
     assert _state_bytes(got) == _state_bytes(want)
+    assert _state_bytes(again) == _state_bytes(want)
+
+
+def test_interleaved_parameter_sets_each_read_their_own_draw_tables():
+    """The one-entry draw-table cache never serves one call another's tables.
+
+    Seeds 0 -> 5 -> 0, then seed 0 with only r0, only the iterations or
+    only the population changed, each between two default runs: every
+    state equals its pin or, where none is pinned, the oracle's.
+    """
+    def pinned(params_name, seed):
+        params = BatParams(seed=seed, **_PINNED_PARAMS[params_name])
+        return params, _state_record, _PINNED_STATES[("smooth", params_name, seed)]
+
+    def oracle(seed, **changed):
+        params = BatParams(seed=seed, **changed)
+        return params, _state_bytes, _state_bytes(oracle_bat(params, _smooth_fake))
+
+    runs = [
+        pinned("default", 0),
+        pinned("default", 5),
+        pinned("default", 0),
+        oracle(0, r0=0.9),
+        pinned("default", 0),
+        oracle(0, iterations=120),
+        pinned("default", 0),
+        oracle(0, population=7),
+        pinned("small", 0),
+        pinned("small", 5),
+        pinned("default", 0),
+    ]
+    for params, record, expected in runs:
+        assert record(bat_optimize(params, _smooth_fake)) == expected, params
+
+
+def test_cached_draw_tables_are_read_only_and_never_rewritten():
+    params = BatParams(population=6, iterations=80, r0=0.9, seed=11)
+    state = bat_optimize(params, _smooth_fake)
+    assert state.pulse_rate.tolist() != [params.r0] * 6  # acceptances rewrote steps
+    draws, steps = _draw_tables(11, 6, 80, 0.9)
+    fresh_draws, fresh_steps = _draw_tables.__wrapped__(11, 6, 80, 0.9)
+    assert draws.tobytes() == fresh_draws.tobytes() and steps.tobytes() == fresh_steps.tobytes()
+    for table in (draws, steps):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1

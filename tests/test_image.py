@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lcseg.image import (
     PgmError,
     PhantomSpec,
+    as_gray,
     crop,
     generate_phantom,
     labels_to_gray8,
@@ -291,6 +292,24 @@ def test_round_trip_property(tmp_path_factory, w, h, seed):
     path = tmp_path_factory.mktemp("pgm") / "p.pgm"
     write_pgm(img, path)
     assert np.array_equal(read_pgm(path), img)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [[np.nan, 3.0]],
+        [[3.0, np.nan]],
+        [[0.0, 255.0], [np.nan, 7.0]],
+        [[-0.5, 3.0]],
+        [[3.0, 255.5]],
+        [[-np.inf]],
+        [[np.inf]],
+    ],
+)
+def test_as_gray_rejects_values_outside_0_255(values):
+    # NaN compares false both ways, so the range check is written to fail on it.
+    with pytest.raises(ValueError, match=r"must lie in \[0, 255\]"):
+        as_gray(np.array(values))
 
 
 # ---------------------------------------------------------------------------

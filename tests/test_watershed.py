@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import lcseg.watershed
 from lcseg.bat import otsu_threshold
-from lcseg.config import PipelineConfig
+from lcseg.config import PipelineConfig, check_h_min
 from lcseg.image import PhantomSpec, generate_phantom
 from lcseg.image import scale_to_255
 from lcseg.watershed import (
@@ -275,6 +275,35 @@ def test_h_minima_rejects_negative_and_nan_depth():
             watershed_segment(surf, h)
 
 
+def test_h_minima_rejects_infinite_depth():
+    # An infinite depth would fill every pixel to inf, which no later stage takes.
+    surf = np.arange(16.0).reshape(4, 4)
+    with pytest.raises(ValueError, match="h must be finite"):
+        h_minima(surf, np.inf)
+    with pytest.raises(ValueError, match="h must be finite"):
+        watershed_segment(surf, np.inf)
+    with pytest.raises(ValueError, match="h_min must be finite"):
+        check_h_min(np.inf)
+    with pytest.raises(ValueError, match="h_min must be finite"):
+        PipelineConfig(h_min=np.inf)
+    check_h_min(1e300)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("h", [0.0, 1.0])
+def test_marker_extraction_rejects_non_finite_surface(bad, h):
+    # A NaN never compares equal: h_minima used to iterate forever on this
+    # surface, and regional_minima made the NaN pixel a minimum of its own.
+    surf = np.zeros((5, 5))
+    surf[2, 2] = bad
+    with pytest.raises(ValueError, match="surface must be finite"):
+        h_minima(surf, h)
+    with pytest.raises(ValueError, match="surface must be finite"):
+        regional_minima(surf)
+    with pytest.raises(ValueError, match="surface must be finite"):
+        watershed_segment(surf, h)
+
+
 def test_h_minima_zero_is_identity():
     rng = np.random.default_rng(0)
     surf = rng.uniform(0, 100, size=(6, 6))
@@ -476,23 +505,23 @@ SHAPES = st.one_of(
     st.tuples(st.integers(1, 12), st.integers(1, 12)),
 )
 
+DEPTHS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
 
-# 300 examples, or more under a profile that asks for more (the "ci"
-# profile of tests/conftest.py asks for 2000).
-@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
-@given(
-    data=st.data(),
-    shape=SHAPES,
-    levels=st.integers(1, 5),
-    h_min=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-)
-def test_flood_matches_oracle_on_generated_surfaces(data, shape, levels, h_min):
+
+@st.composite
+def generated_surfaces(draw):
+    """1x1 to 12x12 surfaces of 1 to 5 integer levels, some pixels jittered.
+
+    Jitter none, some or all of the pixels: integer plateaus then sit
+    above and below distinct-valued slopes, so queued and deferred
+    pixels meet, and plateaus of equal and of distinct values touch.
+    """
+    shape = draw(SHAPES)
+    levels = draw(st.integers(1, 5))
     n = shape[0] * shape[1]
-    cells = data.draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+    cells = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
     surf = np.array(cells, dtype=float).reshape(shape)
-    # Jitter none, some or all of the pixels: integer plateaus then sit above
-    # and below distinct-valued slopes, so queued and deferred pixels meet.
-    jittered = data.draw(
+    jittered = draw(
         st.one_of(
             st.just([False] * n),
             st.just([True] * n),
@@ -503,8 +532,33 @@ def test_flood_matches_oracle_on_generated_surfaces(data, shape, levels, h_min):
     jitters = st.lists(
         st.floats(0.0, 1.0, exclude_max=True), min_size=len(picked), max_size=len(picked)
     )
-    surf.flat[picked] += data.draw(jitters)
+    surf.flat[picked] += draw(jitters)
+    return surf
+
+
+# 300 examples, or more under a profile that asks for more (the "ci"
+# profile of tests/conftest.py asks for 2000).
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(surf=generated_surfaces(), h_min=DEPTHS)
+def test_flood_matches_oracle_on_generated_surfaces(surf, h_min):
     assert np.array_equal(watershed_segment(surf, h_min), oracle_flood(surf, h_min))
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(surf=generated_surfaces(), h=DEPTHS)
+def test_h_minima_matches_oracle_on_generated_surfaces(surf, h):
+    assert np.array_equal(h_minima(surf, h), oracle_h_minima(surf, h))
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(surf=generated_surfaces(), h=DEPTHS)
+def test_regional_minima_matches_oracle_on_generated_surfaces(surf, h):
+    # The surfaces the flood takes its markers from: filled by the oracle.
+    filled = oracle_h_minima(surf, h)
+    got, k_got = regional_minima(filled)
+    want, k_want = oracle_minima(filled)
+    assert k_got == k_want >= 1
+    assert np.array_equal(got, want)
 
 
 # Markers (0, 0) -> 1 and (0, 3) -> 2.  Only the equal pair (0, 1), (0, 2)

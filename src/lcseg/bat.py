@@ -52,8 +52,9 @@ Draw tables: the draw rows and the table of cursor steps at pulse rate
 r0 depend only on (seed, population, iterations, r0), and every image of
 a run uses the same ``BatParams``, so they are built once, kept
 read-only in a one-entry cache (about 0.64 MB at the defaults) and
-reused by later calls.  Each call copies only the step table, because an
-acceptance rewrites the bat's steps from its cursor on.
+reused by later calls; tables over 8 MiB are built for one call only.
+Each call copies only the step table, because an acceptance rewrites
+the bat's steps from its cursor on.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from typing import Callable
 import numpy as np
 
 from .histeq import histogram
-from .image import as_gray
+from .image import as_gray, check_int
 
 __all__ = [
     "BatParams",
@@ -105,13 +106,8 @@ class BatParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-        for name, least in (("population", 2), ("iterations", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        for name, least in dict(seed=0, population=2, iterations=1).items():
+            check_int(name, getattr(self, name), least)
         for name in ("f_min", "f_max", "gamma", "a0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -151,7 +147,9 @@ def bat_optimize(params: BatParams, fitness: FitnessFn) -> BatState:
     Positions are clamped to [0, 255] after every move.
     """
     n, iterations = params.population, params.iterations
-    draws, steps = _draw_tables(params.seed, n, iterations, params.r0)
+    # Tables over 8 MiB (16 B per draw: the draw and its step) serve this call only.
+    build = _draw_tables if n * (1 + 4 * iterations) * 16 <= 8 << 20 else _draw_tables.__wrapped__
+    draws, steps = build(params.seed, n, iterations, params.r0)
     steps = steps.copy()  # acceptances rewrite it
     flat, row_size = draws.ravel(), draws.shape[1]
     cursors = np.arange(1, flat.size, row_size)  # flat indices, at draw 1 of each row

@@ -11,16 +11,16 @@ every default comes from the dataclasses themselves.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field, replace
 
 from .bat import BatParams
+from .image import check_int
+from .watershed import check_h_min
 from .wavelet import check_scales
 
 __all__ = [
     "RoiRect",
     "PipelineConfig",
-    "check_h_min",
     "parse_config",
     "parse_scales",
     "load_config",
@@ -36,18 +36,8 @@ class RoiRect:
     h: int
 
     def __post_init__(self) -> None:
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in vars(self).values()):
-            raise ValueError(f"ROI fields must be integers, got {self}")
-        if self.x0 < 0 or self.y0 < 0 or self.w < 1 or self.h < 1:
-            raise ValueError(f"invalid ROI rectangle {self}")
-
-
-def check_h_min(h_min: float) -> None:
-    """Raise ``ValueError`` unless the watershed depth ``h_min`` is finite and >= 0."""
-    if not h_min >= 0:  # also rejects NaN
-        raise ValueError("h_min must be non-negative")
-    if h_min == math.inf:
-        raise ValueError("h_min must be finite")
+        for name, least in dict(x0=0, y0=0, w=1, h=1).items():
+            check_int(f"ROI {name}", getattr(self, name), least)
 
 
 @dataclass(frozen=True)
@@ -138,19 +128,17 @@ def parse_config(text: str) -> PipelineConfig:
         if missing:
             raise ValueError(f"[roi] section is missing keys {missing}")
 
-    try:
-        # Field values by owner: "" is PipelineConfig itself.
-        values: dict[str, dict] = {"": {}, "bat": {}, "roi": {}}
-        for (section, key), (path, (parse, _)) in _SCHEMA.items():
-            if parser.has_option(section, key):
-                owner, _, name = path.rpartition(".")
+    # Field values by owner: "" is PipelineConfig itself.
+    values: dict[str, dict] = {"": {}, "bat": {}, "roi": {}}
+    for (section, key), (path, (parse, _)) in _SCHEMA.items():
+        if parser.has_option(section, key):
+            owner, _, name = path.rpartition(".")
+            try:
                 values[owner][name] = parse(parser.get(section, key))
-        roi = RoiRect(**values["roi"]) if parser.has_section("roi") else None
-        return PipelineConfig(bat=BatParams(**values["bat"]), roi=roi, **values[""])
-    except ValueError:
-        raise
-    except Exception as exc:  # configparser corner cases
-        raise ValueError(f"bad config value: {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"bad value for {key!r} in [{section}]: {exc}") from exc
+    roi = RoiRect(**values["roi"]) if parser.has_section("roi") else None
+    return PipelineConfig(bat=BatParams(**values["bat"]), roi=roi, **values[""])
 
 
 def load_config(path) -> PipelineConfig:

@@ -33,11 +33,18 @@ __all__ = [
     "labels_to_gray8",
     "mask_to_gray8",
     "as_gray",
+    "check_int",
 ]
 
 
 class PgmError(ValueError):
     """Raised for malformed, unsupported or truncated netpbm files."""
+
+
+def check_int(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an ``int`` (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def as_gray(arr: np.ndarray) -> np.ndarray:
@@ -241,11 +248,9 @@ class PhantomSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("phantom dimensions must be at least 1x1")
-        if self.beam_period < 2:
-            raise ValueError("beam_period must be at least 2")
-        if not 1 <= self.beam_width < self.beam_period:
+        for name, least in dict(width=1, height=1, beam_period=2, beam_width=1, rng_seed=0).items():
+            check_int(name, getattr(self, name), least)
+        if not self.beam_width < self.beam_period:
             raise ValueError("beam_width must satisfy 1 <= beam_width < beam_period")
         if not self.noise_sigma >= 0:  # NaN fails too
             raise ValueError("noise_sigma must be non-negative")

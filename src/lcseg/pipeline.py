@@ -4,11 +4,11 @@ Stage order: input checks -> wavelet enhancement -> bat threshold
 optimization -> histogram equalization -> :func:`segment` on the ROI
 frame (gradient-magnitude watershed, basin classification, boundary) ->
 metrics/ROC (when ground truth is supplied).  The input stage crops the
-input to the ROI and checks the image size against the wavelet levels,
-the ROI and the truth shape, so bad inputs fail before the expensive
-stages run.  The optimizer's threshold feeds basin classification only
-under ``basin_rule = threshold``; the ROC sweeps the enhanced frame, and
-the main path segments via watershed, not by binarizing at the threshold.
+input to the ROI and checks the sizes of the image and of that frame and
+the truth shape, so bad inputs fail before the expensive stages run.
+The optimizer's threshold feeds basin classification only under
+``basin_rule = threshold``; the ROC sweeps the enhanced frame, and the
+main path segments via watershed, not by binarizing at the threshold.
 ``lcseg segment`` runs the same :func:`segment`.
 """
 
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bat, histeq, metrics, watershed as ws
-from .config import PipelineConfig, RoiRect, check_h_min
+from .config import PipelineConfig, RoiRect
 from .image import (
     as_gray,
     check_same_shape,
@@ -103,7 +103,7 @@ def segment(
     ``image``), by Otsu or, when given, by mean >= ``fixed_threshold``.
     ``h_min`` and ``fixed_threshold`` are checked before the gradient.
     """
-    check_h_min(h_min)
+    ws.check_h_min(h_min)
     ws._check_fixed_threshold(fixed_threshold)
     gradient = scale_to_255(ws.gradient_magnitude(image))
     labels = ws.watershed_segment(gradient, h_min)
@@ -117,12 +117,6 @@ def _frame(image: np.ndarray, roi: RoiRect | None) -> np.ndarray:
     return image if roi is None else crop(image, roi.x0, roi.y0, roi.w, roi.h)
 
 
-# Smallest ROI the later stages accept: the watershed's 3x3 Sobel kernel,
-# and with truth given also the metrics' SSIM window.
-_MIN_ROI = 3
-_MIN_ROI_WITH_TRUTH = metrics.SSIM_WINDOW
-
-
 def run_pipeline(
     image: np.ndarray,
     truth: np.ndarray | None,
@@ -132,23 +126,26 @@ def run_pipeline(
 
     When a ROI is configured, ``truth`` may match either the full input
     or the cropped frame.  A degenerate segmentation (single-class mask)
-    sets the ``degenerate`` flag rather than failing.  An image too small
-    for the wavelet levels, a ROI too small for the watershed (or, with
-    truth, for SSIM) or outside the image, and a truth matching neither
-    shape, fail in the ``input`` stage, before any other stage runs.
+    sets the ``degenerate`` flag rather than failing.  A bad gray image,
+    one too small for the wavelet levels, a ROI outside it, a frame (the
+    ROI, else the image) too small for the Sobel gradient or, with
+    truth, for SSIM, and a truth matching neither shape fail in the
+    ``input`` stage, before any other stage runs.
     """
-    img = as_gray(image)
     roi = config.roi
 
     with _stage("input"):
+        img = as_gray(image)
         check_size_for_levels(img.shape, config.wavelet_levels)
-        if truth is None:
-            need, user = _MIN_ROI, "the Sobel gradient"
-        else:
-            need, user = _MIN_ROI_WITH_TRUTH, "SSIM"
-        if roi is not None and (roi.w < need or roi.h < need):
-            raise ValueError(f"ROI {roi.w}x{roi.h} is below the {need}x{need} minimum of {user}")
         input_frame = _frame(img, roi)
+        if truth is None:
+            need, user = ws.SOBEL_MIN, "the Sobel gradient"
+        else:
+            need, user = metrics.SSIM_WINDOW, "SSIM"
+        h, w = input_frame.shape
+        if min(h, w) < need:
+            what = "image" if roi is None else "ROI"
+            raise ValueError(f"{what} {w}x{h} is below the {need}x{need} minimum of {user}")
         if truth is not None:
             truth = np.asarray(truth, dtype=bool)
             if truth.shape == img.shape:

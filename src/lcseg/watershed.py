@@ -33,7 +33,9 @@ from .bat import between_class_variance
 from .image import as_gray, check_same_shape, separable_filter
 
 __all__ = [
+    "SOBEL_MIN",
     "gradient_magnitude",
+    "check_h_min",
     "h_minima",
     "regional_minima",
     "watershed_segment",
@@ -42,14 +44,17 @@ __all__ = [
 ]
 
 
+SOBEL_MIN = 3  # the Sobel kernels' side: the smallest image side the gradient takes
+
+
 def gradient_magnitude(image: np.ndarray) -> np.ndarray:
     """Per-pixel sqrt(Gx^2 + Gy^2) with 3x3 Sobel kernels.
 
-    Mirror boundary extension; requires at least a 3x3 image.
+    Mirror boundary extension; requires SOBEL_MIN pixels or more per axis.
     """
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2 or img.shape[0] < 3 or img.shape[1] < 3:
-        raise ValueError("gradient_magnitude needs an image of at least 3x3")
+    if img.ndim != 2 or min(img.shape) < SOBEL_MIN:
+        raise ValueError(f"gradient_magnitude needs an image of at least {SOBEL_MIN}x{SOBEL_MIN}")
     # Sobel x is [1, 2, 1] down the columns times [-1, 0, 1] along the rows;
     # Sobel y is its transpose.
     gx = separable_filter(img, (1, 2, 1), (-1, 0, 1))
@@ -79,18 +84,23 @@ def _check_fixed_threshold(fixed_threshold: float | None) -> None:
         raise ValueError(f"fixed_threshold must be in 0..255, got {fixed_threshold}")
 
 
+def check_h_min(h_min: float) -> None:
+    """Raise ``ValueError`` unless the watershed depth ``h_min`` is finite and >= 0."""
+    if not h_min >= 0:  # also rejects NaN, which would never converge
+        raise ValueError("h_min must be non-negative")
+    if h_min == np.inf:  # it would fill every pixel to inf
+        raise ValueError("h_min must be finite")
+
+
 def h_minima(surface: np.ndarray, h: float) -> np.ndarray:
     """Fill every regional minimum shallower than depth ``h``.
 
     Morphological reconstruction by erosion of (surface + h) over
     surface, with the 4-connected structuring element: iterate
     R <- max(erode(R), surface) from R = surface + h until stable.
-    ``surface`` must be finite.
+    ``h`` must pass :func:`check_h_min` and ``surface`` must be finite.
     """
-    if not h >= 0:  # also rejects NaN, which would never converge
-        raise ValueError("h must be non-negative")
-    if h == np.inf:  # it would fill every pixel to inf
-        raise ValueError("h must be finite")
+    check_h_min(h)
     surf = np.asarray(surface, dtype=np.float64)
     _check_finite(surf)
     if h == 0:
@@ -162,8 +172,8 @@ def watershed_segment(surface: np.ndarray, h_min: float = 0.0) -> np.ndarray:
     rules reproduces the output exactly):
 
     1. The flooded surface is ``h_minima(surface, h_min)``, which
-       rejects a negative or NaN ``h_min`` and a surface that is not
-       finite.
+       rejects an ``h_min`` that is negative, NaN or infinite and a
+       surface that is not finite.
     2. Markers are its 4-connected regional minima, labeled 1..K in
        row-major order of each component's first pixel.
     3. The queue holds (surface value, insertion sequence) entries and

@@ -626,3 +626,22 @@ def test_cached_draw_tables_are_read_only_and_never_rewritten():
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
+
+
+def test_tables_over_8_mib_are_built_per_call_and_not_cached():
+    """A run whose draw tables exceed 8 MiB leaves the cached entry alone.
+
+    The tables take population * (1 + 4 * iterations) * 16 bytes: 0.64 MB
+    at the defaults and just over 8 MiB at 20 bats and 6554 iterations.
+    """
+    default = BatParams()
+    large = BatParams(iterations=6554, seed=1)
+    pin = _PINNED_STATES[("smooth", "default", 0)]
+    assert _state_record(bat_optimize(default, _smooth_fake)) == pin
+    before = _draw_tables.cache_info()
+    got = bat_optimize(large, _smooth_fake)
+    assert _state_bytes(got) == _state_bytes(oracle_bat(large, _smooth_fake))
+    after = _draw_tables.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, 1)
+    assert _state_record(bat_optimize(default, _smooth_fake)) == pin
+    assert _draw_tables.cache_info().hits == before.hits + 1

@@ -298,6 +298,16 @@ def test_decompose_rejects_bad_kept_scales_before_the_transform(
     assert calls == [] and not out.exists()
 
 
+def test_decompose_rejects_image_too_small_for_levels(tmp_path, capsys):
+    small = tmp_path / "small.pgm"
+    write_pgm(np.zeros((12, 12), dtype=np.uint8), small)
+    out = tmp_path / "e.pgm"
+    code = run_cli("decompose", "--input", str(small), "--levels", "3", "--out", str(out))
+    assert code == 2
+    assert "image 12x12 too small for 3 levels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_segment_standalone(tmp_path, phantom_dir):
     mask = tmp_path / "m.pgm"
     overlay = tmp_path / "o.ppm"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,20 @@ def test_unknown_key_rejected():
 def test_partial_roi_rejected():
     with pytest.raises(ValueError, match="missing"):
         parse_config("[roi]\nx0 = 1\ny0 = 2\n")
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("[roi]\nx0 = 0\ny0 = 0\nw = 1.5\nh = 3\n", "'w' in [roi]"),
+        ("[bat]\nalpha = fast\n", "'alpha' in [bat]"),
+        ("[wavelet]\nlevels = x\n", "'levels' in [wavelet]"),
+        ("[wavelet]\nkept_scales = a\n", "'kept_scales' in [wavelet]"),
+    ],
+)
+def test_bad_value_names_its_section_and_key(text, where):
+    with pytest.raises(ValueError, match=rf"^bad value for {re.escape(where)}: "):
+        parse_config(text)
 
 
 def test_bad_value_rejected():
@@ -243,7 +259,7 @@ def test_negative_seed_rejected_at_parse(tmp_path):
 
 @pytest.mark.parametrize("seed", [1.5, "3", True, 2.0])
 def test_non_integer_seed_rejected(seed):
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
         PipelineConfig().with_seed(seed)
 
 
@@ -275,6 +291,6 @@ def test_config_validation():
     "fields", [(0.5, 0, 32, 32), (0, 0, 32.0, 32), (True, 0, 32, 32), (0, 0, 32, False)]
 )
 def test_roi_rejects_non_integer_and_bool_fields(fields):
-    with pytest.raises(ValueError, match="ROI fields must be integers"):
+    with pytest.raises(ValueError, match=r"ROI (x0|y0|w|h) must be an integer"):
         RoiRect(*fields)
 

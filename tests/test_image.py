@@ -478,3 +478,12 @@ def test_phantom_rejects_bad_specs():
         PhantomSpec(32, 32, 8, 3, float("nan"), 0)
     with pytest.raises(ValueError):
         PhantomSpec(0, 32, 8, 3, 0.0, 0)
+
+
+@pytest.mark.parametrize("field", ["width", "height", "beam_period", "beam_width", "rng_seed"])
+@pytest.mark.parametrize("value", [2.5, True, "8"])
+def test_phantom_rejects_non_integer_fields(field, value):
+    # PhantomSpec(2.5, 3) used to make a 3x3 image without complaint.
+    spec = dict(width=32, height=32, beam_period=8, beam_width=3, rng_seed=0)
+    with pytest.raises(ValueError, match=f"{field} must be an integer of at least"):
+        PhantomSpec(**{**spec, field: value})

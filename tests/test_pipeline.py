@@ -142,6 +142,33 @@ def test_pipeline_roi_below_sobel_fails_at_entry(monkeypatch):
         run_pipeline(img, None, _fast_config(roi=RoiRect(0, 0, 2, 40)))
 
 
+def test_pipeline_whole_image_below_ssim_window_fails_at_entry(monkeypatch):
+    # Without a ROI the frame is the whole image: 8x8 passes one wavelet
+    # level but not SSIM, which used to reject it only in [metrics].
+    from lcseg import bat
+
+    monkeypatch.setattr(bat, "optimize_threshold", _refuse_bat)
+    img, truth = generate_phantom(PhantomSpec(8, 8, 4, 2, 0.0, 1))
+    cfg = _fast_config(wavelet_levels=1, kept_scales=(1,))
+    with pytest.raises(PipelineError, match=r"^\[input\] image 8x8 .*11x11") as err:
+        run_pipeline(img, truth, cfg)
+    assert err.value.stage == "input"
+
+
+@pytest.mark.parametrize(
+    "image, message",
+    [
+        (np.full((32, 32), 300.0), "gray image values must lie in"),
+        (np.full((32, 32), np.nan), "gray image values must lie in"),
+        (np.zeros((32, 32, 3)), "expected a non-empty 2-D image"),
+    ],
+)
+def test_pipeline_bad_image_fails_in_input_stage(image, message):
+    with pytest.raises(PipelineError, match=rf"^\[input\] {message}") as err:
+        run_pipeline(image, None, PipelineConfig())
+    assert err.value.stage == "input"
+
+
 def test_pipeline_truth_shape_mismatch_without_roi_fails_at_entry(monkeypatch):
     from lcseg import bat
 

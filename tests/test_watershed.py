@@ -278,9 +278,9 @@ def test_h_minima_rejects_negative_and_nan_depth():
 def test_h_minima_rejects_infinite_depth():
     # An infinite depth would fill every pixel to inf, which no later stage takes.
     surf = np.arange(16.0).reshape(4, 4)
-    with pytest.raises(ValueError, match="h must be finite"):
+    with pytest.raises(ValueError, match="h_min must be finite"):
         h_minima(surf, np.inf)
-    with pytest.raises(ValueError, match="h must be finite"):
+    with pytest.raises(ValueError, match="h_min must be finite"):
         watershed_segment(surf, np.inf)
     with pytest.raises(ValueError, match="h_min must be finite"):
         check_h_min(np.inf)

@@ -7,6 +7,7 @@ degenerate-segmentation warning.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -178,6 +179,7 @@ def _cmd_run(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lcseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -92,6 +92,11 @@ def check_h_min(h_min: float) -> None:
         raise ValueError("h_min must be finite")
 
 
+# h_minima runs dense passes while more than this share of the pixels moved
+# in the last one, then passes over the moved pixels' neighbourhoods only.
+_FRONTIER_SHARE = 0.05
+
+
 def h_minima(surface: np.ndarray, h: float) -> np.ndarray:
     """Fill every regional minimum shallower than depth ``h``.
 
@@ -99,21 +104,65 @@ def h_minima(surface: np.ndarray, h: float) -> np.ndarray:
     surface, with the 4-connected structuring element: iterate
     R <- max(erode(R), surface) from R = surface + h until stable.
     ``h`` must pass :func:`check_h_min` and ``surface`` must be finite.
+
+    The first passes cover the whole frame.  Once a pass moves no more
+    than ``_FRONTIER_SHARE`` of the pixels, each later pass recomputes
+    only the closed 4-neighbourhood of the pixels the previous one moved:
+    the parallel form of Vincent's queue-based reconstruction (IEEE TIP
+    2(2), 1993).  It is exact.  Any other pixel reads the same five
+    values as in the previous pass, so it would compute the value it
+    already holds.  Each pass reads the previous iterate before it
+    writes, so every iterate equals the dense one, bit for bit.
     """
     check_h_min(h)
     surf = np.asarray(surface, dtype=np.float64)
     _check_finite(surf)
     if h == 0:
         return surf.copy()
-    rec = surf + h
+    # A border of inf stands for the outside: it never lowers a minimum
+    # and never moves.
+    rec = np.pad(surf + h, 1, constant_values=np.inf)
+    inner = rec[1:-1, 1:-1]
     while True:
-        nxt = rec.copy()
-        for neighbor in _shifted4(rec, np.inf):
-            np.minimum(nxt, neighbor, out=nxt)
+        nxt = np.minimum(rec[:-2, 1:-1], rec[2:, 1:-1])
+        np.minimum(nxt, rec[1:-1, :-2], out=nxt)
+        np.minimum(nxt, rec[1:-1, 2:], out=nxt)
+        np.minimum(nxt, inner, out=nxt)
         np.maximum(nxt, surf, out=nxt)
-        if np.array_equal(nxt, rec):
-            return rec
-        rec = nxt
+        moved = nxt != inner
+        count = np.count_nonzero(moved)
+        if count == 0:
+            return nxt
+        inner[...] = nxt
+        if count <= _FRONTIER_SHARE * surf.size:
+            break
+
+    # Flat indices into the padded frame: the neighbours of p are p + steps.
+    width = rec.shape[1]
+    steps = (-width, -1, 1, width)
+    value = rec.ravel()
+    floor = np.pad(surf, 1).ravel()
+    front = np.flatnonzero(np.pad(moved, 1))
+    near = np.zeros(rec.shape, dtype=bool)  # the next pass's pixels
+    flat_near = near.ravel()
+    while front.size:
+        flat_near[front] = True
+        for step in steps:
+            flat_near[front + step] = True
+        # The border never moves, and its steps would leave the frame.
+        near[0] = near[-1] = False
+        near[:, 0] = near[:, -1] = False
+        todo = np.flatnonzero(flat_near)
+        flat_near[todo] = False
+        old = value[todo]
+        new = np.minimum(value[todo + steps[0]], old)
+        for step in steps[1:]:
+            np.minimum(new, value[todo + step], out=new)
+        np.maximum(new, floor[todo], out=new)
+        moved = new != old
+        front = todo[moved]
+        value[front] = new[moved]
+    return inner.copy()
 
 
 def regional_minima(surface: np.ndarray) -> tuple[np.ndarray, int]:
@@ -123,22 +172,44 @@ def regional_minima(surface: np.ndarray) -> tuple[np.ndarray, int]:
     whose outer 4-neighbors is lower.  Components are numbered 1..K in
     row-major order of their first pixel; non-minimum pixels get 0.
     Returns the label array and K.  ``surface`` must be finite.
+
+    Plateaus are assembled from runs: maximal stretches of equal value
+    within one row, numbered 1..R in row-major order of their first
+    pixel.  Two runs of equal value in adjacent rows that share a column
+    belong to one plateau, and one link per such pair joins them: the
+    link at the first shared column, where one of the two pixels starts
+    its run.  Only the runs with a link enter the hook-and-jump
+    labelling, which roots each plateau at its smallest run.  That run
+    holds the plateau's row-major first pixel, so the roots are numbered
+    in the required order.
     """
     surf = np.asarray(surface, dtype=np.float64)
     _check_finite(surf)
     h, w = surf.shape
-    n = h * w
-    index = np.arange(n).reshape(h, w)
-    # Equal-value links to the right and downward neighbor.
-    right = surf[:, :-1] == surf[:, 1:]
-    down = surf[:-1] == surf[1:]
-    a = np.concatenate((index[:, :-1][right], index[:-1][down]))
-    b = np.concatenate((index[:, 1:][right], index[1:][down]))
+    starts = np.ones((h, w), dtype=bool)  # the first pixel of its run
+    np.not_equal(surf[:, 1:], surf[:, :-1], out=starts[:, 1:])
+    run = np.cumsum(starts, dtype=np.int32)  # each flat pixel's run, 1..R
+    runs = np.count_nonzero(starts)
 
-    # Plateau labelling: hook the larger root of every link onto the
-    # smaller, then pointer-jump to stars, until every link is internal.
-    # Each plateau's root ends up as its smallest (row-major first) pixel.
-    root = np.arange(n)
+    # The links, as pairs of run numbers, then as compact node numbers
+    # 0..m-1 of the linked runs, kept in run order.
+    touch = surf[:-1] == surf[1:]
+    touch &= starts[:-1] | starts[1:]
+    upper = np.flatnonzero(touch)
+    a = run[upper]
+    b = run[upper + w]
+    linked = np.zeros(runs + 1, dtype=bool)
+    linked[a] = True
+    linked[b] = True
+    node = np.flatnonzero(linked)  # node -> run
+    compact = np.empty(runs + 1, dtype=np.intp)
+    compact[node] = np.arange(node.size)
+    a = compact[a]
+    b = compact[b]
+
+    # Hook the larger root of every link onto the smaller, then
+    # pointer-jump to stars, until every link is internal.
+    root = np.arange(node.size)
     while True:
         ra = root[a]
         rb = root[b]
@@ -152,17 +223,25 @@ def regional_minima(surface: np.ndarray) -> tuple[np.ndarray, int]:
             if np.array_equal(jumped, root):
                 break
             root = jumped
+    node_root = node[root]  # each linked run's root run; the others are roots
 
+    # A run with a strictly lower 4-neighbor sinks its plateau.  The roots
+    # of the plateaus left standing are the minima.
     lower = np.zeros((h, w), dtype=bool)
-    for neighbor in _shifted4(surf, np.inf):
-        lower |= neighbor < surf
-    not_minimum = np.zeros(n, dtype=bool)
-    not_minimum[root[lower.ravel()]] = True
-
-    is_minimum_root = (root == np.arange(n)) & ~not_minimum
-    number = np.cumsum(is_minimum_root, dtype=np.int32)
-    number[~is_minimum_root] = 0
-    return number[root].reshape(h, w), int(is_minimum_root.sum())
+    np.less(surf[1:], surf[:-1], out=lower[:-1])
+    lower[1:] |= surf[:-1] < surf[1:]
+    lower[:, :-1] |= surf[:, 1:] < surf[:, :-1]
+    lower[:, 1:] |= surf[:, :-1] < surf[:, 1:]
+    minimum = np.ones(runs + 1, dtype=bool)
+    minimum[0] = False
+    minimum[run[lower.ravel()]] = False
+    minimum[node_root[~minimum[node]]] = False
+    minimum[node[node_root != node]] = False
+    count = int(np.count_nonzero(minimum))
+    number = np.zeros(runs + 1, dtype=np.int32)
+    number[minimum] = np.arange(1, count + 1, dtype=np.int32)
+    number[node] = number[node_root]
+    return number[run].reshape(h, w), count
 
 
 def watershed_segment(surface: np.ndarray, h_min: float = 0.0) -> np.ndarray:

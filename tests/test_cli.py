@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from lcseg.cli import main
-from lcseg.config import PipelineConfig
+from lcseg import bat
+from lcseg.cli import build_parser, main
+from lcseg.config import PipelineConfig, load_config
 from lcseg.image import read_pgm, write_pgm
 
 
@@ -71,6 +72,30 @@ def test_evaluate_perfect_prediction(capsys, phantom_dir):
     assert "Accuracy" in out
     accuracy_line = [l for l in out.splitlines() if l.startswith("Accuracy")][0]
     assert accuracy_line.split()[-1] == "100"
+
+
+def test_main_calls_share_one_parser_and_no_state(tmp_path):
+    # The first call's --seed must not carry over into the second's.  Two
+    # bats over a noise image converge along a seed-dependent curve.
+    assert build_parser() is build_parser()
+    image = np.random.default_rng(0).integers(0, 256, size=(32, 32), dtype=np.uint8)
+    write_pgm(image, tmp_path / "noise.pgm")
+    config = tmp_path / "two_bats.ini"
+    config.write_text("[bat]\npopulation = 2\niterations = 20\n")
+    params = load_config(config).bat
+    want = {}
+    for name, seed in (("seeded", 3), ("unseeded", params.seed)):
+        _, state = bat.optimize_threshold(image, PipelineConfig(bat=params).with_seed(seed).bat)
+        bat.write_convergence_csv(state, tmp_path / f"{name}_want.csv")
+        want[name] = (tmp_path / f"{name}_want.csv").read_bytes()
+    assert want["seeded"] != want["unseeded"]
+    for name, seed_args in (("seeded", ["--seed", "3"]), ("unseeded", [])):
+        code = run_cli(
+            "optimize", "--input", str(tmp_path / "noise.pgm"), "--config", str(config),
+            *seed_args, "--out-csv", str(tmp_path / f"{name}.csv"),
+        )
+        assert code == 0
+        assert (tmp_path / f"{name}.csv").read_bytes() == want[name]
 
 
 def test_unknown_flag_exits_1(capsys):

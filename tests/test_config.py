@@ -288,6 +288,22 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(wavelet_levels=2.5, kept_scales=(1, 2)), "wavelet_levels must be an integer"),
+        (dict(wavelet_levels=True, kept_scales=(1,)), "wavelet_levels must be an integer"),
+        (dict(kept_scales=(2.5,)), "kept_scales entry must be an integer"),
+        (dict(kept_scales=(2, True)), "kept_scales entry must be an integer"),
+    ],
+)
+def test_config_rejects_non_integer_wavelet_fields(fields, message):
+    # 2.5 levels used to fail later with an untagged TypeError in the
+    # wavelet stage, and a kept scale of 2.5 was read as 2.
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig(**fields)
+
+
+@pytest.mark.parametrize(
     "fields", [(0.5, 0, 32, 32), (0, 0, 32.0, 32), (True, 0, 32, 32), (0, 0, 32, False)]
 )
 def test_roi_rejects_non_integer_and_bool_fields(fields):

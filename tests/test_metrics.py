@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,8 +196,13 @@ def test_ssim_range():
 def oracle_ssim(a, b):
     """Mean SSIM with scalar loops and explicit mirror indexing (test oracle).
 
-    The 11-tap Gaussian (sigma 1.5) runs in tap order, along rows first,
-    then along columns, over x, y, x*x, y*y and x*y.
+    The 11-tap Gaussian (sigma 1.5) runs down the columns, then along the
+    rows.  The variances and the covariance are centred in both passes,
+    so they lose no digits to cancellation when a window is near
+    constant.  The first pass takes each column line's means and its
+    second moments about them.  The second pass combines 11 lines by the
+    law of total covariance: the weighted mean of the lines' own moments
+    plus the moments of the line means about the window's means.
     """
     x = np.asarray(a, dtype=np.float64).tolist()
     y = np.asarray(b, dtype=np.float64).tolist()
@@ -211,41 +217,42 @@ def oracle_ssim(a, b):
             return 2 * (n - 1) - i
         return i
 
-    def smooth(plane):
-        rows = [[0.0] * w for _ in range(h)]
-        for r in range(h):
-            for c in range(w):
-                acc = 0.0
-                for k, t in enumerate(taps):
-                    acc += t * plane[mirror(r + k - 5, h)][c]
-                rows[r][c] = acc
-        out = [[0.0] * w for _ in range(h)]
-        for r in range(h):
-            for c in range(w):
-                acc = 0.0
-                for k, t in enumerate(taps):
-                    acc += t * rows[r][mirror(c + k - 5, w)]
-                out[r][c] = acc
-        return out
+    def window(lines):
+        """(mean x, mean y, sxx, syy, sxy) of 11 lines, each given as the same."""
+        mx = sum(t * m[0] for t, m in zip(taps, lines))
+        my = sum(t * m[1] for t, m in zip(taps, lines))
+        sxx = sum(t * (m[2] + (m[0] - mx) * (m[0] - mx)) for t, m in zip(taps, lines))
+        syy = sum(t * (m[3] + (m[1] - my) * (m[1] - my)) for t, m in zip(taps, lines))
+        sxy = sum(t * (m[4] + (m[0] - mx) * (m[1] - my)) for t, m in zip(taps, lines))
+        return mx, my, sxx, syy, sxy
 
-    def product(p, q):
-        return [[p[r][c] * q[r][c] for c in range(w)] for r in range(h)]
-
-    mx, my = smooth(x), smooth(y)
-    fxx, fyy, fxy = smooth(product(x, x)), smooth(product(y, y)), smooth(product(x, y))
+    # A pixel is a line of one sample, with no spread of its own.
+    pixels = [[(x[r][c], y[r][c], 0.0, 0.0, 0.0) for c in range(w)] for r in range(h)]
+    columns = [
+        [window([pixels[mirror(r + k - 5, h)][c] for k in range(11)]) for c in range(w)]
+        for r in range(h)
+    ]
+    windows = [window([row[mirror(c + k - 5, w)] for k in range(11)]) for row in columns for c in range(w)]
     c1 = (0.01 * 255.0) ** 2
     c2 = (0.03 * 255.0) ** 2
     total = 0.0
-    for r in range(h):
-        for c in range(w):
-            ux, uy = mx[r][c], my[r][c]
-            sxx = fxx[r][c] - ux * ux
-            syy = fyy[r][c] - uy * uy
-            sxy = fxy[r][c] - ux * uy
-            num = (2.0 * ux * uy + c1) * (2.0 * sxy + c2)
-            den = (ux * ux + uy * uy + c1) * (sxx + syy + c2)
-            total += num / den
+    for ux, uy, sxx, syy, sxy in windows:
+        num = (2.0 * ux * uy + c1) * (2.0 * sxy + c2)
+        den = (ux * ux + uy * uy + c1) * (sxx + syy + c2)
+        total += num / den
     return total / (h * w)
+
+
+def test_ssim_oracle_is_exact_on_a_constant_pair():
+    # Both variances and the covariance are 0, so SSIM is the luminance term
+    # alone.  The uncentred oracle read 1.2e-12 off here; ssim() is 2 ulps off.
+    a = np.full((11, 11), 225, dtype=np.uint8)
+    b = np.full((11, 11), 255, dtype=np.uint8)
+    c1 = Fraction((0.01 * 255.0) ** 2)
+    exact = float((2 * 225 * 255 + c1) / (225 ** 2 + 255 ** 2 + c1))
+    assert exact == pytest.approx(0.99221833636202164, abs=1e-16)
+    assert oracle_ssim(a, b) == pytest.approx(exact, abs=1e-14)
+    assert ssim(a, b) == pytest.approx(exact, abs=1e-14)
 
 
 @pytest.mark.parametrize("shape", [(11, 11), (12, 15), (16, 16)])

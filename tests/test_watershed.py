@@ -1,4 +1,6 @@
 import hashlib
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from lcseg.bat import otsu_threshold
 from lcseg.config import PipelineConfig, check_h_min
 from lcseg.image import PhantomSpec, generate_phantom
 from lcseg.image import scale_to_255
+from lcseg.wavelet import enhance_scales, iuwt_decompose
 from lcseg.watershed import (
     gradient_magnitude,
     h_minima,
@@ -364,9 +367,44 @@ def test_regional_minima_matches_oracle():
 
 
 
+# The last pixel of row 0 equals the first of row 1: adjacent in row-major
+# order, not 4-adjacent, so they are two components.  In the first both are
+# minima; in the second only (0, 2) is, as (1, 0) has the lower (1, 1).
+ROW_WRAP = {
+    "both_minima": (
+        np.array([[5, 5, 0], [0, 5, 5]], dtype=float),
+        np.array([[0, 0, 1], [2, 0, 0]], dtype=np.int32),
+    ),
+    "one_minimum": (
+        np.array([[5, 5, 1], [1, 0, 5]], dtype=float),
+        np.array([[0, 0, 1], [0, 2, 0]], dtype=np.int32),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_WRAP))
+def test_regional_minima_keeps_row_end_and_next_row_start_apart(name):
+    surf, want = ROW_WRAP[name]
+    got, k = regional_minima(surf)
+    assert type(k) is int and got.dtype == np.int32
+    assert k == want.max()
+    assert np.array_equal(got, want)
+
+
 def _phantom_gradient():
     img, _ = generate_phantom(PhantomSpec(32, 32, 32, 10, 20.0, 7))
     return scale_to_255(gradient_magnitude(img))
+
+
+def _enhanced_gradient(sigma):
+    """Sobel gradient of the IUWT-enhanced phantom, not the equalized one.
+
+    h_minima takes more passes on it, most of them moving few pixels.
+    """
+    img, _ = generate_phantom(PhantomSpec(32, 32, 32, 10, sigma, 7))
+    cfg = PipelineConfig()
+    enhanced = enhance_scales(iuwt_decompose(img, cfg.wavelet_levels), cfg.kept_scales)
+    return scale_to_255(gradient_magnitude(enhanced))
 
 
 def _heavy_ties():
@@ -409,6 +447,8 @@ def _all_distinct():
 
 LARGE_SURFACES = {
     "phantom_gradient": (_phantom_gradient, PipelineConfig().h_min),
+    "enhanced_gradient_s0": (partial(_enhanced_gradient, 0.0), PipelineConfig().h_min),
+    "enhanced_gradient_s20": (partial(_enhanced_gradient, 20.0), PipelineConfig().h_min),
     "heavy_ties": (_heavy_ties, 0.0),
     "serpentine": (_serpentine, 0.0),
     "checkerboard": (_checkerboard, 0.0),
@@ -432,6 +472,24 @@ def test_regional_minima_matches_oracle_at_scale(name):
     want, k_want = oracle_minima(surf)
     assert k_got == k_want >= 1
     assert np.array_equal(got, want)
+
+
+# _FRONTIER_SHARE at its extremes: 0.0 never leaves the dense passes, and
+# 1.0 passes over the frontier from pass 2 on.
+SWITCH_SHARES = {
+    "never_switch": 0.0,
+    "default": lcseg.watershed._FRONTIER_SHARE,
+    "switch_after_pass_1": 1.0,
+}
+
+
+@pytest.mark.parametrize("share", sorted(SWITCH_SHARES))
+@pytest.mark.parametrize("name", sorted(LARGE_SURFACES))
+def test_h_minima_matches_oracle_at_scale(name, share):
+    surf = LARGE_SURFACES[name][0]()
+    depth = PipelineConfig().h_min
+    with mock.patch.object(lcseg.watershed, "_FRONTIER_SHARE", SWITCH_SHARES[share]):
+        assert np.array_equal(h_minima(surf, depth), oracle_h_minima(surf, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +606,14 @@ def test_flood_matches_oracle_on_generated_surfaces(surf, h_min):
 @given(surf=generated_surfaces(), h=DEPTHS)
 def test_h_minima_matches_oracle_on_generated_surfaces(surf, h):
     assert np.array_equal(h_minima(surf, h), oracle_h_minima(surf, h))
+
+
+@pytest.mark.parametrize("share", ["never_switch", "switch_after_pass_1"])
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(surf=generated_surfaces(), h=DEPTHS)
+def test_h_minima_matches_oracle_at_switch_extremes(share, surf, h):
+    with mock.patch.object(lcseg.watershed, "_FRONTIER_SHARE", SWITCH_SHARES[share]):
+        assert np.array_equal(h_minima(surf, h), oracle_h_minima(surf, h))
 
 
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)

@@ -78,7 +78,7 @@ __all__ = [
     "otsu_threshold",
     "otsu_fitness",
     "optimize_threshold",
-    "write_convergence_csv",
+    "convergence_csv",
 ]
 
 # Positions in, their values out, elementwise; a scalar stands for all.
@@ -314,9 +314,7 @@ def optimize_threshold(image: np.ndarray, params: BatParams) -> tuple[int, BatSt
     return math.floor(state.best_position), state
 
 
-def write_convergence_csv(state: BatState, path) -> None:
-    """Write the best-so-far history as CSV, one row per iteration."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,best_fitness\n")
-        for t, value in enumerate(state.history, start=1):
-            fh.write(f"{t},{value:.6g}\n")
+def convergence_csv(state: BatState) -> str:
+    """The best-so-far history as CSV, one row per iteration."""
+    rows = (f"{t},{value:.6g}\n" for t, value in enumerate(state.history, start=1))
+    return "iteration,best_fitness\n" + "".join(rows)

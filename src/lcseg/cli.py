@@ -27,7 +27,7 @@ from .image import (
     write_pgm,
 )
 from .pipeline import PipelineError, run_pipeline, segment, write_outputs
-from .wavelet import check_scales, enhance_scales, iuwt_decompose
+from .wavelet import check_scales, check_size_for_levels, enhance_scales, iuwt_decompose
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -87,6 +87,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_decompose(args) -> int:
     image = read_pgm(args.input)
+    check_size_for_levels(image.shape, args.levels)
     kept = parse_scales(args.kept) if args.kept else tuple(range(1, args.levels + 1))
     check_scales(args.levels, kept)
     pyramid = iuwt_decompose(image, args.levels)
@@ -107,7 +108,7 @@ def _cmd_optimize(args) -> int:
     image = read_pgm(args.input)
     threshold, state = bat.optimize_threshold(image, cfg.bat)
     if args.out_csv:
-        bat.write_convergence_csv(state, args.out_csv)
+        Path(args.out_csv).write_text(bat.convergence_csv(state), encoding="utf-8", newline="\n")
     print(f"threshold {threshold}")
     print(f"best_fitness {state.best_fitness:.6g}")
     return EXIT_OK

@@ -73,26 +73,54 @@ def separable_filter(
 ) -> np.ndarray:
     """Correlate a 2-D float plane with ``taps_y`` along y, then ``taps_x`` along x.
 
-    The taps are centered (odd count) and spaced ``spacing`` pixels apart;
-    the border is mirror-extended (reflection about the edge pixel, no
-    edge repeat), so each axis's reach ``len(taps) // 2 * spacing`` must
-    not exceed ``n - 1`` on that axis (``ValueError`` otherwise).  Each
-    pass sums the tap products in tap order, starting from zero.
+    The taps are centered and spaced ``spacing`` pixels apart; the border
+    is mirror-extended (reflection about the edge pixel, no edge repeat),
+    so each axis's reach ``len(taps) // 2 * spacing`` must not exceed
+    ``n - 1`` on that axis.  Each tap vector must have an odd count and be
+    symmetric or antisymmetric (``ValueError`` otherwise), so each pass
+    folds: it starts from the centre tap times the centre sample, then,
+    from the outermost tap inwards, adds each tap of the first half times
+    its sample plus (antisymmetric: minus) the mirrored one.
+
+    Compared with sums in tap order, folding moves float results by a few
+    ulps, but not the wavelet's or the Sobel gradient's on 8-bit input:
+    their taps are dyadic or integers, so every product and sum there is
+    exact in float64 (three B3 levels need 32 significant bits).
     """
     h, w = plane.shape
-    reach_y, reach_x = (len(taps) // 2 * spacing for taps in (taps_y, taps_x))
-    for axis, reach, n in (("y", reach_y, h), ("x", reach_x, w)):
+    kernels = []
+    for axis, taps, n in (("y", taps_y, h), ("x", taps_x, w)):
+        taps = np.asarray(taps, dtype=np.float64)
+        symmetric = np.array_equal(taps, taps[::-1])
+        if len(taps) % 2 == 0 or not (symmetric or np.array_equal(taps, -taps[::-1])):
+            raise ValueError(
+                f"separable_filter: {axis} taps {taps.tolist()} are not an odd count "
+                "of symmetric or antisymmetric taps"
+            )
+        reach = len(taps) // 2 * spacing
         if reach > n - 1:
             raise ValueError(f"separable_filter: {axis} reach {reach} exceeds n - 1 for n = {n}")
-    padded = np.pad(plane, ((reach_y, reach_y), (0, 0)), mode="reflect")
-    rows = np.zeros_like(plane, dtype=np.float64)
-    for k, tap in enumerate(taps_y):
-        rows += tap * padded[k * spacing : k * spacing + h, :]
-    padded = np.pad(rows, ((0, 0), (reach_x, reach_x)), mode="reflect")
-    out = np.zeros_like(rows)
-    for k, tap in enumerate(taps_x):
-        out += tap * padded[:, k * spacing : k * spacing + w]
-    return out
+        kernels.append((taps, np.add if symmetric else np.subtract, reach))
+    reach_y, reach_x = kernels[0][2], kernels[1][2]
+    pad = ((reach_y, reach_y), (reach_x, reach_x))
+    padded = np.pad(np.asarray(plane, dtype=np.float64), pad, mode="reflect")
+    rows = np.empty((h, w + 2 * reach_x))
+    out, scratch = np.empty(rows.size), np.empty(rows.size)
+    # The y pass runs on the padded plane, the x pass on its rows laid end
+    # to end; the x sums that straddle two rows land in the padding columns,
+    # which are dropped.  The passes share one scratch buffer, as each fresh
+    # buffer costs page faults.
+    passes = ((padded, rows), (rows.ravel(), out[: out.size - 2 * reach_x]))
+    for (src, dst), (taps, pair, reach) in zip(passes, kernels):
+        n = len(dst)
+        tmp = scratch[: dst.size].reshape(dst.shape)
+        np.multiply(src[reach : reach + n], taps[len(taps) // 2], out=dst)
+        for k in range(len(taps) // 2):
+            own, mirrored = k * spacing, 2 * reach - k * spacing
+            pair(src[own : own + n], src[mirrored : mirrored + n], out=tmp)
+            tmp *= taps[k]
+            dst += tmp
+    return out.reshape(rows.shape)[:, :w]
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:

@@ -3,11 +3,7 @@
 Covers the eight-entry evaluation suite (PSNR, MSE, F-measure, Rand
 index, sensitivity, specificity, SSIM, accuracy) and threshold-sweep ROC
 curves with trapezoidal AUC.  All ratio metrics use the 0/0 -> 0
-convention so every function is total.  SSIM has its own Gaussian
-window, which adds each mirrored pair of samples before scaling it once:
-:func:`lcseg.image.separable_filter` sums in tap order, the contract that
-keeps the wavelet's and the Sobel gradient's bits fixed, and folding it
-for SSIM alone would make shared code branch on its caller.
+convention so every function is total.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .image import as_gray, check_same_shape
+from .image import as_gray, check_same_shape, separable_filter
 
 __all__ = [
     "ConfusionCounts",
@@ -156,34 +152,8 @@ SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_C1 = (0.01 * 255.0) ** 2
 _SSIM_C2 = (0.03 * 255.0) ** 2
-
-
-def _gaussian_window(plane: np.ndarray) -> np.ndarray:
-    """SSIM's 11x11 Gaussian (sigma 1.5) at every pixel, mirror-extended.
-
-    Each pass starts from the centre tap and adds every other tap once,
-    times the sum of its two mirrored samples.  The x pass runs over the
-    padded rows laid end to end; the sums that straddle two rows land in
-    the padding columns, which are dropped.
-    """
-    half = SSIM_WINDOW // 2
-    g = np.exp(-(np.arange(-half, half + 1.0) ** 2) / (2.0 * _SSIM_SIGMA ** 2))
-    taps = g / g.sum()
-    h, w = plane.shape
-    padded = np.pad(plane, half, mode="reflect")
-    rows = np.empty((h, w + 2 * half))
-    out, scratch = np.empty(rows.size), np.empty(rows.size)
-    # Pass 1 along y on the padded plane, pass 2 along x on the flat rows;
-    # they share one scratch buffer, as each fresh buffer costs page faults.
-    for src, dst in ((padded, rows), (rows.ravel(), out[: -2 * half])):
-        n = len(dst)
-        tmp = scratch[: dst.size].reshape(dst.shape)
-        np.multiply(src[half : half + n], taps[half], out=dst)
-        for k in range(half):
-            np.add(src[k : k + n], src[2 * half - k : 2 * half - k + n], out=tmp)
-            tmp *= taps[k]
-            dst += tmp
-    return out.reshape(rows.shape)[:, :w]
+_SSIM_GAUSS = np.exp(-((np.arange(SSIM_WINDOW) - SSIM_WINDOW // 2) ** 2) / (2.0 * _SSIM_SIGMA ** 2))
+_SSIM_TAPS = _SSIM_GAUSS / _SSIM_GAUSS.sum()
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -199,10 +169,10 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     check_same_shape(x, y, "images")
     if x.shape[0] < SSIM_WINDOW or x.shape[1] < SSIM_WINDOW:
         raise ValueError(f"ssim needs images of at least {SSIM_WINDOW}x{SSIM_WINDOW}")
-    mu_x = _gaussian_window(x)
-    mu_y = _gaussian_window(y)
-    sum_sq = _gaussian_window(x * x + y * y)
-    cross = _gaussian_window(x * y)
+    mu_x = separable_filter(x, _SSIM_TAPS, _SSIM_TAPS)
+    mu_y = separable_filter(y, _SSIM_TAPS, _SSIM_TAPS)
+    sum_sq = separable_filter(x * x + y * y, _SSIM_TAPS, _SSIM_TAPS)
+    cross = separable_filter(x * y, _SSIM_TAPS, _SSIM_TAPS)
     mu_sq = mu_x * mu_x + mu_y * mu_y
     mu_xy = mu_x * mu_y
     num = (2.0 * mu_xy + _SSIM_C1) * (2.0 * (cross - mu_xy) + _SSIM_C2)

@@ -215,7 +215,7 @@ def write_outputs(result: PipelineResult, out_dir, dump: bool = False) -> list[s
     _write("labels.pgm", lambda p: write_pgm(labels_to_gray8(result.labels), p))
     _write("mask.pgm", lambda p: write_pgm(mask_to_gray8(result.mask), p))
     _write("overlay.ppm", lambda p: write_overlay(result.cropped, result.boundary, p))
-    _write("convergence.csv", lambda p: bat.write_convergence_csv(result.bat_state, p))
+    _write_text("convergence.csv", bat.convergence_csv(result.bat_state))
 
     if result.report is not None:
         _write_text("report.csv", metrics.report_csv(result.report))

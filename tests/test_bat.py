@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -13,10 +14,10 @@ from lcseg.bat import (
     _draw_tables,
     bat_optimize,
     between_class_variance,
+    convergence_csv,
     optimize_threshold,
     otsu_fitness,
     otsu_threshold,
-    write_convergence_csv,
 )
 from lcseg.histeq import histogram
 from lcseg.config import load_config
@@ -295,32 +296,25 @@ def _fake_state(history):
     )()
 
 
-def test_csv_row_count(tmp_path):
-    path = tmp_path / "c.csv"
-    write_convergence_csv(_fake_state([1.0, 2.0, 2.0]), path)
-    lines = path.read_text().splitlines()
+def test_csv_row_count():
+    lines = convergence_csv(_fake_state([1.0, 2.0, 2.0])).splitlines()
     assert len(lines) == 4
     assert lines[0] == "iteration,best_fitness"
     assert lines[1].startswith("1,")
 
 
-def test_csv_six_significant_digits(tmp_path):
-    path = tmp_path / "c.csv"
-    write_convergence_csv(_fake_state([1234.5678, 0.000123456789]), path)
-    rows = path.read_text().splitlines()[1:]
+def test_csv_six_significant_digits():
+    rows = convergence_csv(_fake_state([1234.5678, 0.000123456789])).splitlines()[1:]
     assert rows[0] == "1,1234.57"
     assert rows[1] == "2,0.000123457"
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip():
     img, _ = generate_phantom(PhantomSpec(64, 64, 16, 5, 10.0, 1))
     _, state = optimize_threshold(
         img, BatParams(population=10, iterations=40, seed=2)
     )
-    path = tmp_path / "c.csv"
-    write_convergence_csv(state, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = list(csv.DictReader(io.StringIO(convergence_csv(state), newline="")))
     assert len(rows) == 40
     for i, row in enumerate(rows):
         assert int(row["iteration"]) == i + 1

@@ -86,8 +86,7 @@ def test_main_calls_share_one_parser_and_no_state(tmp_path):
     want = {}
     for name, seed in (("seeded", 3), ("unseeded", params.seed)):
         _, state = bat.optimize_threshold(image, PipelineConfig(bat=params).with_seed(seed).bat)
-        bat.write_convergence_csv(state, tmp_path / f"{name}_want.csv")
-        want[name] = (tmp_path / f"{name}_want.csv").read_bytes()
+        want[name] = bat.convergence_csv(state).encode("utf-8")
     assert want["seeded"] != want["unseeded"]
     for name, seed_args in (("seeded", ["--seed", "3"]), ("unseeded", [])):
         code = run_cli(
@@ -320,6 +319,26 @@ def test_decompose_rejects_bad_kept_scales_before_the_transform(
     )
     assert code == 2
     assert "kept_scales (5,) outside the wavelet levels 1..3" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("levels", ["0", "-2"])
+def test_decompose_rejects_levels_below_one_before_the_transform(
+    levels, monkeypatch, tmp_path, phantom_dir, capsys
+):
+    import lcseg.cli
+
+    calls = []
+    monkeypatch.setattr(lcseg.cli, "iuwt_decompose", lambda *a: calls.append(a))
+    out = tmp_path / "e.pgm"
+    code = run_cli(
+        "decompose", "--input", str(phantom_dir / "image.pgm"), "--levels", levels,
+        "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "wavelet levels must be at least 1" in err
+    assert "kept_scales" not in err
     assert calls == [] and not out.exists()
 
 

@@ -26,41 +26,77 @@ def _mirror(i, n):
     return i
 
 
-def oracle_separable(plane, taps_y, taps_x, spacing):
+def _scalar_passes(plane, taps_y, taps_x, spacing, tap_sum):
     """``taps_y`` down each column, then ``taps_x`` along each row, with
-    scalar loops and mirror indexing (test oracle)."""
+    scalar loops and mirror indexing; ``tap_sum(taps, sample)`` is one
+    output sample, where ``sample(d)`` reads d spacings from the centre."""
     h, w = plane.shape
     rows = np.zeros((h, w))
     for y in range(h):
         for x in range(w):
-            acc = 0.0
-            for k, tap in enumerate(taps_y):
-                acc += tap * plane[_mirror(y + (k - len(taps_y) // 2) * spacing, h), x]
-            rows[y, x] = acc
+            rows[y, x] = tap_sum(taps_y, lambda d: plane[_mirror(y + d * spacing, h), x])
     out = np.zeros((h, w))
     for y in range(h):
         for x in range(w):
-            acc = 0.0
-            for k, tap in enumerate(taps_x):
-                acc += tap * rows[y, _mirror(x + (k - len(taps_x) // 2) * spacing, w)]
-            out[y, x] = acc
+            out[y, x] = tap_sum(taps_x, lambda d: rows[y, _mirror(x + d * spacing, w)])
     return out
+
+
+def _in_tap_order(taps, sample):
+    acc = 0.0
+    for k, tap in enumerate(taps):
+        acc += tap * sample(k - len(taps) // 2)
+    return acc
+
+
+def _folded(taps, sample):
+    half = len(taps) // 2
+    symmetric = list(taps) == list(taps)[::-1]
+    acc = taps[half] * sample(0)
+    for k in range(half):
+        own, mirrored = sample(k - half), sample(half - k)
+        acc += taps[k] * (own + mirrored if symmetric else own - mirrored)
+    return acc
+
+
+def oracle_separable(plane, taps_y, taps_x, spacing):
+    """The filter with each pass summed in tap order from zero (test oracle)."""
+    return _scalar_passes(plane, taps_y, taps_x, spacing, _in_tap_order)
+
+
+def oracle_folded(plane, taps_y, taps_x, spacing):
+    """The filter with each pass folded as ``separable_filter`` documents:
+    the centre tap, then each outer tap from the outside in times its
+    sample plus (antisymmetric: minus) the mirrored one (test oracle)."""
+    return _scalar_passes(plane, taps_y, taps_x, spacing, _folded)
+
+
+SOBEL_SMOOTH, SOBEL_DIFF = (1.0, 2.0, 1.0), (-1.0, 0.0, 1.0)
+B3 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
 @pytest.mark.parametrize(
     "shape, taps_y, taps_x, spacing",
     [
-        ((7, 9), (1, 2, 1), (-1, 0, 1), 1),  # Sobel x
-        ((7, 9), (-1, 0, 1), (1, 2, 1), 1),  # Sobel y
-        ((7, 9), (0.25, 0.5, 0.25), (1.0, -3.0, 0.5, 2.0, 7.0), 2),
-        ((5, 9), (1.0, -3.0, 0.5, 2.0, 7.0), (0.5, 1.5, -1.0), 2),  # reach n - 1 in y
-        ((6, 10), (2.0,), (3.0, 1.0, -2.0), 3),
+        ((7, 9), SOBEL_SMOOTH, SOBEL_DIFF, 1),  # Sobel x
+        ((7, 9), SOBEL_DIFF, SOBEL_SMOOTH, 1),  # Sobel y
+        ((7, 9), (0.25, 0.5, 0.25), (0.3, -1.7, 0.0, 1.7, -0.3), 2),
+        ((5, 9), (0.7, -3.0, 0.5, -3.0, 0.7), (-0.5, 0.0, 0.5), 2),  # reach n - 1 in y
+        ((6, 10), (2.0,), (3.0, 1.0, 3.0), 3),  # one tap in y, reach n - 1 in x
     ],
 )
 def test_separable_filter_matches_scalar_oracle(shape, taps_y, taps_x, spacing):
     plane = np.random.default_rng(12).normal(100.0, 40.0, size=shape)
     got = separable_filter(plane, taps_y, taps_x, spacing)
-    assert np.array_equal(got, oracle_separable(plane, taps_y, taps_x, spacing))
+    assert np.array_equal(got, oracle_folded(plane, taps_y, taps_x, spacing))
+
+
+def _mirrored_taps(half_taps, antisymmetric):
+    """Odd tap vector from its first half and centre (zeroed if antisymmetric)."""
+    outer = list(half_taps[:-1])
+    centre = 0.0 if antisymmetric else half_taps[-1]
+    mirror = [-t if antisymmetric else t for t in reversed(outer)]
+    return np.array([*outer, centre, *mirror])
 
 
 @pytest.mark.parametrize("axis", ["y", "x"])
@@ -71,14 +107,73 @@ def test_separable_filter_rejects_reach_past_one_mirror(axis):
     n = plane.shape[0] if axis == "y" else plane.shape[1]
 
     def taps_with_reach(reach):
-        taps = rng.normal(size=2 * reach + 1)
+        taps = _mirrored_taps(rng.normal(size=reach + 1), antisymmetric=False)
         return (taps, (1.0,)) if axis == "y" else ((1.0,), taps)
 
     at_limit = taps_with_reach(n - 1)
     got = separable_filter(plane, *at_limit)
-    assert np.array_equal(got, oracle_separable(plane, *at_limit, 1))
+    assert np.array_equal(got, oracle_folded(plane, *at_limit, 1))
     with pytest.raises(ValueError, match=f"{axis} reach {n} exceeds n - 1 for n = {n}"):
         separable_filter(plane, *taps_with_reach(n))
+
+
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize(
+    "taps", [(1.0, 1.0), (1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0), (-1.0, 0.5, 1.0), (1.0, 2.0, -1.0)]
+)
+def test_separable_filter_rejects_even_and_asymmetric_taps(axis, taps):
+    plane = np.ones((9, 9))
+    kernels = (taps, (1.0,)) if axis == "y" else ((1.0,), taps)
+    with pytest.raises(ValueError, match=f"{axis} taps .* not an odd count of symmetric"):
+        separable_filter(plane, *kernels)
+
+
+@st.composite
+def filter_cases(draw):
+    """A float plane 1..12 on each axis, a spacing of 1..3 and, per axis, a
+    symmetric or antisymmetric kernel whose reach fits (0 up to n - 1)."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    spacing = draw(st.integers(1, 3))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    kernels = []
+    for n in shape:
+        half = draw(st.integers(0, (n - 1) // spacing))
+        half_taps = draw(st.lists(values, min_size=half + 1, max_size=half + 1))
+        kernels.append(_mirrored_taps(half_taps, antisymmetric=draw(st.booleans())))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    plane = rng.normal(0.0, draw(st.sampled_from([1.0, 100.0, 1e6])), size=shape)
+    return plane, *kernels, spacing
+
+
+# 300 examples, or more under a profile that asks for more (the "ci"
+# profile of tests/conftest.py asks for 2000).
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(case=filter_cases())
+def test_separable_filter_matches_folded_oracle_on_generated_planes(case):
+    plane, taps_y, taps_x, spacing = case
+    got = separable_filter(plane, taps_y, taps_x, spacing)
+    assert np.array_equal(got, oracle_folded(plane, taps_y, taps_x, spacing))
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(
+    shape=st.tuples(st.integers(9, 16), st.integers(9, 16)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_separable_filter_is_exact_on_integer_planes(shape, seed):
+    """On 8-bit input the folded sums equal the tap-order sums bit for bit:
+    both Sobel kernels, and the B3 kernel chained at spacings 1, 2 and 4
+    as the wavelet's three levels run it (their inputs past level 1 are
+    multiples of 2**-8 and 2**-16, which stay exact too)."""
+    plane = np.random.default_rng(seed).integers(0, 256, size=shape).astype(np.float64)
+    for taps_y, taps_x in ((SOBEL_SMOOTH, SOBEL_DIFF), (SOBEL_DIFF, SOBEL_SMOOTH)):
+        got = separable_filter(plane, taps_y, taps_x)
+        assert np.array_equal(got, oracle_separable(plane, taps_y, taps_x, 1))
+    current = plane
+    for spacing in (1, 2, 4):
+        got = separable_filter(current, B3, B3, spacing)
+        assert np.array_equal(got, oracle_separable(current, B3, B3, spacing))
+        current = got
 
 
 def test_read_p5_direct_bytes(tmp_path):

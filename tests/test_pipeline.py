@@ -365,3 +365,50 @@ def test_report_row_is_pinned_at_benchmark_size(size, period, beam, sigma):
     img, truth = generate_phantom(PhantomSpec(size, size, period, beam, sigma, 7))
     report = run_pipeline(img, truth, PipelineConfig()).report
     assert report_csv(report).splitlines()[1] == REPORT_ROW_PINS[(size, period, beam, sigma)]
+
+
+# sha256 of the raw float64 planes of the default wavelet decomposition
+# (the smooth plane, then the detail planes from the finest), and the repr
+# of SSIM between the enhanced frame and the input frame, on the same
+# phantoms.  Taken at commit 3e68c47, before the wavelet, the Sobel
+# gradient and SSIM moved to one folded filter.  The PGM pins quantize the
+# planes to 8 bits and report.csv keeps six digits of SSIM; these see an ulp.
+FLOAT_PLANE_PINS = {
+    (256, 32, 10, 20.0): (
+        "9c88b41d242203bad9d076cdf46217380be7f8557c6ab399cac6853a52d7ae5a",
+        "2f68f9fb58f6ceb9c9c2521008a0a8a62ec3a0db6ff999eb9d4cec8958090ab6",
+        "7dd3d1aaae53832aae6baa84e0d93021c263b9271cb935ef279a6bcec05bf64c",
+        "b5085c77ecbb3a1a6045bfe552aeaffce75d7c659a257ad9b920ca92a18aa532",
+        "0.5986954111992675",
+    ),
+    (256, 32, 10, 0.0): (
+        "f3fd925ef5a965f6d1630de3412f7736fc087dedde02c67fcb5e98b3120eec54",
+        "85276cd331d39a124010b19f68e6a89fb75bdc5cb128b5ea249b58aff8baf2a5",
+        "f8d7cdd3b913bc167e6e9b874d58e8e06c665404f1ffa5ba2d4b66da7db98492",
+        "d9e4ddfc51c74cec6e6606b91416870caa422153341e70c538927529dcfdaa83",
+        "0.5852200129993925",
+    ),
+    (128, 16, 4, 20.0): (
+        "018280b9ab3e5cc97343c78874444482a5df9768053ab5ce8d867f76dc8d1832",
+        "82b1251d12a6435047f44670406a0d35d4e77f63519b3aeb16e405bdc3efd9aa",
+        "a5bf4863e692aa24daf67a86a16adae009653c4086d38a616eb114f87219e21f",
+        "29f1a43ddcd0753ad2229d2c43714a8acc6d21343593126ded3e7d1e8aec8cac",
+        "0.7540740767057927",
+    ),
+}
+
+
+@pytest.mark.parametrize("size, period, beam, sigma", list(FLOAT_PLANE_PINS))
+def test_wavelet_planes_and_ssim_are_pinned_at_benchmark_size(size, period, beam, sigma):
+    import hashlib
+
+    from lcseg.metrics import ssim
+    from lcseg.wavelet import enhance_scales, iuwt_decompose
+
+    cfg = PipelineConfig()
+    img, _ = generate_phantom(PhantomSpec(size, size, period, beam, sigma, 7))
+    pyramid = iuwt_decompose(img, cfg.wavelet_levels)
+    planes = (pyramid.smooth, *pyramid.details)
+    got = [hashlib.sha256(np.ascontiguousarray(p).tobytes()).hexdigest() for p in planes]
+    got.append(repr(ssim(enhance_scales(pyramid, cfg.kept_scales), img)))
+    assert tuple(got) == FLOAT_PLANE_PINS[(size, period, beam, sigma)]

@@ -90,10 +90,9 @@ def _cmd_decompose(args) -> int:
     check_size_for_levels(image.shape, args.levels)
     kept = parse_scales(args.kept) if args.kept else tuple(range(1, args.levels + 1))
     check_scales(args.levels, kept)
-    pyramid = iuwt_decompose(image, args.levels)
-    enhanced = enhance_scales(pyramid, kept)
-    write_pgm(enhanced, args.out)
+    write_pgm(enhance_scales(image, args.levels, kept), args.out)
     if args.dump_planes:
+        pyramid = iuwt_decompose(image, args.levels)
         plane_dir = Path(args.dump_planes)
         plane_dir.mkdir(parents=True, exist_ok=True)
         for j, plane in enumerate(pyramid.details, start=1):

@@ -52,8 +52,6 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         check_int("wavelet_levels", self.wavelet_levels, 1)
-        for scale in self.kept_scales:
-            check_int("kept_scales entry", scale, 1)
         check_scales(self.wavelet_levels, self.kept_scales)
         check_h_min(self.h_min)
         if self.basin_rule not in ("otsu", "threshold"):

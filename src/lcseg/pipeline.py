@@ -1,9 +1,11 @@
 """End-to-end segmentation pipeline and its output writer.
 
-Stage order: input checks -> wavelet enhancement -> bat threshold
-optimization -> histogram equalization -> :func:`segment` on the ROI
-frame (gradient-magnitude watershed, basin classification, boundary) ->
-metrics/ROC (when ground truth is supplied).  The input stage crops the
+Stage order: input checks -> wavelet enhancement
+(:func:`lcseg.wavelet.enhance_scales`, which decomposes only as deep as
+the kept scales need: one level for the default scales 2 and 3 of 3) ->
+bat threshold optimization -> histogram equalization -> :func:`segment`
+on the ROI frame (gradient-magnitude watershed, basin classification,
+boundary) -> metrics/ROC (when ground truth is supplied).  The input stage crops the
 input to the ROI and checks the sizes of the image and of that frame and
 the truth shape, so bad inputs fail before the expensive stages run.
 The optimizer's threshold feeds basin classification only under
@@ -33,7 +35,7 @@ from .image import (
     write_overlay,
     write_pgm,
 )
-from .wavelet import check_size_for_levels, enhance_scales, iuwt_decompose
+from .wavelet import check_size_for_levels, enhance_scales
 
 __all__ = [
     "PipelineError",
@@ -153,8 +155,7 @@ def run_pipeline(
             check_same_shape(truth, input_frame, "truth vs frame")
 
     with _stage("wavelet"):
-        pyramid = iuwt_decompose(img, config.wavelet_levels)
-        enhanced = enhance_scales(pyramid, config.kept_scales)
+        enhanced = enhance_scales(img, config.wavelet_levels, config.kept_scales)
 
     with _stage("bat-optimize"):
         threshold, state = bat.optimize_threshold(enhanced, config.bat)

@@ -6,16 +6,25 @@ scaling kernel is the cubic B3 spline (1/16)[1, 4, 6, 4, 1], applied by
 :func:`lcseg.image.separable_filter` (the package's one filter) with hole
 spacing 2**(j-1) at level j and mirror boundary extension (reflection
 about the edge pixel, no edge repeat).
+
+Reconstruction is a plain sum of planes, so c_d = c_J + sum(w_j, j > d)
+for every depth d <= J.  :func:`enhance_scales` rebuilds c_J plus the
+kept details from c_d plus the kept details up to d, where d is the
+deepest scale that is not kept: with 3 levels and scales 2 and 3 kept,
+one level (c_1) instead of three.  On 8-bit input every B3 sum is
+dyadic with at most 33 significant bits, so both sums are exact in
+float64 and the result is the same bit for bit; float input may move
+by a few ulps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .image import scale_to_255, separable_filter, to_gray8
+from .image import check_int, scale_to_255, separable_filter, to_gray8
 
 __all__ = [
     "WaveletPyramid",
@@ -60,7 +69,9 @@ def min_size_for_levels(levels: int) -> int:
 
 
 def check_size_for_levels(shape: tuple[int, int], levels: int) -> None:
-    """Raise ``ValueError`` if ``levels < 1`` or ``shape`` is too small for ``levels``."""
+    """Raise ``ValueError`` unless ``shape`` is 2-D and large enough for ``levels >= 1``."""
+    if len(shape) != 2:
+        raise ValueError("expected a 2-D image")
     if levels < 1:
         raise ValueError("wavelet levels must be at least 1")
     need = min_size_for_levels(levels)
@@ -72,10 +83,15 @@ def check_size_for_levels(shape: tuple[int, int], levels: int) -> None:
 
 
 def check_scales(levels: int, kept_scales: Sequence[int]) -> None:
-    """Raise ``ValueError`` unless ``kept_scales`` is a non-empty selection of 1..``levels``."""
+    """Raise ``ValueError`` unless ``kept_scales`` is a non-empty selection of 1..``levels``.
+
+    Each entry must be an ``int`` (not a bool) of at least 1.
+    """
     if not kept_scales:
         raise ValueError("kept_scales must be non-empty")
-    if min(kept_scales) < 1 or max(kept_scales) > levels:
+    for k in kept_scales:
+        check_int("kept_scales entry", k, 1)
+    if max(kept_scales) > levels:
         raise ValueError(f"kept_scales {kept_scales} outside the wavelet levels 1..{levels}")
 
 
@@ -88,8 +104,6 @@ def iuwt_decompose(image: np.ndarray, levels: int) -> WaveletPyramid:
     for the dilated kernel support.
     """
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError("expected a 2-D image")
     check_size_for_levels(img.shape, levels)
 
     details: list[np.ndarray] = []
@@ -109,17 +123,30 @@ def iuwt_reconstruct(pyramid: WaveletPyramid) -> np.ndarray:
     return out
 
 
-def enhance_scales(pyramid: WaveletPyramid, kept_scales: Iterable[int]) -> np.ndarray:
+def enhance_scales(
+    image: np.ndarray, levels: int, kept_scales: Sequence[int]
+) -> np.ndarray:
     """Rebuild an 8-bit image from the coarse plane and selected details.
 
-    ``kept_scales`` holds 1-based scale indices; the partial sum
-    c_J + sum(w_j for j in kept) is rescaled linearly so its minimum maps
-    to 0 and its maximum to 255 (rounded half-up).  A constant partial
-    sum yields the all-zero image.
+    ``kept_scales`` holds 1-based scale indices of a ``levels``-deep
+    transform of ``image``; the partial sum c_J + sum(w_j for j in kept)
+    is rescaled linearly so its minimum maps to 0 and its maximum to 255
+    (rounded half-up).  A constant partial sum yields the all-zero image.
+
+    The sum is formed as c_d + sum(w_j for j in kept, j <= d), where d is
+    the deepest scale not kept (1 when all are kept): every scale deeper
+    than d is kept, so c_d = c_J + sum(w_j, j > d), and only d levels are
+    decomposed.  On 8-bit input both sums are exact in float64, so the
+    result equals the full pyramid's bit for bit; on float input it may
+    differ by a few ulps before rounding.
     """
-    kept = sorted(set(int(k) for k in kept_scales))
-    check_scales(pyramid.levels, kept)
-    total = pyramid.smooth.copy()
-    for j in kept:
-        total += pyramid.details[j - 1]
+    check_size_for_levels(np.shape(image), levels)
+    check_scales(levels, kept_scales)
+    kept = set(kept_scales)
+    depth = max((j for j in range(1, levels + 1) if j not in kept), default=1)
+    pyramid = iuwt_decompose(image, depth)
+    total = pyramid.smooth
+    for j in sorted(kept):
+        if j <= depth:
+            total = total + pyramid.details[j - 1]
     return to_gray8(scale_to_255(total))

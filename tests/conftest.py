@@ -1,8 +1,8 @@
 """Hypothesis profiles for the test suite.
 
 ``--hypothesis-profile=ci`` runs the property tests that read it with
-2000 examples each; see the flood, marker, bat, SSIM, filter and PGM
-header steps in .github/workflows/tests.yml.
+2000 examples each; see the flood, marker, bat, SSIM, filter, PGM
+header and wavelet enhancement steps in .github/workflows/tests.yml.
 """
 
 from hypothesis import settings

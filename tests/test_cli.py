@@ -311,7 +311,7 @@ def test_decompose_rejects_bad_kept_scales_before_the_transform(
     import lcseg.cli
 
     calls = []
-    monkeypatch.setattr(lcseg.cli, "iuwt_decompose", lambda *a: calls.append(a))
+    monkeypatch.setattr(lcseg.cli, "enhance_scales", lambda *a: calls.append(a))
     out = tmp_path / "e.pgm"
     code = run_cli(
         "decompose", "--input", str(phantom_dir / "image.pgm"),
@@ -329,7 +329,7 @@ def test_decompose_rejects_levels_below_one_before_the_transform(
     import lcseg.cli
 
     calls = []
-    monkeypatch.setattr(lcseg.cli, "iuwt_decompose", lambda *a: calls.append(a))
+    monkeypatch.setattr(lcseg.cli, "enhance_scales", lambda *a: calls.append(a))
     out = tmp_path / "e.pgm"
     code = run_cli(
         "decompose", "--input", str(phantom_dir / "image.pgm"), "--levels", levels,

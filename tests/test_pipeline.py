@@ -189,14 +189,14 @@ def test_pipeline_roi_outside_image_fails_at_entry(monkeypatch, roi):
             run_pipeline(img, t, _fast_config(roi=roi))
 
 
-def _refuse_iuwt(*args, **kwargs):
+def _refuse_wavelet(*args, **kwargs):
     raise AssertionError("the wavelet ran before the image size was checked")
 
 
 def test_pipeline_image_too_small_for_wavelet_fails_at_entry(monkeypatch):
     from lcseg import pipeline
 
-    monkeypatch.setattr(pipeline, "iuwt_decompose", _refuse_iuwt)
+    monkeypatch.setattr(pipeline, "enhance_scales", _refuse_wavelet)
     img, truth = generate_phantom(PhantomSpec(12, 12, 6, 2, 0.0, 1))
     for t in (None, truth):
         with pytest.raises(
@@ -218,7 +218,7 @@ def test_stage_programming_errors_are_not_wrapped(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("broken stage")
 
-    monkeypatch.setattr(pipeline, "iuwt_decompose", broken)
+    monkeypatch.setattr(pipeline, "enhance_scales", broken)
     img, _ = generate_phantom(PhantomSpec(64, 64, 16, 5, 0.0, 1))
     with pytest.raises(TypeError, match="broken stage"):
         run_pipeline(img, None, _fast_config())
@@ -410,5 +410,6 @@ def test_wavelet_planes_and_ssim_are_pinned_at_benchmark_size(size, period, beam
     pyramid = iuwt_decompose(img, cfg.wavelet_levels)
     planes = (pyramid.smooth, *pyramid.details)
     got = [hashlib.sha256(np.ascontiguousarray(p).tobytes()).hexdigest() for p in planes]
-    got.append(repr(ssim(enhance_scales(pyramid, cfg.kept_scales), img)))
+    enhanced = enhance_scales(img, cfg.wavelet_levels, cfg.kept_scales)
+    got.append(repr(ssim(enhanced, img)))
     assert tuple(got) == FLOAT_PLANE_PINS[(size, period, beam, sigma)]

@@ -12,7 +12,7 @@ from lcseg.bat import otsu_threshold
 from lcseg.config import PipelineConfig, check_h_min
 from lcseg.image import PhantomSpec, generate_phantom
 from lcseg.image import scale_to_255
-from lcseg.wavelet import enhance_scales, iuwt_decompose
+from lcseg.wavelet import enhance_scales
 from lcseg.watershed import (
     gradient_magnitude,
     h_minima,
@@ -403,7 +403,7 @@ def _enhanced_gradient(sigma):
     """
     img, _ = generate_phantom(PhantomSpec(32, 32, 32, 10, sigma, 7))
     cfg = PipelineConfig()
-    enhanced = enhance_scales(iuwt_decompose(img, cfg.wavelet_levels), cfg.kept_scales)
+    enhanced = enhance_scales(img, cfg.wavelet_levels, cfg.kept_scales)
     return scale_to_255(gradient_magnitude(enhanced))
 
 

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcseg.config import PipelineConfig
 from lcseg.image import PhantomSpec, generate_phantom
+from lcseg.pipeline import run_pipeline
 from lcseg.wavelet import (
     WaveletPyramid,
     check_scales,
@@ -184,14 +186,13 @@ def test_enhance_full_selection_is_rescaled_input():
     img = rng.integers(0, 256, size=(20, 20), dtype=np.uint8)
     img[0, 0] = 0
     img[0, 1] = 255  # input spans the full range -> exact identity
-    pyr = iuwt_decompose(img, 3)
-    out = enhance_scales(pyr, (1, 2, 3))
+    out = enhance_scales(img, 3, (1, 2, 3))
     assert np.array_equal(out, img)
 
 
 def test_enhance_constant_input_all_zero():
     img = np.full((20, 20), 42, dtype=np.uint8)
-    out = enhance_scales(iuwt_decompose(img, 2), (1, 2))
+    out = enhance_scales(img, 2, (1, 2))
     assert not out.any()
 
 
@@ -199,7 +200,7 @@ def test_enhance_rescale_oracle():
     rng = np.random.default_rng(8)
     img = rng.integers(40, 90, size=(12, 12), dtype=np.uint8)
     pyr = iuwt_decompose(img, 2)
-    out = enhance_scales(pyr, (2,))
+    out = enhance_scales(img, 2, (2,))
     total = pyr.smooth + pyr.details[1]
     lo, hi = total.min(), total.max()
     want = np.floor((total - lo) / (hi - lo) * 255.0 + 0.5)
@@ -207,19 +208,101 @@ def test_enhance_rescale_oracle():
 
 
 def test_enhance_rejects_bad_selection():
-    pyr = iuwt_decompose(np.zeros((9, 9), dtype=np.uint8), 2)
+    img = np.zeros((9, 9), dtype=np.uint8)
     with pytest.raises(ValueError):
-        enhance_scales(pyr, ())
+        enhance_scales(img, 2, ())
     with pytest.raises(ValueError):
-        enhance_scales(pyr, (3,))
+        enhance_scales(img, 2, (3,))
     with pytest.raises(ValueError):
-        enhance_scales(pyr, (0,))
+        enhance_scales(img, 2, (0,))
+
+
+def test_kept_scales_must_be_integers():
+    img = np.zeros((17, 17), dtype=np.uint8)
+    for kept in ((2.5,), (True, 3)):
+        with pytest.raises(ValueError, match="kept_scales entry must be an integer"):
+            check_scales(3, kept)
+        with pytest.raises(ValueError, match="kept_scales entry must be an integer"):
+            enhance_scales(img, 3, kept)
+
+
+def _oracle_enhance(img, levels, kept):
+    """c_J + sum of the kept details of the full pyramid, rescaled and rounded half-up."""
+    pyr = iuwt_decompose(img, levels)
+    total = pyr.smooth.copy()
+    for j in sorted(kept):
+        total += pyr.details[j - 1]
+    lo, hi = total.min(), total.max()
+    if hi == lo:
+        return np.zeros(total.shape, dtype=np.uint8)
+    return np.floor((total - lo) / (hi - lo) * 255.0 + 0.5).astype(np.uint8)
+
+
+@st.composite
+def _enhance_cases(draw):
+    levels = draw(st.integers(1, 4))
+    subsets = [
+        tuple(j for j in range(1, levels + 1) if mask >> (j - 1) & 1)
+        for mask in range(1, 2**levels)
+    ]
+    kept = draw(st.sampled_from(subsets))
+    need = min_size_for_levels(levels)
+    h = draw(st.integers(need, need + 12))
+    w = draw(st.integers(need, need + 12))
+    lo = draw(st.integers(0, 255))
+    hi = draw(st.integers(lo, 255))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    img = rng.integers(lo, hi + 1, size=(h, w), dtype=np.uint8)
+    return img, levels, kept
+
+
+# 300 examples, or more under a profile that asks for more (the "ci"
+# profile of tests/conftest.py asks for 2000).
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(case=_enhance_cases())
+def test_enhance_matches_full_pyramid_bit_for_bit(case):
+    img, levels, kept = case
+    got = enhance_scales(img, levels, kept)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == _oracle_enhance(img, levels, kept).tobytes()
+
+
+@pytest.fixture
+def decompose_depths(monkeypatch):
+    """The depth of every call to ``lcseg.wavelet.iuwt_decompose``, in order."""
+    import lcseg.wavelet
+
+    depths = []
+    full = lcseg.wavelet.iuwt_decompose
+
+    def spy(image, levels):
+        depths.append(levels)
+        return full(image, levels)
+
+    monkeypatch.setattr(lcseg.wavelet, "iuwt_decompose", spy)
+    return depths
+
+
+@pytest.mark.parametrize(
+    "levels, kept, depth",
+    [(3, (2, 3), 1), (3, (1, 2), 3), (3, (1, 3), 2), (3, (1, 2, 3), 1)],
+)
+def test_enhance_decomposes_to_the_deepest_dropped_scale(levels, kept, depth, decompose_depths):
+    img, _ = generate_phantom(PhantomSpec(32, 32, 16, 5, 20.0, 3))
+    assert np.array_equal(enhance_scales(img, levels, kept), _oracle_enhance(img, levels, kept))
+    assert decompose_depths == [depth]
+
+
+def test_default_pipeline_decomposes_one_level_per_image(decompose_depths):
+    for seed in (1, 2):
+        img, truth = generate_phantom(PhantomSpec(64, 64, 16, 5, 20.0, seed))
+        run_pipeline(img, truth, PipelineConfig())
+    assert decompose_depths == [1, 1]
 
 
 def test_enhance_improves_mask_correlation_on_noisy_phantom():
     img, mask = generate_phantom(PhantomSpec(128, 128, 32, 10, 20.0, 4))
-    pyr = iuwt_decompose(img, 3)
-    enhanced = enhance_scales(pyr, (2, 3))
+    enhanced = enhance_scales(img, 3, (2, 3))
 
     def point_biserial(values, binary):
         v = values.astype(np.float64).ravel()

@@ -13,6 +13,7 @@ returns fresh arrays and never mutates its inputs.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -48,14 +49,20 @@ def check_int(name: str, value, least: int) -> None:
 
 
 def as_gray(arr: np.ndarray) -> np.ndarray:
-    """Validate and return ``arr`` as a uint8 gray image."""
+    """Validate and return ``arr`` as a uint8 gray image.
+
+    It must be 2-D and non-empty, with whole values in [0, 255].
+    """
     a = np.asarray(arr)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"expected a non-empty 2-D image, got shape {a.shape}")
     if a.dtype != np.uint8:
         if not (a.min() >= 0 and a.max() <= 255):  # so that NaN fails
             raise ValueError("gray image values must lie in [0, 255]")
-        a = a.astype(np.uint8)
+        gray = a.astype(np.uint8)
+        if a.dtype.kind not in "biu" and (gray != a).any():  # the cast truncates
+            raise ValueError("gray image values must be whole numbers")
+        a = gray
     return a
 
 
@@ -282,6 +289,8 @@ class PhantomSpec:
             raise ValueError("beam_width must satisfy 1 <= beam_width < beam_period")
         if not self.noise_sigma >= 0:  # NaN fails too
             raise ValueError("noise_sigma must be non-negative")
+        if not math.isfinite(self.noise_sigma):
+            raise ValueError(f"noise_sigma must be finite, got {self.noise_sigma!r}")
 
 
 def generate_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,9 @@
 """Hypothesis profiles for the test suite.
 
-``--hypothesis-profile=ci`` runs the property tests that read it with
-2000 examples each; see the flood, marker, bat, SSIM, filter, PGM
-header and wavelet enhancement steps in .github/workflows/tests.yml.
+``--hypothesis-profile=ci`` gives 2000 examples to each property test
+whose settings read ``max(N, settings.default.max_examples)``; every
+other test keeps its fixed count.  CI runs all of tier-1 under ``ci``
+(.github/workflows/tests.yml).
 """
 
 from hypothesis import settings

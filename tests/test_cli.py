@@ -53,11 +53,16 @@ def test_synth_writes_reproducible_phantom(tmp_path):
     assert set(np.unique(truth).tolist()) <= {0, 255}
 
 
-def test_synth_nan_noise_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "noise, message",
+    [("nan", "noise_sigma must be non-negative"), ("inf", "noise_sigma must be finite")],
+    ids=["nan", "inf"],
+)
+def test_synth_non_finite_noise_exits_2(noise, message, tmp_path, capsys):
     out = tmp_path / "ph"
-    code = run_cli("synth", "--size", "16", "--noise", "nan", "--out", str(out))
+    code = run_cli("synth", "--size", "16", "--noise", noise, "--out", str(out))
     assert code == 2
-    assert "noise_sigma must be non-negative" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -164,6 +169,22 @@ def test_run_negative_seed_exits_2_before_running(tmp_path, phantom_dir, capsys)
     err = capsys.readouterr().err
     assert "seed" in err and "-1" in err
     assert not out.exists()
+
+
+def test_run_frame_below_ssim_window_exits_2(tmp_path, capsys):
+    # 9x9 passes 2 wavelet levels but not the 11x11 SSIM window that --truth
+    # needs; run_pipeline raises that as a PipelineError tagged [input].
+    ph = tmp_path / "tiny"
+    assert run_cli("synth", "--size", "9", "--out", str(ph)) == 0
+    config = tmp_path / "tiny.ini"
+    config.write_text("[wavelet]\nlevels = 2\nkept_scales = 2\n")
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "--input", str(ph / "image.pgm"), "--truth", str(ph / "truth.pgm"),
+        "--config", str(config), "--out", str(out),
+    )
+    assert code == 2
+    assert "[input]" in capsys.readouterr().err
 
 
 def test_run_determinism_byte_identical(tmp_path, phantom_dir, fast_config):

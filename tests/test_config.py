@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -310,3 +311,10 @@ def test_roi_rejects_non_integer_and_bool_fields(fields):
     with pytest.raises(ValueError, match=r"ROI (x0|y0|w|h) must be an integer"):
         RoiRect(*fields)
 
+
+def test_readme_config_block_is_the_defaults():
+    # README shows its ```ini block as the defaults; a changed default fails
+    # here until the README says so too.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, re.S | re.M)
+    assert parse_config(block) == PipelineConfig()

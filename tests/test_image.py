@@ -407,6 +407,21 @@ def test_as_gray_rejects_values_outside_0_255(values):
         as_gray(np.array(values))
 
 
+@pytest.mark.parametrize("values", [[[0.5]], [[0.9, 254.6]], [[3.0, 7.25]]])
+def test_as_gray_rejects_fractional_values(values):
+    # The uint8 cast truncates: it would read 0.9 as 0, where to_gray8 rounds to 1.
+    with pytest.raises(ValueError, match="gray image values must be whole numbers"):
+        as_gray(np.array(values))
+
+
+@pytest.mark.parametrize("values", [[[0.0, 255.0]], [[-0.0, 7.0]], [[0, 255]], [[False, True]]])
+def test_as_gray_accepts_whole_values_of_any_dtype(values):
+    a = np.array(values)
+    gray = as_gray(a)
+    assert gray.dtype == np.uint8
+    assert np.array_equal(gray, a)
+
+
 # ---------------------------------------------------------------------------
 # Overlay
 # ---------------------------------------------------------------------------
@@ -571,6 +586,9 @@ def test_phantom_rejects_bad_specs():
         PhantomSpec(32, 32, 8, 3, -1.0, 0)
     with pytest.raises(ValueError, match="noise_sigma must be non-negative"):
         PhantomSpec(32, 32, 8, 3, float("nan"), 0)
+    # An infinite sigma would clamp every pixel to 0 or 255.
+    with pytest.raises(ValueError, match="noise_sigma must be finite"):
+        PhantomSpec(32, 32, 8, 3, float("inf"), 0)
     with pytest.raises(ValueError):
         PhantomSpec(0, 32, 8, 3, 0.0, 0)
 

@@ -93,6 +93,12 @@ def test_mse_psnr_offset_by_one():
     assert psnr == pytest.approx(48.1308, abs=1e-3)
 
 
+def test_mse_psnr_rejects_fractional_float_images():
+    # Truncating 0.9 to 0 would report the pair identical: (0.0, inf).
+    with pytest.raises(ValueError, match="gray image values must be whole numbers"):
+        mse_psnr(np.full((4, 4), 0.9), np.zeros((4, 4)))
+
+
 def test_psnr_of_mse_008():
     # standard formula at mse 0.08 gives ~59.10 dB (not the 58.65 pairing
     # sometimes quoted alongside it; both are reported independently here)

@@ -161,6 +161,7 @@ def test_pipeline_whole_image_below_ssim_window_fails_at_entry(monkeypatch):
         (np.full((32, 32), 300.0), "gray image values must lie in"),
         (np.full((32, 32), np.nan), "gray image values must lie in"),
         (np.zeros((32, 32, 3)), "expected a non-empty 2-D image"),
+        (np.full((32, 32), 0.5), "gray image values must be whole numbers"),
     ],
 )
 def test_pipeline_bad_image_fails_in_input_stage(image, message):

@@ -75,6 +75,61 @@ def scale_to_255(surface: np.ndarray) -> np.ndarray:
     return (surface - lo) / (hi - lo) * 255.0
 
 
+def _fold_kernel(axis: str, taps, spacing: int) -> tuple[np.ndarray, np.ufunc, int]:
+    """Check one axis's taps and return ``(taps, pair, spacing)`` for :func:`_fold`.
+
+    ``pair`` is ``np.add`` for symmetric taps and ``np.subtract`` for
+    antisymmetric ones; any other vector, or an even count, is a ``ValueError``.
+    """
+    taps = np.asarray(taps, dtype=np.float64)
+    symmetric = np.array_equal(taps, taps[::-1])
+    if len(taps) % 2 == 0 or not (symmetric or np.array_equal(taps, -taps[::-1])):
+        raise ValueError(
+            f"separable_filter: {axis} taps {taps.tolist()} are not an odd count "
+            "of symmetric or antisymmetric taps"
+        )
+    return taps, np.add if symmetric else np.subtract, spacing
+
+
+def _reach(kernel: tuple[np.ndarray, np.ufunc, int]) -> int:
+    taps, _, spacing = kernel
+    return len(taps) // 2 * spacing
+
+
+def _fold(padded: np.ndarray, kernel_y, kernel_x) -> np.ndarray:
+    """The two folded passes of :func:`separable_filter` on a padded stack.
+
+    ``padded`` is float64, mirror-padded by each kernel's reach on its last
+    two axes, and may have any leading axes (a stack of planes); the
+    result has the unpadded shape and is a view into a fresh buffer.
+    """
+    *lead, padded_h, padded_w = padded.shape
+    reach_x = _reach(kernel_x)
+    rows = np.empty((*lead, padded_h - 2 * _reach(kernel_y), padded_w))
+    out, scratch = np.empty(rows.size), np.empty(rows.size)
+    # The y pass runs on the padded planes, the x pass on all their rows
+    # laid end to end; the x sums that straddle two rows land in the
+    # padding columns, which are dropped.  The passes share one scratch
+    # buffer, as each fresh buffer costs page faults.  ``rest`` indexes
+    # the axes after the one a pass runs along.
+    passes = ((padded, rows, (slice(None),)), (rows.ravel(), out[: out.size - 2 * reach_x], ()))
+    for (src, dst, rest), kernel in zip(passes, (kernel_y, kernel_x)):
+        taps, pair, spacing = kernel
+        reach, n = _reach(kernel), dst.shape[-1 - len(rest)]
+        tmp = scratch[: dst.size].reshape(dst.shape)
+        np.multiply(src[(..., slice(reach, reach + n), *rest)], taps[len(taps) // 2], out=dst)
+        for k in range(len(taps) // 2):
+            own, mirrored = k * spacing, 2 * reach - k * spacing
+            pair(
+                src[(..., slice(own, own + n), *rest)],
+                src[(..., slice(mirrored, mirrored + n), *rest)],
+                out=tmp,
+            )
+            tmp *= taps[k]
+            dst += tmp
+    return out.reshape(rows.shape)[..., : padded_w - 2 * reach_x]
+
+
 def separable_filter(
     plane: np.ndarray, taps_y: np.ndarray, taps_x: np.ndarray, spacing: int = 1
 ) -> np.ndarray:
@@ -93,41 +148,20 @@ def separable_filter(
     ulps, but not the wavelet's or the Sobel gradient's on 8-bit input:
     their taps are dyadic or integers, so every product and sum there is
     exact in float64 (three B3 levels need 32 significant bits).
+
+    The checks and the mirror padding are done here; the two passes are
+    the private ``_fold``, which :func:`lcseg.metrics.ssim` also runs on
+    its row strips of four stacked planes.
     """
     h, w = plane.shape
     kernels = []
     for axis, taps, n in (("y", taps_y, h), ("x", taps_x, w)):
-        taps = np.asarray(taps, dtype=np.float64)
-        symmetric = np.array_equal(taps, taps[::-1])
-        if len(taps) % 2 == 0 or not (symmetric or np.array_equal(taps, -taps[::-1])):
-            raise ValueError(
-                f"separable_filter: {axis} taps {taps.tolist()} are not an odd count "
-                "of symmetric or antisymmetric taps"
-            )
-        reach = len(taps) // 2 * spacing
+        kernels.append(_fold_kernel(axis, taps, spacing))
+        reach = _reach(kernels[-1])
         if reach > n - 1:
             raise ValueError(f"separable_filter: {axis} reach {reach} exceeds n - 1 for n = {n}")
-        kernels.append((taps, np.add if symmetric else np.subtract, reach))
-    reach_y, reach_x = kernels[0][2], kernels[1][2]
-    pad = ((reach_y, reach_y), (reach_x, reach_x))
-    padded = np.pad(np.asarray(plane, dtype=np.float64), pad, mode="reflect")
-    rows = np.empty((h, w + 2 * reach_x))
-    out, scratch = np.empty(rows.size), np.empty(rows.size)
-    # The y pass runs on the padded plane, the x pass on its rows laid end
-    # to end; the x sums that straddle two rows land in the padding columns,
-    # which are dropped.  The passes share one scratch buffer, as each fresh
-    # buffer costs page faults.
-    passes = ((padded, rows), (rows.ravel(), out[: out.size - 2 * reach_x]))
-    for (src, dst), (taps, pair, reach) in zip(passes, kernels):
-        n = len(dst)
-        tmp = scratch[: dst.size].reshape(dst.shape)
-        np.multiply(src[reach : reach + n], taps[len(taps) // 2], out=dst)
-        for k in range(len(taps) // 2):
-            own, mirrored = k * spacing, 2 * reach - k * spacing
-            pair(src[own : own + n], src[mirrored : mirrored + n], out=tmp)
-            tmp *= taps[k]
-            dst += tmp
-    return out.reshape(rows.shape)[:, :w]
+    pad = [(_reach(k),) * 2 for k in kernels]
+    return _fold(np.pad(np.asarray(plane, dtype=np.float64), pad, mode="reflect"), *kernels)
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
@@ -244,7 +278,7 @@ def write_overlay(image: np.ndarray, boundary: np.ndarray, path) -> None:
     rgb[mask] = (255, 0, 0)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(rgb.astype(np.uint8).tobytes())
+        fh.write(rgb.tobytes())
 
 
 def crop(image: np.ndarray, x0: int, y0: int, w: int, h: int) -> np.ndarray:

@@ -4,6 +4,14 @@ Covers the eight-entry evaluation suite (PSNR, MSE, F-measure, Rand
 index, sensitivity, specificity, SSIM, accuracy) and threshold-sweep ROC
 curves with trapezoidal AUC.  All ratio metrics use the 0/0 -> 0
 convention so every function is total.
+
+SSIM runs in row strips: each strip stacks its four planes (x, y,
+x*x + y*y and x*y, with the window's halo rows) into one slab that goes
+through the separable filter's fold, sized by ``_SSIM_STRIP_BYTES`` so
+it stays in cache, and the tail is finished in place in strip-sized
+buffers.  No pixel's operations or their order change, so the value is
+bit-identical to filtering whole frames; ``np.mean`` runs once over the
+whole ratio map, as per-strip sums would change its pairwise order.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .image import as_gray, check_same_shape, separable_filter
+from .image import _fold, _fold_kernel, as_gray, check_same_shape
 
 __all__ = [
     "ConfusionCounts",
@@ -154,6 +162,19 @@ _SSIM_C1 = (0.01 * 255.0) ** 2
 _SSIM_C2 = (0.03 * 255.0) ** 2
 _SSIM_GAUSS = np.exp(-((np.arange(SSIM_WINDOW) - SSIM_WINDOW // 2) ** 2) / (2.0 * _SSIM_SIGMA ** 2))
 _SSIM_TAPS = _SSIM_GAUSS / _SSIM_GAUSS.sum()
+_SSIM_KERNEL = _fold_kernel("ssim", _SSIM_TAPS, 1)
+_SSIM_REACH = SSIM_WINDOW // 2
+# Bytes of one plane's padded row band: four stacked bands and the fold's
+# buffers of the same size stay in cache (30 rows at a width of 256).
+_SSIM_STRIP_BYTES = 64 * 1024
+
+
+def _ssim_strip_bounds(h: int, w: int) -> list[int]:
+    """Row bounds of the fewest equal-height strips (heights differ by at
+    most one) whose padded row bands fit ``_SSIM_STRIP_BYTES`` a plane."""
+    most_rows = max(1, _SSIM_STRIP_BYTES // (8 * (w + 2 * _SSIM_REACH)))
+    strips = -(-h // most_rows)
+    return [h * i // strips for i in range(strips + 1)]
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -163,21 +184,54 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     mirror extension; the standard stabilizers C1 = (0.01*255)^2 and
     C2 = (0.03*255)^2.  The variances enter only as their sum, so it
     filters four planes: x, y, x*x + y*y and x*y.
+
+    The frame goes through in equal-height strips of rows, each one
+    stack of the four planes plus the window's halo rows, small enough to
+    stay in cache; no float plane of the full frame is made.  Each pixel
+    gets the same operations in the same order as a full-frame filter
+    would give it, so the strips change no bit.  The ratio map is
+    written strip by strip into one array and averaged by one
+    ``np.mean``, whose pairwise sum would change order if split.
     """
-    x = as_gray(a).astype(np.float64)
-    y = as_gray(b).astype(np.float64)
+    x = as_gray(a)
+    y = as_gray(b)
     check_same_shape(x, y, "images")
-    if x.shape[0] < SSIM_WINDOW or x.shape[1] < SSIM_WINDOW:
+    h, w = x.shape
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ValueError(f"ssim needs images of at least {SSIM_WINDOW}x{SSIM_WINDOW}")
-    mu_x = separable_filter(x, _SSIM_TAPS, _SSIM_TAPS)
-    mu_y = separable_filter(y, _SSIM_TAPS, _SSIM_TAPS)
-    sum_sq = separable_filter(x * x + y * y, _SSIM_TAPS, _SSIM_TAPS)
-    cross = separable_filter(x * y, _SSIM_TAPS, _SSIM_TAPS)
-    mu_sq = mu_x * mu_x + mu_y * mu_y
-    mu_xy = mu_x * mu_y
-    num = (2.0 * mu_xy + _SSIM_C1) * (2.0 * (cross - mu_xy) + _SSIM_C2)
-    den = (mu_sq + _SSIM_C1) * (sum_sq - mu_sq + _SSIM_C2)
-    return float(np.mean(num / den))
+    r = _SSIM_REACH
+    padded = np.pad(np.stack((x, y)), ((0, 0), (r, r), (r, r)), mode="reflect")
+    bounds = _ssim_strip_bounds(h, w)
+    slab_buffer = np.empty(4 * (max(np.diff(bounds)) + 2 * r) * (w + 2 * r))
+    ratio = np.empty((h, w))
+    for lo, hi in zip(bounds, bounds[1:]):
+        slab = slab_buffer[: 4 * (hi - lo + 2 * r) * (w + 2 * r)].reshape(4, -1, w + 2 * r)
+        slab[:2] = padded[:, lo : hi + 2 * r]
+        np.multiply(slab[0], slab[0], out=slab[2])
+        np.multiply(slab[1], slab[1], out=slab[3])
+        slab[2] += slab[3]
+        np.multiply(slab[0], slab[1], out=slab[3])
+        mu_x, mu_y, sum_sq, cross = _fold(slab, _SSIM_KERNEL, _SSIM_KERNEL)
+        # num = (2 mu_xy + C1) (2 (cross - mu_xy) + C2) builds up in the
+        # strip's rows of ``ratio`` and den = (mu_sq + C1) (sum_sq - mu_sq + C2)
+        # in mu_x, with mu_xy = mu_x mu_y and mu_sq = mu_x^2 + mu_y^2.
+        num = ratio[lo:hi]
+        np.multiply(mu_x, mu_y, out=num)
+        mu_x *= mu_x
+        mu_y *= mu_y
+        mu_x += mu_y
+        cross -= num
+        cross *= 2.0
+        cross += _SSIM_C2
+        num *= 2.0
+        num += _SSIM_C1
+        num *= cross
+        sum_sq -= mu_x
+        sum_sq += _SSIM_C2
+        mu_x += _SSIM_C1
+        mu_x *= sum_sq
+        num /= mu_x
+    return float(np.mean(ratio))
 
 
 def full_report(

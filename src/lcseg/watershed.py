@@ -59,7 +59,11 @@ def gradient_magnitude(image: np.ndarray) -> np.ndarray:
     # Sobel y is its transpose.
     gx = separable_filter(img, (1, 2, 1), (-1, 0, 1))
     gy = separable_filter(img, (-1, 0, 1), (1, 2, 1))
-    return np.sqrt(gx * gx + gy * gy)
+    # sqrt(gx * gx + gy * gy), in place in gx: no further full frame.
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return np.sqrt(gx, out=gx)
 
 
 def _shifted4(a: np.ndarray, fill) -> tuple[np.ndarray, ...]:

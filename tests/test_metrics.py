@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcseg.image import separable_filter
 from lcseg.metrics import (
+    _SSIM_C1,
+    _SSIM_C2,
+    _SSIM_STRIP_BYTES,
+    _SSIM_TAPS,
+    _ssim_strip_bounds,
     ConfusionCounts,
     RocCurve,
     confusion,
@@ -312,6 +319,86 @@ def test_ssim_matches_oracle_on_generated_pairs(pair):
 def test_ssim_rejects_small_images():
     with pytest.raises(ValueError):
         ssim(np.zeros((10, 10), np.uint8), np.zeros((10, 10), np.uint8))
+
+
+def full_frame_ssim(a, b):
+    """SSIM with each of the four planes filtered over the whole frame and
+    the tail in full-frame temporaries (test oracle).  ``ssim`` does the
+    same per-pixel operations strip by strip, so the two agree bit for bit."""
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    mu_x = separable_filter(x, _SSIM_TAPS, _SSIM_TAPS)
+    mu_y = separable_filter(y, _SSIM_TAPS, _SSIM_TAPS)
+    sum_sq = separable_filter(x * x + y * y, _SSIM_TAPS, _SSIM_TAPS)
+    cross = separable_filter(x * y, _SSIM_TAPS, _SSIM_TAPS)
+    mu_sq = mu_x * mu_x + mu_y * mu_y
+    mu_xy = mu_x * mu_y
+    num = (2.0 * mu_xy + _SSIM_C1) * (2.0 * (cross - mu_xy) + _SSIM_C2)
+    den = (mu_sq + _SSIM_C1) * (sum_sq - mu_sq + _SSIM_C2)
+    return float(np.mean(num / den))
+
+
+@st.composite
+def strip_pairs(draw):
+    """Two same-shape uint8 images, 11..160 on each axis, shaped against
+    ``ssim``'s strips: one strip or less, an exact multiple of the strip
+    height, a multiple + 1, the 11x11 minimum, wide, tall or any; the
+    pixels span a random range, or the pair is identical or constant."""
+    kind = draw(st.sampled_from(["any", "one strip", "multiple", "multiple + 1", "minimum", "wide", "tall"]))
+    if kind == "minimum":
+        shape = (11, 11)
+    elif kind == "wide":
+        shape = (draw(st.integers(11, 20)), draw(st.integers(100, 160)))
+    elif kind == "tall":
+        shape = (draw(st.integers(100, 160)), draw(st.integers(11, 20)))
+    else:
+        # From a width of 50 on, a strip holds fewer than 160 rows.
+        w = draw(st.integers(50 if kind.startswith("multiple") else 11, 160))
+        rows = _SSIM_STRIP_BYTES // (8 * (w + 10))
+        if kind == "one strip":
+            h = draw(st.integers(11, min(rows, 160)))
+        elif kind == "any":
+            h = draw(st.integers(11, 160))
+        else:
+            h = draw(st.integers(1, 159 // rows)) * rows + (kind == "multiple + 1")
+        shape = (h, w)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pixels = draw(st.sampled_from(["range", "identical", "constant"]))
+    if pixels == "constant":
+        a, b = (np.full(shape, draw(st.integers(0, 255)), np.uint8) for _ in range(2))
+    else:
+        lo = draw(st.integers(0, 255))
+        hi = draw(st.integers(lo, 255))
+        a, b = (rng.integers(lo, hi + 1, size=shape).astype(np.uint8) for _ in range(2))
+        if pixels == "identical":
+            b = a.copy()
+    return a, b
+
+
+# 300 examples, or 2000 under the "ci" profile of tests/conftest.py.
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(pair=strip_pairs())
+def test_ssim_in_strips_equals_full_frame_bit_for_bit(pair):
+    a, b = pair
+    bounds = _ssim_strip_bounds(*a.shape)
+    heights = np.diff(bounds)
+    assert bounds[0] == 0 and bounds[-1] == a.shape[0] and heights.max() - heights.min() <= 1
+    assert ssim(a, b) == full_frame_ssim(a, b)
+
+
+def test_ssim_makes_no_full_frame_temporaries():
+    """Peak traced memory of ``ssim`` on 256x256, in float64 frames: the
+    ratio map, the padded uint8 pair and one strip's buffers come to 3.8;
+    four filtered full-frame planes and their tail took 11.3."""
+    rng = np.random.default_rng(23)
+    a, b = (rng.integers(0, 256, size=(256, 256), dtype=np.uint8) for _ in range(2))
+    tracemalloc.start()
+    try:
+        ssim(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * a.size * 8
 
 
 # ---------------------------------------------------------------------------

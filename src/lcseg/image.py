@@ -9,6 +9,12 @@ Image conventions used throughout the package:
 
 Arrays are treated as immutable once handed to an operation; every function
 returns fresh arrays and never mutates its inputs.
+
+The separable filter sums in the padded array's dtype.  A uint8 plane
+with whole-number taps is filtered in int32 whenever
+255 * sum|taps_y| * sum|taps_x| < 2**31: every sum is then a whole
+number inside int32, so int32 and float64 sums agree exactly, and one
+cast returns float64.  Any other plane or taps run in float64.
 """
 
 from __future__ import annotations
@@ -67,12 +73,18 @@ def as_gray(arr: np.ndarray) -> np.ndarray:
 
 
 def scale_to_255(surface: np.ndarray) -> np.ndarray:
-    """Affine rescale onto [0, 255] (float); constant surfaces map to 0."""
+    """Affine rescale onto [0, 255] (float64); constant surfaces map to 0.
+
+    Each pixel is (s - lo) / (hi - lo) * 255, computed in one fresh array.
+    """
     lo = surface.min()
     hi = surface.max()
     if hi == lo:
         return np.zeros_like(surface)
-    return (surface - lo) / (hi - lo) * 255.0
+    out = np.subtract(surface, lo, dtype=np.float64)
+    out /= hi - lo
+    out *= 255.0
+    return out
 
 
 def _fold_kernel(axis: str, taps, spacing: int) -> tuple[np.ndarray, np.ufunc, int]:
@@ -99,14 +111,15 @@ def _reach(kernel: tuple[np.ndarray, np.ufunc, int]) -> int:
 def _fold(padded: np.ndarray, kernel_y, kernel_x) -> np.ndarray:
     """The two folded passes of :func:`separable_filter` on a padded stack.
 
-    ``padded`` is float64, mirror-padded by each kernel's reach on its last
-    two axes, and may have any leading axes (a stack of planes); the
+    ``padded`` is mirror-padded by each kernel's reach on its last two
+    axes, and may have any leading axes (a stack of planes).  The passes
+    run in its dtype, float64 or int32, with the taps cast to it; the
     result has the unpadded shape and is a view into a fresh buffer.
     """
     *lead, padded_h, padded_w = padded.shape
     reach_x = _reach(kernel_x)
-    rows = np.empty((*lead, padded_h - 2 * _reach(kernel_y), padded_w))
-    out, scratch = np.empty(rows.size), np.empty(rows.size)
+    rows = np.empty((*lead, padded_h - 2 * _reach(kernel_y), padded_w), padded.dtype)
+    out, scratch = np.empty(rows.size, padded.dtype), np.empty(rows.size, padded.dtype)
     # The y pass runs on the padded planes, the x pass on all their rows
     # laid end to end; the x sums that straddle two rows land in the
     # padding columns, which are dropped.  The passes share one scratch
@@ -115,6 +128,7 @@ def _fold(padded: np.ndarray, kernel_y, kernel_x) -> np.ndarray:
     passes = ((padded, rows, (slice(None),)), (rows.ravel(), out[: out.size - 2 * reach_x], ()))
     for (src, dst, rest), kernel in zip(passes, (kernel_y, kernel_x)):
         taps, pair, spacing = kernel
+        taps = taps.astype(padded.dtype)
         reach, n = _reach(kernel), dst.shape[-1 - len(rest)]
         tmp = scratch[: dst.size].reshape(dst.shape)
         np.multiply(src[(..., slice(reach, reach + n), *rest)], taps[len(taps) // 2], out=dst)
@@ -130,10 +144,28 @@ def _fold(padded: np.ndarray, kernel_y, kernel_x) -> np.ndarray:
     return out.reshape(rows.shape)[..., : padded_w - 2 * reach_x]
 
 
+def _mirror_pad(plane: np.ndarray, kernels) -> np.ndarray:
+    """``plane`` mirror-padded by each kernel's reach, in the dtype the
+    passes sum in: int32 for a uint8 plane whose whole-number taps keep
+    every sum inside int32, float64 otherwise.
+
+    Each axis's gain sum|taps| counts as at least 1, so an all-zero axis
+    cannot let the other axis's taps overflow the cast to int32.
+    """
+    taps = [k[0] for k in kernels]
+    dtype = np.float64
+    if plane.dtype == np.uint8 and all(np.array_equal(t, np.trunc(t)) for t in taps):
+        gain_y, gain_x = (max(float(np.abs(t).sum()), 1.0) for t in taps)
+        if 255 * gain_y * gain_x < 2**31:
+            dtype = np.int32
+    pad = [(_reach(k),) * 2 for k in kernels]
+    return np.pad(plane, pad, mode="reflect").astype(dtype, copy=False)
+
+
 def separable_filter(
     plane: np.ndarray, taps_y: np.ndarray, taps_x: np.ndarray, spacing: int = 1
 ) -> np.ndarray:
-    """Correlate a 2-D float plane with ``taps_y`` along y, then ``taps_x`` along x.
+    """Correlate a 2-D plane with ``taps_y`` along y, then ``taps_x`` along x.
 
     The taps are centered and spaced ``spacing`` pixels apart; the border
     is mirror-extended (reflection about the edge pixel, no edge repeat),
@@ -144,15 +176,21 @@ def separable_filter(
     from the outermost tap inwards, adds each tap of the first half times
     its sample plus (antisymmetric: minus) the mirrored one.
 
-    Compared with sums in tap order, folding moves float results by a few
-    ulps, but not the wavelet's or the Sobel gradient's on 8-bit input:
-    their taps are dyadic or integers, so every product and sum there is
-    exact in float64 (three B3 levels need 32 significant bits).
+    The result is float64.  A uint8 plane with whole-number taps whose
+    gain 255 * sum|taps_y| * sum|taps_x| is below 2**31 is summed in
+    int32.  Its arithmetic is exact modulo 2**32 and every result lies
+    inside int32, so each value is the whole number that float64, which
+    holds all these sums exactly, also computes (a zero that float64
+    would sign negative comes out +0.0).  Any other plane or taps are
+    summed in float64, where folding moves results by a few ulps compared
+    with sums in tap order.
 
     The checks and the mirror padding are done here; the two passes are
-    the private ``_fold``, which :func:`lcseg.metrics.ssim` also runs on
+    the private ``_fold``, which :func:`lcseg.watershed.gradient_magnitude`
+    runs twice on one padded copy and :func:`lcseg.metrics.ssim` runs on
     its row strips of four stacked planes.
     """
+    plane = np.asarray(plane)
     h, w = plane.shape
     kernels = []
     for axis, taps, n in (("y", taps_y, h), ("x", taps_x, w)):
@@ -160,8 +198,7 @@ def separable_filter(
         reach = _reach(kernels[-1])
         if reach > n - 1:
             raise ValueError(f"separable_filter: {axis} reach {reach} exceeds n - 1 for n = {n}")
-    pad = [(_reach(k),) * 2 for k in kernels]
-    return _fold(np.pad(np.asarray(plane, dtype=np.float64), pad, mode="reflect"), *kernels)
+    return _fold(_mirror_pad(plane, kernels), *kernels).astype(np.float64, copy=False)
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
@@ -177,8 +214,10 @@ def to_gray8(values: np.ndarray) -> np.ndarray:
     so that independently written oracles can reproduce results
     bit-exactly (numpy's own ``round`` ties to even).
     """
-    rounded = np.floor(np.asarray(values, dtype=np.float64) + 0.5)
-    return np.clip(rounded, 0, 255).astype(np.uint8)
+    rounded = np.add(values, 0.5, dtype=np.float64)
+    np.floor(rounded, out=rounded)
+    np.clip(rounded, 0, 255, out=rounded)
+    return rounded.astype(np.uint8)
 
 
 def labels_to_gray8(labels: np.ndarray) -> np.ndarray:

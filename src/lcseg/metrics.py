@@ -98,11 +98,18 @@ def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
 
 
 def mse_psnr(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Mean squared error and 10*log10(255^2 / mse); psnr is inf at mse 0."""
-    x = as_gray(a).astype(np.float64)
-    y = as_gray(b).astype(np.float64)
+    """Mean squared error and 10*log10(255^2 / mse); psnr is inf at mse 0.
+
+    The squared differences are summed as integers and divided once by
+    the pixel count: every partial sum is a whole number below 2**53, so
+    this is the value of ``np.mean`` over float64 squares, bit for bit.
+    """
+    x = as_gray(a)
+    y = as_gray(b)
     check_same_shape(x, y, "images")
-    mse = float(np.mean((x - y) ** 2))
+    diff = np.subtract(x, y, dtype=np.int32)
+    diff *= diff
+    mse = int(diff.sum(dtype=np.int64)) / diff.size
     psnr = math.inf if mse == 0 else 10.0 * math.log10(255.0 ** 2 / mse)
     return mse, psnr
 

@@ -176,6 +176,56 @@ def test_separable_filter_is_exact_on_integer_planes(shape, seed):
         current = got
 
 
+@st.composite
+def uint8_plane_cases(draw):
+    """A uint8 plane 3..40 on each axis, a spacing of 1..3, and the Sobel
+    and B3 kernels whose reach fits it at that spacing."""
+    shape = (draw(st.integers(3, 40)), draw(st.integers(3, 40)))
+    spacing = draw(st.integers(1, 3))
+    lo = draw(st.integers(0, 255))
+    hi = draw(st.integers(lo, 255))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    plane = rng.integers(lo, hi + 1, size=shape, dtype=np.uint8)
+    kernels = []
+    if spacing <= min(shape) - 1:
+        kernels += [(SOBEL_SMOOTH, SOBEL_DIFF), (SOBEL_DIFF, SOBEL_SMOOTH)]
+    if 2 * spacing <= min(shape) - 1:
+        kernels += [(B3, B3), (16 * B3, 16 * B3)]
+    return plane, kernels, spacing
+
+
+# 300 examples, or more under a profile that asks for more.
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(case=uint8_plane_cases())
+def test_separable_filter_on_uint8_equals_float64_bit_for_bit(case):
+    """Integer taps on a uint8 plane sum in int32 and return float64 with
+    the float64 run's bits; B3 / 16 has fractional taps and runs in float64."""
+    plane, kernels, spacing = case
+    for taps_y, taps_x in kernels:
+        got = separable_filter(plane, taps_y, taps_x, spacing)
+        want = separable_filter(plane.astype(np.float64), taps_y, taps_x, spacing)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "taps",
+    [
+        (2900.0,),  # 255 * 2900**2 < 2**31: int32, the largest sum fits
+        (2902.0,),  # 255 * 2902**2 >= 2**31: float64
+        (3000.0, 3000.0, 3000.0),
+    ],
+)
+def test_separable_filter_falls_back_to_float64_past_int32_gain(taps):
+    """A gain of 2**31 or more would wrap int32 sums; such taps run in float64."""
+    plane = np.random.default_rng(14).integers(0, 256, size=(5, 6), dtype=np.uint8)
+    plane[2, 3] = 255
+    got = separable_filter(plane, taps, taps)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, oracle_folded(plane.astype(np.float64), taps, taps, 1))
+    assert got.max() >= 255 * sum(taps) ** 2 / len(taps) ** 2
+
+
 def test_read_p5_direct_bytes(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 128, 255, 7]))

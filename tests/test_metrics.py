@@ -106,6 +106,28 @@ def test_mse_psnr_rejects_fractional_float_images():
         mse_psnr(np.full((4, 4), 0.9), np.zeros((4, 4)))
 
 
+@st.composite
+def gray_pairs(draw):
+    """Two uint8 frames of one shape, 1x1 up to 40x40; a third of them are
+    all 0 against all 255, the largest squared difference."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    if draw(st.integers(0, 2)) == 0:
+        return np.zeros(shape, np.uint8), np.full(shape, 255, np.uint8)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return tuple(rng.integers(0, 256, size=shape, dtype=np.uint8) for _ in range(2))
+
+
+# 300 examples, or more under a profile that asks for more.
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(pair=gray_pairs())
+def test_mse_equals_float_mean_of_squares_bit_for_bit(pair):
+    x, y = pair
+    mse, _ = mse_psnr(x, y)
+    want = float(np.mean((x.astype(float) - y) ** 2))
+    assert mse == want
+    assert mse_psnr(y, x)[0] == want
+
+
 def test_psnr_of_mse_008():
     # standard formula at mse 0.08 gives ~59.10 dB (not the 58.65 pairing
     # sometimes quoted alongside it; both are reported independently here)

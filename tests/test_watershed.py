@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from functools import partial
 from unittest import mock
 
@@ -258,6 +259,34 @@ def test_gradient_random_matches_oracle():
     # so only rounding in the last bits may separate the two.
     flt = rng.normal(100.0, 30.0, size=(9, 7))
     assert np.abs(gradient_magnitude(flt) - oracle_sobel(flt)).max() <= 1e-9
+
+
+# 300 examples, or more under a profile that asks for more.
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(
+    shape=st.tuples(st.integers(3, 40), st.integers(3, 40)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_gradient_of_uint8_equals_float64_bit_for_bit(shape, seed):
+    """The int32 sums and squares of a uint8 frame give the float64 run's bits."""
+    img = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
+    got = gradient_magnitude(img)
+    assert got.dtype == np.float64
+    assert got.tobytes() == gradient_magnitude(img.astype(np.float64)).tobytes()
+
+
+def test_gradient_pads_once_and_makes_few_float_frames():
+    """Peak traced memory of ``gradient_magnitude`` on a 256x256 uint8
+    frame, in float64 frames: one int32 padded copy, the int32 passes and
+    the float64 result come to 2.64; two float64 filter calls took 6.05."""
+    img = np.random.default_rng(31).integers(0, 256, size=(256, 256), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        gradient_magnitude(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * img.size * 8
 
 
 def test_gradient_rejects_tiny_images():

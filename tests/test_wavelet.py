@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcseg.config import PipelineConfig
-from lcseg.image import PhantomSpec, generate_phantom
+from lcseg.image import PhantomSpec, generate_phantom, separable_filter
 from lcseg.pipeline import run_pipeline
 from lcseg.wavelet import (
     WaveletPyramid,
@@ -17,6 +19,7 @@ from lcseg.wavelet import (
 )
 
 KERNEL = [1 / 16, 4 / 16, 6 / 16, 4 / 16, 1 / 16]
+B3_OVER_16 = np.array(KERNEL)
 OFFSETS = [-2, -1, 0, 1, 2]
 
 
@@ -175,6 +178,59 @@ def test_reconstruction_property(seed, levels):
     img = rng.integers(0, 256, size=(17, 19), dtype=np.uint8)
     rec = iuwt_reconstruct(iuwt_decompose(img, levels))
     assert np.abs(rec - img).max() <= 1e-9
+
+
+@st.composite
+def _float_planes(draw):
+    shape = (draw(st.integers(9, 24)), draw(st.integers(9, 24)))
+    scale = 10.0 ** draw(st.floats(-3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.normal(0.0, scale, size=shape)
+    return rng.uniform(-1e6, 1e6, size=shape)
+
+
+# 300 examples, or more under a profile that asks for more.
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(plane=_float_planes())
+def test_integer_taps_scaled_once_equal_b3_taps_bit_for_bit(plane):
+    """Filtering with [1, 4, 6, 4, 1] and scaling by 1/256 gives the bits of
+    filtering with the taps over 16: power-of-two scaling commutes with
+    rounding."""
+    pyr = iuwt_decompose(plane, 2)
+    current = plane
+    for j, spacing in enumerate((1, 2)):
+        smoothed = separable_filter(current, B3_OVER_16, B3_OVER_16, spacing)
+        assert pyr.details[j].tobytes() == (current - smoothed).tobytes()
+        current = smoothed
+    assert pyr.smooth.tobytes() == current.tobytes()
+
+
+def test_details_are_formed_once_when_read():
+    """Indexing, negative indices, slices and iteration read the same planes."""
+    img = np.random.default_rng(4).integers(0, 256, size=(20, 20), dtype=np.uint8)
+    pyr = iuwt_decompose(img, 3)
+    planes = list(pyr.details)
+    assert len(planes) == pyr.levels == 3
+    assert all(pyr.details[j] is planes[j] for j in range(3))
+    assert pyr.details[-1] is planes[2]
+    assert all(w is v for w, v in zip(pyr.details[1:], planes[1:]))
+    with pytest.raises(IndexError):
+        pyr.details[3]
+
+
+def test_default_enhancement_makes_few_float_frames():
+    """Peak traced memory of the default ``enhance_scales`` on a 256x256
+    uint8 frame, in float64 frames: the int32 level, c_1 and the rescale
+    come to 3.13; float64 filtering and the unread w_1 took 5.14."""
+    img = np.random.default_rng(29).integers(0, 256, size=(256, 256), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        enhance_scales(img, 3, (2, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * img.size * 8
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .image import (
     write_pgm,
 )
 from .pipeline import PipelineError, run_pipeline, segment, write_outputs
-from .wavelet import check_scales, check_size_for_levels, enhance_scales, iuwt_decompose
+from .wavelet import enhance_scales, iuwt_decompose
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -87,9 +87,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_decompose(args) -> int:
     image = read_pgm(args.input)
-    check_size_for_levels(image.shape, args.levels)
     kept = parse_scales(args.kept) if args.kept else tuple(range(1, args.levels + 1))
-    check_scales(args.levels, kept)
     write_pgm(enhance_scales(image, args.levels, kept), args.out)
     if args.dump_planes:
         pyramid = iuwt_decompose(image, args.levels)

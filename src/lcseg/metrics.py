@@ -17,7 +17,8 @@ whole ratio map, as per-strip sums would change its pairwise order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,9 +92,9 @@ def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
     t = np.asarray(truth, dtype=bool)
     check_same_shape(p, t, "pred vs truth")
     tp = int(np.count_nonzero(p & t))
-    fp = int(np.count_nonzero(p & ~t))
-    fn = int(np.count_nonzero(~p & t))
-    tn = int(np.count_nonzero(~p & ~t))
+    fp = int(np.count_nonzero(p)) - tp
+    fn = int(np.count_nonzero(t)) - tp
+    tn = p.size - tp - fp - fn
     return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
@@ -283,23 +284,24 @@ class RocCurve:
     ``fpr[t]`` and ``tpr[t]`` are the rates of predicting score >= t for
     t in 0..255, in sweep order.  Neither rises with t, so ``points``,
     which reads them backwards between the anchors, is ordered by
-    false-positive rate; ``auc`` is the trapezoidal area under it.
+    false-positive rate; ``auc``, computed when first read, is the
+    trapezoidal area under it.
     """
 
     fpr: tuple[float, ...]
     tpr: tuple[float, ...]
-    auc: float = field(init=False)
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
         return ((0.0, 0.0), *zip(self.fpr[::-1], self.tpr[::-1]), (1.0, 1.0))
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def auc(self) -> float:
         pts = self.points
         auc = 0.0
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             auc += (x1 - x0) * (y0 + y1) / 2.0
-        object.__setattr__(self, "auc", auc)
+        return auc
 
 
 def roc_curve_from_scores(score_image: np.ndarray, truth: np.ndarray) -> RocCurve:

@@ -14,20 +14,17 @@ float input sum in float64.  Scaling by a power of two commutes with
 rounding, so this equals filtering with the taps divided by 16 bit for
 bit, for values far enough from float64's overflow and underflow.
 
-Reconstruction is a plain sum of planes, so c_d = c_J + sum(w_j, j > d)
-for every depth d <= J.  :func:`enhance_scales` rebuilds c_J plus the
-kept details from c_d plus the kept details up to d, where d is the
-deepest scale that is not kept: with 3 levels and scales 2 and 3 kept,
-one level (c_1) instead of three, and no detail plane at all.  On 8-bit
-input every B3 sum is dyadic with at most 33 significant bits, so both
-sums are exact in float64 and the result is the same bit for bit; float
-input may move by a few ulps.
+A pyramid stores only its approximations c_0 (the input) .. c_J.  Its
+detail planes w_j = c_{j-1} - c_j are all formed the first time
+``details`` is read, and then kept; a caller that never reads them,
+such as :func:`enhance_scales`, forms none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,52 +43,29 @@ __all__ = [
 _KERNEL = np.array([1, 4, 6, 4, 1])
 
 
-class _Details(Sequence):
-    """The detail planes w_j = c_{j-1} - c_j of one decomposition, each
-    formed the first time it is read and then kept."""
-
-    def __init__(self, approximations: list[np.ndarray]):
-        self._approximations = approximations  # c_0 (the input) .. c_J
-        self._planes: dict[int, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self._approximations) - 1
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(len(self))[j]]
-        j = range(len(self))[j]
-        if j not in self._planes:
-            self._planes[j] = self._approximations[j] - self._approximations[j + 1]
-        return self._planes[j]
-
-
 @dataclass
 class WaveletPyramid:
-    """Coarse plane c_J and detail planes w_1..w_J of one decomposition.
+    """Approximations c_0 (the input) .. c_J of one decomposition.
 
-    ``details[0]`` is the finest scale.  All planes share the input's
-    shape and ``smooth + sum(details)`` reproduces the input to within
-    1e-9 per pixel.  A pyramid from :func:`iuwt_decompose` forms each
-    detail plane when it is first read, so a caller pays only for the
-    planes it reads.
+    ``smooth`` is c_J and ``details[0]`` is the finest scale w_1.  All
+    planes share the input's shape and ``smooth + sum(details)``
+    reproduces the input to within 1e-9 per pixel.
     """
 
-    smooth: np.ndarray
-    details: Sequence[np.ndarray]
+    approximations: tuple[np.ndarray, ...]
+
+    @property
+    def smooth(self) -> np.ndarray:
+        return self.approximations[-1]
 
     @property
     def levels(self) -> int:
-        return len(self.details)
+        return len(self.approximations) - 1
 
-    def __post_init__(self) -> None:
-        if not len(self.details):
-            raise ValueError("pyramid must have at least one level")
-        if isinstance(self.details, _Details):
-            return  # differences of planes of the input's shape
-        for w in self.details:
-            if w.shape != self.smooth.shape:
-                raise ValueError("all planes must share the same shape")
+    @cached_property
+    def details(self) -> tuple[np.ndarray, ...]:
+        c = self.approximations
+        return tuple(a - b for a, b in zip(c, c[1:]))
 
 
 def min_size_for_levels(levels: int) -> int:
@@ -130,8 +104,8 @@ def iuwt_decompose(image: np.ndarray, levels: int) -> WaveletPyramid:
     """Decompose ``image`` into ``levels`` undecimated wavelet planes.
 
     Level j smooths the previous approximation with the B3 kernel dilated
-    by 2**(j-1); the detail plane is the difference of successive
-    approximations, formed when it is first read.  Raises if
+    by 2**(j-1); the pyramid keeps the approximations and forms its
+    detail planes as the module docstring says.  Raises if
     ``levels < 1`` or the image is too small for the dilated kernel
     support.
     """
@@ -141,7 +115,7 @@ def iuwt_decompose(image: np.ndarray, levels: int) -> WaveletPyramid:
         smoothed = separable_filter(approximations[-1], _KERNEL, _KERNEL, 2**j)
         smoothed *= 1 / 256  # _KERNEL is 16 times B3 on each axis
         approximations.append(smoothed)
-    return WaveletPyramid(smooth=approximations[-1], details=_Details(approximations))
+    return WaveletPyramid(tuple(approximations))
 
 
 def iuwt_reconstruct(pyramid: WaveletPyramid) -> np.ndarray:
@@ -162,11 +136,13 @@ def enhance_scales(
     is rescaled linearly so its minimum maps to 0 and its maximum to 255
     (rounded half-up).  A constant partial sum yields the all-zero image.
 
-    The sum is formed as c_d + sum(w_j for j in kept, j <= d), where d is
-    the deepest scale not kept (1 when all are kept): every scale deeper
-    than d is kept, so c_d = c_J + sum(w_j, j > d), and only d levels are
-    decomposed, and only the kept details up to d are formed.  On 8-bit
-    input both sums are exact in float64, so the result equals the full
+    The sum is formed as c_d + sum(c_{j-1} - c_j for j in kept, j <= d),
+    where d is the deepest scale not kept (1 when all are kept): every
+    scale deeper than d is kept, so c_d = c_J + sum(w_j, j > d), and only
+    d levels are decomposed.  With 3 levels and scales 2 and 3 kept that
+    is one level (c_1) instead of three, and no difference at all.  On
+    8-bit input every B3 sum is dyadic with at most 33 significant bits,
+    so both sums are exact in float64 and the result equals the full
     pyramid's bit for bit; on float input it may differ by a few ulps
     before rounding.
     """
@@ -174,9 +150,9 @@ def enhance_scales(
     check_scales(levels, kept_scales)
     kept = set(kept_scales)
     depth = max((j for j in range(1, levels + 1) if j not in kept), default=1)
-    pyramid = iuwt_decompose(image, depth)
-    total = pyramid.smooth
+    c = iuwt_decompose(image, depth).approximations
+    total = c[depth]
     for j in sorted(kept):
         if j <= depth:
-            total = total + pyramid.details[j - 1]
+            total = total + (c[j - 1] - c[j])
     return to_gray8(scale_to_255(total))

@@ -329,10 +329,10 @@ def test_segment_rejects_bad_h_min_before_the_gradient(monkeypatch, phantom_dir,
 def test_decompose_rejects_bad_kept_scales_before_the_transform(
     monkeypatch, tmp_path, phantom_dir, capsys
 ):
-    import lcseg.cli
+    import lcseg.wavelet
 
     calls = []
-    monkeypatch.setattr(lcseg.cli, "enhance_scales", lambda *a: calls.append(a))
+    monkeypatch.setattr(lcseg.wavelet, "iuwt_decompose", lambda *a: calls.append(a))
     out = tmp_path / "e.pgm"
     code = run_cli(
         "decompose", "--input", str(phantom_dir / "image.pgm"),
@@ -347,10 +347,10 @@ def test_decompose_rejects_bad_kept_scales_before_the_transform(
 def test_decompose_rejects_levels_below_one_before_the_transform(
     levels, monkeypatch, tmp_path, phantom_dir, capsys
 ):
-    import lcseg.cli
+    import lcseg.wavelet
 
     calls = []
-    monkeypatch.setattr(lcseg.cli, "enhance_scales", lambda *a: calls.append(a))
+    monkeypatch.setattr(lcseg.wavelet, "iuwt_decompose", lambda *a: calls.append(a))
     out = tmp_path / "e.pgm"
     code = run_cli(
         "decompose", "--input", str(phantom_dir / "image.pgm"), "--levels", levels,

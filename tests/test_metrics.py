@@ -578,6 +578,22 @@ def test_roc_degenerate_truth():
     assert 0.0 <= curve.auc <= 1.0
 
 
+def test_roc_auc_is_computed_when_first_read():
+    """The AUC is the sequential trapezoid sum over ``points``, bit for
+    bit, formed on the first read and not when the curve is built."""
+    rng = np.random.default_rng(14)
+    truth = rng.uniform(size=(16, 16)) < 0.3
+    score = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
+    curve = roc_curve_from_scores(score, truth)
+    assert "auc" not in vars(curve)
+    pts = curve.points
+    want = 0.0
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        want += (x1 - x0) * (y0 + y1) / 2.0
+    assert curve.auc == want
+    assert vars(curve)["auc"] == want
+
+
 def test_roc_sweep_returns_both_curves():
     rng = np.random.default_rng(12)
     truth = rng.uniform(size=(9, 9)) < 0.5

@@ -9,7 +9,6 @@ from lcseg.config import PipelineConfig
 from lcseg.image import PhantomSpec, generate_phantom, separable_filter
 from lcseg.pipeline import run_pipeline
 from lcseg.wavelet import (
-    WaveletPyramid,
     check_scales,
     check_size_for_levels,
     enhance_scales,
@@ -139,33 +138,11 @@ def test_levels_below_one_rejected():
         check_scales(0, (1,))
 
 
-def test_pyramid_validation():
-    with pytest.raises(ValueError):
-        WaveletPyramid(smooth=np.zeros((4, 4)), details=[])
-    with pytest.raises(ValueError):
-        WaveletPyramid(smooth=np.zeros((4, 4)), details=[np.zeros((5, 4))])
-
-
-def test_reconstruct_with_zeroed_details_returns_smooth():
-    rng = np.random.default_rng(5)
-    img = rng.integers(0, 256, size=(20, 20), dtype=np.uint8)
-    pyr = iuwt_decompose(img, 2)
-    zeroed = WaveletPyramid(
-        smooth=pyr.smooth,
-        details=[np.zeros_like(w) for w in pyr.details],
-    )
-    assert np.array_equal(iuwt_reconstruct(zeroed), pyr.smooth)
-
-
 def test_partial_sum_matches_independent_recomputation():
     img = np.zeros((9, 9), dtype=np.uint8)
     img[4, 4] = 255
     pyr = iuwt_decompose(img, 2)
-    only_w1 = WaveletPyramid(
-        smooth=pyr.smooth,
-        details=[pyr.details[0], np.zeros_like(pyr.details[1])],
-    )
-    got = iuwt_reconstruct(only_w1)
+    got = pyr.smooth + pyr.details[0]
     smooth_expect, details_expect = oracle_decompose(img, 2)
     want = smooth_expect + details_expect[0]
     assert np.abs(got - want).max() <= 1e-9
@@ -217,6 +194,25 @@ def test_details_are_formed_once_when_read():
     assert all(w is v for w, v in zip(pyr.details[1:], planes[1:]))
     with pytest.raises(IndexError):
         pyr.details[3]
+
+
+@pytest.mark.parametrize("kept", [(2, 3), (1, 3)])
+def test_enhancement_forms_no_detail_plane(monkeypatch, kept):
+    """``enhance_scales`` reads the approximations it needs and never
+    ``details``, so the pyramid of its decomposition holds no planes."""
+    import lcseg.wavelet
+
+    pyramids = []
+
+    def spy(image, levels):
+        pyramids.append(iuwt_decompose(image, levels))
+        return pyramids[-1]
+
+    monkeypatch.setattr(lcseg.wavelet, "iuwt_decompose", spy)
+    img = np.random.default_rng(6).integers(0, 256, size=(20, 20), dtype=np.uint8)
+    enhance_scales(img, 3, kept)
+    assert len(pyramids) == 1
+    assert "details" not in vars(pyramids[0])
 
 
 def test_default_enhancement_makes_few_float_frames():

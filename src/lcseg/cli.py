@@ -120,7 +120,12 @@ def _cmd_equalize(args) -> int:
 
 def _cmd_segment(args) -> int:
     image = read_pgm(args.input)
-    seg = segment(image, args.h_min, fixed_threshold=args.fixed_threshold)
+    threshold = args.fixed_threshold
+    if threshold is None:
+        # No bat here: Otsu's exact threshold t of the input, whose upper
+        # class {v > t} starts at t + 1 (t < 255 whenever it splits).
+        threshold = bat.otsu_threshold(histeq.histogram(image)) + 1
+    seg = segment(image, args.h_min, threshold)
     if args.out_labels:
         write_pgm(labels_to_gray8(seg.labels), args.out_labels)
     if args.out_mask:
@@ -211,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_equalize)
 
-    p = sub.add_parser("segment", help="gradient watershed segmentation")
+    p = sub.add_parser("segment", help="marker-controlled watershed segmentation")
     p.add_argument("--input", required=True)
     p.add_argument("--h-min", type=float, default=PipelineConfig.h_min)
     p.add_argument(
         "--fixed-threshold",
         type=int,
         default=None,
-        help="classify basins by mean >= threshold instead of Otsu",
+        help="classify basins by mean >= this threshold instead of the input's Otsu split",
     )
     p.add_argument("--out-labels", default=None)
     p.add_argument("--out-mask", default=None)

@@ -47,15 +47,12 @@ class PipelineConfig:
     bat: BatParams = field(default_factory=BatParams)  # bat.seed is the run's seed
     roi: RoiRect | None = None
     h_min: float = 5.0
-    basin_rule: str = "otsu"  # "otsu" or "threshold" (uses the bat threshold)
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
         check_int("wavelet_levels", self.wavelet_levels, 1)
         check_scales(self.wavelet_levels, self.kept_scales)
         check_h_min(self.h_min)
-        if self.basin_rule not in ("otsu", "threshold"):
-            raise ValueError(f"unknown basin_rule {self.basin_rule!r}")
 
     def with_seed(self, seed: int) -> "PipelineConfig":
         return replace(self, bat=replace(self.bat, seed=seed))
@@ -96,7 +93,6 @@ _SCHEMA = {
     ("roi", "w"): ("roi.w", _INT),
     ("roi", "h"): ("roi.h", _INT),
     ("watershed", "h_min"): ("h_min", _FLOAT),
-    ("watershed", "basin_rule"): ("basin_rule", _STR),
     ("pipeline", "seed"): ("bat.seed", _INT),
     ("pipeline", "output_dir"): ("output_dir", _STR),
 }

@@ -5,7 +5,7 @@ Image conventions used throughout the package:
 * gray image   -- 2-D ``numpy.ndarray`` of ``uint8``, shape ``(height, width)``
 * float image  -- 2-D ``numpy.ndarray`` of ``float64``, all values finite
 * binary mask  -- 2-D ``numpy.ndarray`` of ``bool`` (True = lamina tissue)
-* label map    -- 2-D ``numpy.ndarray`` of ``int32`` (0 = ridge, >=1 = basin)
+* label map    -- 2-D ``numpy.ndarray`` of ``int32``, basins 1..K (every pixel in one)
 
 Arrays are treated as immutable once handed to an operation; every function
 returns fresh arrays and never mutates its inputs.

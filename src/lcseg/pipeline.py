@@ -4,14 +4,18 @@ Stage order: input checks -> wavelet enhancement
 (:func:`lcseg.wavelet.enhance_scales`, which decomposes only as deep as
 the kept scales need: one level for the default scales 2 and 3 of 3) ->
 bat threshold optimization -> histogram equalization -> :func:`segment`
-on the ROI frame (gradient-magnitude watershed, basin classification,
-boundary) -> metrics/ROC (when ground truth is supplied).  The input stage crops the
-input to the ROI and checks the sizes of the image and of that frame and
-the truth shape, so bad inputs fail before the expensive stages run.
-The optimizer's threshold feeds basin classification only under
-``basin_rule = threshold``; the ROC sweeps the enhanced frame, and the
-main path segments via watershed, not by binarizing at the threshold.
-``lcseg segment`` runs the same :func:`segment`.
+on the enhanced ROI frame (markers from its gradient magnitude, the
+watershed cut, basin classification, boundary) -> metrics/ROC (when
+ground truth is supplied).  The input stage crops the input to the ROI
+and checks the sizes of the image and of that frame and the truth shape,
+so bad inputs fail before the expensive stages run.
+
+The bat's threshold classifies the basins: a basin is tissue iff its
+mean over the enhanced frame reaches it.  Histogram equalization stays
+as a stage of the paper's chain; its output is ``equalized.pgm`` and the
+gray background of the overlay, and the segmentation does not read it.
+The ROC sweeps the enhanced frame.  ``lcseg segment`` runs the same
+:func:`segment`.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ def _stage(name: str):
 
 @dataclass
 class Segmentation:
-    gradient: np.ndarray  # the flooded surface: Sobel magnitude on [0, 255]
+    gradient: np.ndarray  # the marker surface: Sobel magnitude on [0, 255]
     labels: np.ndarray
     mask: np.ndarray
     boundary: np.ndarray
@@ -91,26 +95,20 @@ class PipelineResult(Segmentation):
     truth: np.ndarray | None = None
 
 
-def segment(
-    image: np.ndarray,
-    h_min: float,
-    fixed_threshold: int | None = None,
-    basin_image: np.ndarray | None = None,
-) -> Segmentation:
-    """Watershed-segment ``image`` into tissue and pores.
+def segment(image: np.ndarray, h_min: float, threshold: int) -> Segmentation:
+    """Watershed-segment the gray ``image`` into tissue and pores.
 
-    Floods the Sobel gradient magnitude of ``image``, rescaled to
-    [0, 255] so that the ``h_min`` depth is comparable across images.
-    Basins are classified by their mean over ``basin_image`` (default:
-    ``image``), by Otsu or, when given, by mean >= ``fixed_threshold``.
-    ``h_min`` and ``fixed_threshold`` are checked before the gradient.
+    Markers come from the Sobel gradient magnitude of ``image``, rescaled
+    to [0, 255] so that the ``h_min`` depth is comparable across images;
+    the cut runs on ``image`` itself, and a basin is tissue iff its mean
+    over ``image`` is >= ``threshold``.  ``h_min`` and ``threshold`` are
+    checked before the gradient.
     """
     ws.check_h_min(h_min)
-    ws._check_fixed_threshold(fixed_threshold)
+    ws._check_threshold(threshold)
     gradient = scale_to_255(ws.gradient_magnitude(image))
-    labels = ws.watershed_segment(gradient, h_min)
-    means_of = image if basin_image is None else basin_image
-    mask = ws.labels_to_mask(labels, means_of, fixed_threshold=fixed_threshold)
+    labels = ws.watershed_segment(gradient, image, h_min)
+    mask = ws.labels_to_mask(labels, image, threshold)
     return Segmentation(gradient, labels, mask, ws.mask_boundary(mask))
 
 
@@ -168,10 +166,7 @@ def run_pipeline(
     enhanced_frame = _frame(enhanced, roi)
 
     with _stage("watershed"):
-        if config.basin_rule == "threshold":
-            seg = segment(cropped, config.h_min, threshold, enhanced_frame)
-        else:
-            seg = segment(cropped, config.h_min)
+        seg = segment(enhanced_frame, config.h_min, threshold)
 
     report = None
     roc = None

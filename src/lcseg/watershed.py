@@ -1,35 +1,22 @@
-"""Gradient-magnitude surface, h-minima suppression and Meyer flooding.
+"""Gradient-magnitude markers, h-minima suppression and the watershed cut.
 
-The label map convention is 0 for watershed ridge pixels and 1..K for
-catchment basins.  The flood drains one FIFO list per surface value in
-increasing order (Beucher & Meyer's hierarchical queue); its exact,
+The markers are the regional minima of a surface, in the pipeline the
+rescaled Sobel gradient magnitude of the enhanced frame, after h-minima
+suppression.  The watershed is the cut of the minimum spanning forest
+rooted in those markers, on the 4-adjacency graph of the gray frame
+whose edges weigh the intensity difference of their pixels (Cousty,
+Bertrand, Najman & Couprie, "Watershed cuts: minimum spanning forests
+and the drop of water principle", IEEE TPAMI 31(8), 2009).  Its exact,
 deterministic contract is spelled out in :func:`watershed_segment`.
 
-Most pixels of a noisy gradient skip that queue.  A non-marker pixel is
-*deferred* when each of its 4 neighbors is strictly lower, or strictly
-higher and deferred itself; the other non-marker pixels are *queued*.
-The queue floods the queued pixels alone, and the deferred ones are
-labeled after it, bottom-up, in vectorized passes.  Each takes the one
-distinct basin label among its neighbors, or 0 for none or several,
-which is the label the full queue gives it:
-
-- Strict value order: the queue pops a pixel after all its strictly
-  lower neighbors and before all its strictly higher ones.  When a
-  deferred pixel pops, its lower neighbors hold their final labels and
-  its higher ones hold none yet.
-- No equal neighbor: so no first-in first-out tie between neighbors
-  decides a deferred pixel, and every neighbor is lower or higher.
-- Every higher neighbor deferred: a deferred pixel's queued and marker
-  neighbors all lie below it.  No queued pixel reads its label, and it
-  inserts no queued pixel, since those pop before it.  The queued
-  pixels keep their relative order and their labels.
+The label map convention is 1..K for the catchment basins: every pixel
+belongs to one basin, and no pixel is a ridge.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bat import between_class_variance
 from .image import _fold, _fold_kernel, _mirror_pad, as_gray, check_same_shape
 
 __all__ = [
@@ -76,16 +63,6 @@ def gradient_magnitude(image: np.ndarray) -> np.ndarray:
     return np.sqrt(gx, dtype=np.float64)
 
 
-def _shifted4(a: np.ndarray, fill) -> tuple[np.ndarray, ...]:
-    """The up, down, left and right 4-neighbor of every pixel of ``a``.
-
-    Views into one copy of ``a`` padded with ``fill``, which stands for
-    the neighbors outside the image.
-    """
-    p = np.pad(a, 1, constant_values=fill)
-    return p[:-2, 1:-1], p[2:, 1:-1], p[1:-1, :-2], p[1:-1, 2:]
-
-
 def _check_finite(surface: np.ndarray) -> None:
     # A NaN never compares equal, so h_minima would iterate forever and
     # regional_minima would make it a minimum of its own.
@@ -93,9 +70,9 @@ def _check_finite(surface: np.ndarray) -> None:
         raise ValueError("surface must be finite")
 
 
-def _check_fixed_threshold(fixed_threshold: float | None) -> None:
-    if fixed_threshold is not None and not 0 <= fixed_threshold <= 255:
-        raise ValueError(f"fixed_threshold must be in 0..255, got {fixed_threshold}")
+def _check_threshold(threshold: float) -> None:
+    if not 0 <= threshold <= 255:  # also rejects NaN
+        raise ValueError(f"threshold must be in 0..255, got {threshold}")
 
 
 def check_h_min(h_min: float) -> None:
@@ -179,6 +156,15 @@ def h_minima(surface: np.ndarray, h: float) -> np.ndarray:
     return inner.copy()
 
 
+def _jump(parent: np.ndarray) -> np.ndarray:
+    """Pointer-jump a forest of parent links until each node links its root."""
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return up
+        parent = up
+
+
 def regional_minima(surface: np.ndarray) -> tuple[np.ndarray, int]:
     """Label the 4-connected regional minima of ``surface``.
 
@@ -232,11 +218,7 @@ def regional_minima(surface: np.ndarray) -> tuple[np.ndarray, int]:
             break
         a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
         np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
+        root = _jump(root)
     node_root = node[root]  # each linked run's root run; the others are roots
 
     # A run with a strictly lower 4-neighbor sinks its plateau.  The roots
@@ -258,257 +240,152 @@ def regional_minima(surface: np.ndarray) -> tuple[np.ndarray, int]:
     return number[run].reshape(h, w), count
 
 
-def watershed_segment(surface: np.ndarray, h_min: float = 0.0) -> np.ndarray:
-    """Marker-controlled priority flood of ``surface``, 4-connected.
+def watershed_segment(surface: np.ndarray, image: np.ndarray, h_min: float = 0.0) -> np.ndarray:
+    """Watershed cut of ``image`` relative to the markers of ``surface``, 4-connected.
 
     Contract, in full (an independent implementation following these
     rules reproduces the output exactly):
 
-    1. The flooded surface is ``h_minima(surface, h_min)``, which
-       rejects an ``h_min`` that is negative, NaN or infinite and a
-       surface that is not finite.
+    1. The marker surface is ``h_minima(surface, h_min)``, which rejects
+       an ``h_min`` that is negative, NaN or infinite and a surface that
+       is not finite.
     2. Markers are its 4-connected regional minima, labeled 1..K in
        row-major order of each component's first pixel.
-    3. The queue holds (surface value, insertion sequence) entries and
-       pops the smallest; equal values pop in insertion (FIFO) order.
-       Each pixel is inserted at most once.
-    4. Seeding scans marker pixels in row-major order and inserts their
-       unlabeled neighbors in the order up, left, right, down.
-    5. When a pixel pops, the distinct basin labels among its 4
-       neighbors decide it: exactly one label claims it; two or more
-       make it a ridge (label 0); none (reachable only through ridges)
-       also makes it a ridge.  Either way its still-unqueued unlabeled
-       neighbors are inserted, same neighbor order.
+    3. Edges are the 4-adjacent pixel pairs, numbered horizontal pairs
+       first, then vertical pairs, each in row-major order.  An edge
+       weighs |I(p) - I(q)| on the gray image I, which has the
+       surface's shape.
+    4. The pixels of one marker component start as one tree, every other
+       pixel as a tree of its own.  Edges are taken in increasing
+       (weight, number) order; an edge joins its two trees unless they
+       are one tree or both hold a marker.
+    5. Every pixel takes the label of its tree's marker.
 
-    Every pixel ends up labeled, each basin is 4-connected and contains
-    exactly one marker component.
+    That is the cut of the minimum spanning forest rooted in the markers
+    (Cousty, Bertrand, Najman & Couprie, IEEE TPAMI 31(8), 2009).  No
+    pixel is a ridge: each basin is 4-connected and holds one marker
+    component.
     """
     surf = np.asarray(surface, dtype=np.float64)
     if surf.ndim != 2:
         raise ValueError("expected a 2-D surface")
-    filled = h_minima(surf, h_min)
-    markers, count = regional_minima(filled)
-    h, w = filled.shape
-
-    # Flat row-major lists with a one-pixel border: the 4 neighbors of p
-    # are p + (up, left, right, down), with no bounds checks.  Labels are
-    # -3 deferred (see the module docstring), -2 unqueued, -1 border,
-    # 0 queued or ridge, and >0 basin.
-    width = w + 2
-    steps = up, left, right, down = -width, -1, 1, width
-    padded = np.pad(np.where(markers > 0, markers, -2), 1, constant_values=-1).ravel()
-    value = np.pad(filled, 1, constant_values=np.inf).ravel()
-    deferred = _deferred(value, padded == -2, steps)
-    padded[deferred] = -3  # never a claim, never queued, until the flood ends
-    queued = np.flatnonzero(padded == -2)
-    marker_pixels = np.flatnonzero(padded > 0)
-    # Rule 4 at once: all candidates in scan order, first occurrence of each.
-    seeds = (marker_pixels[:, None] + steps).ravel()
-    seeds = seeds[padded[seeds] == -2]
-    seeds = seeds[np.sort(np.unique(seeds, return_index=True)[1])]
-    padded[seeds] = 0
-    labels = padded.tolist()
-    # Rule 3's queue as one FIFO list per distinct value of a queued pixel,
-    # drained in increasing order (bucket_of[p] is p's list).  Exact, because
-    # every component of a strict sublevel set holds a marker (a regional
-    # minimum): all strictly lower neighbors of a pixel pop before it, so a
-    # pop appends only to its own bucket or a later one, in (value,
-    # insertion) order.
-    values, rank = np.unique(value[queued], return_inverse=True)
-    buckets = np.fromiter(([] for _ in values), dtype=object, count=len(values))
-    slots = np.empty(len(value), dtype=object)
-    slots[queued] = buckets[rank]
-    bucket_of = slots.tolist()
-    queued = queued.tolist()
-    for q in seeds.tolist():
-        bucket_of[q].append(q)
-
-    # Rule 5 in one pass: each pop reads each neighbor once, and one branch
-    # both counts its claim and queues it.  claim is 0 until a basin label
-    # is seen, then that label, then -1 (sticky) once a second one appears.
-    # A push writes only the neighbor it queues, never p or a neighbor still
-    # to be read, so the reads and the appends are those rule 5 prescribes.
-    # A deferred neighbor (-3) lies above p.  In the full queue it would
-    # still read 0 or -2 here, and its own pop would insert no queued pixel,
-    # so skipping it changes no queued pixel's label.
-    popped = 0
-    for bucket in buckets:
-        for p in bucket:  # the bucket grows while it is drained
-            claim = 0
-            q = p + up
-            lab = labels[q]
-            if lab > 0:
-                claim = lab
-            elif lab == -2:
-                labels[q] = 0
-                bucket_of[q].append(q)
-            q = p + left
-            lab = labels[q]
-            if lab > 0:
-                if claim != lab:
-                    claim = -1 if claim else lab
-            elif lab == -2:
-                labels[q] = 0
-                bucket_of[q].append(q)
-            q = p + right
-            lab = labels[q]
-            if lab > 0:
-                if claim != lab:
-                    claim = -1 if claim else lab
-            elif lab == -2:
-                labels[q] = 0
-                bucket_of[q].append(q)
-            q = p + down
-            lab = labels[q]
-            if lab > 0:
-                if claim != lab:
-                    claim = -1 if claim else lab
-            elif lab == -2:
-                labels[q] = 0
-                bucket_of[q].append(q)
-            if claim > 0:
-                labels[p] = claim
-        popped += len(bucket)
-        bucket.clear()
-
-    # Write back the queued pixels' labels, then decide the deferred ones.
-    padded[queued] = [labels[p] for p in queued]
-    settled = _settle_deferred(padded, value, deferred, steps)
-    if count < 1 or len(marker_pixels) + popped + settled != h * w:
-        raise RuntimeError(
-            f"flood left pixels undecided: {count} markers, "
-            f"{len(marker_pixels)} marker pixels + {popped} popped "
-            f"+ {settled} deferred != {h * w} pixels"
-        )
-    return padded.reshape(h + 2, width)[1:-1, 1:-1].copy()
+    img = as_gray(image)
+    check_same_shape(img, surf, "image vs surface")
+    markers, count = regional_minima(h_minima(surf, h_min))
+    if count < 1:
+        raise RuntimeError("no markers: the cut would leave every pixel undecided")
+    return _cut(img, markers, count)
 
 
-def _deferred(value: np.ndarray, unmarked: np.ndarray, steps) -> np.ndarray:
-    """The deferred pixels of a flat padded surface, as a boolean mask.
+def _cut(img: np.ndarray, markers: np.ndarray, count: int) -> np.ndarray:
+    """Rule 4's forest by Borůvka rounds, with the markers as sinks.
 
-    ``unmarked`` flags the non-marker image pixels and ``steps`` holds
-    the flat offsets of the up, left, right and down neighbors.  Unmarked
-    pixels with an equal neighbor are queued, and so is every unmarked
-    pixel one strictly descending step below a queued one; the rest are
-    deferred.
+    The edge order is total, so the forest is the one minimum spanning
+    tree of the graph whose marker pixels are contracted into one root.
+    Borůvka's rounds build that tree: each component that holds no
+    marker joins the tree of its cheapest edge.  Marked components never
+    pick, so every pick leads towards a marker or is one edge picked
+    from both ends, which roots at its smaller end.
     """
-    same = np.zeros(value.shape, dtype=bool)
-    for step in steps[2:]:  # right and down: each adjacent pair once
-        tie = value[:-step] == value[step:]
-        same[:-step] |= tie
-        same[step:] |= tie
-    frontier = np.flatnonzero(same & unmarked)
-    deferred = unmarked & ~same
-    while frontier.size:  # one pass per descending step
-        here = value[frontier]
-        grown = []
-        for step in steps:
-            q = frontier + step
-            below = deferred[q]
-            below &= value[q] < here
-            q = q[below]
-            deferred[q] = False
-            grown.append(q)
-        frontier = np.concatenate(grown)
-    return deferred
+    h, w = img.shape
+    n = h * w
+    f = img.ravel()
+    # Edge weights of the flat pairs (p, p + 1) and (p, p + w).  The
+    # pairs (p, p + 1) with p at a row end are no edge.
+    dx = np.maximum(f[1:], f[:-1])
+    dx -= np.minimum(f[1:], f[:-1])
+    dy = np.maximum(f[w:], f[:-w])
+    dy -= np.minimum(f[w:], f[:-w])
+
+    # Round 1 on pixels.  key = weight * 4 + side, with sides left 0,
+    # right 1, up 2 and down 3 in the order of their edges' numbers, so
+    # the least key is each pixel's cheapest edge.
+    key = np.full(n, 0xFFFF, dtype=np.uint16)
+    k = dx.astype(np.uint16) << 2
+    k[w - 1 :: w] = 0xFFFF
+    np.minimum(key[1:], k, out=key[1:])
+    np.minimum(key[:-1], k | 1, out=key[:-1])
+    k = dy.astype(np.uint16) << 2
+    np.minimum(key[w:], k | 2, out=key[w:])
+    np.minimum(key[:-w], k | 3, out=key[:-w])
+    pixel = np.arange(n, dtype=np.int32)
+    # Nodes 0..n-1 are the pixels and n..n+K-1 the markers, which root
+    # their pixels.  A 1x1 image's one pixel is a marker.
+    parent = np.empty(n + count, dtype=np.int32)
+    parent[:n] = pixel + np.array([-1, 1, -w, w], dtype=np.int32)[key & 3]
+    flat = markers.ravel()
+    marked = np.flatnonzero(flat)
+    parent[marked] = flat[marked] + (n - 1)
+    parent[n:] = np.arange(n, n + count, dtype=np.int32)
+    pick = parent[:n]
+    mutual = (parent[pick] == pixel) & (pixel < pick)
+    pick[mutual] = pixel[mutual]
+    parent = _jump(parent)
+
+    # Compact component ids: the markers 0..K-1, then the unmarked roots.
+    roots = np.flatnonzero(parent[:n] == pixel)
+    node = np.empty(n + count, dtype=np.int32)
+    node[n:] = np.arange(count, dtype=np.int32)
+    node[roots] = np.arange(count, count + roots.size, dtype=np.int32)
+    comp = node[parent[:n]]
+
+    # The live edges, between two components not both marked, in
+    # (weight, number) order: horizontal pairs first, each kind in
+    # row-major order, then a stable sort by weight.
+    ends = []
+    for step, d, no_edge in ((1, dx, slice(w - 1, None, w)), (w, dy, slice(0))):
+        a, b = comp[:-step], comp[step:]
+        live = a != b
+        live &= np.maximum(a, b) >= count
+        live[no_edge] = False
+        e = np.flatnonzero(live)
+        ends.append((a[e], b[e], d[e]))
+    a, b, d = (np.concatenate(part) for part in zip(*ends))
+    order = np.argsort(d, kind="stable")
+    a = a[order]
+    b = b[order]
+
+    # Later rounds: each unmarked component takes its cheapest live edge.
+    size = count + roots.size
+    link = np.arange(size, dtype=np.int32)
+    while a.size:
+        rank = np.arange(a.size, dtype=np.int32)
+        cheapest = np.full(size, a.size, dtype=np.int32)
+        np.minimum.at(cheapest, a, rank)
+        np.minimum.at(cheapest, b, rank)
+        free = np.flatnonzero(cheapest[count:] < a.size).astype(np.int32) + count
+        edge = cheapest[free]
+        other = np.where(a[edge] == free, b[edge], a[edge])
+        link[free] = other
+        mutual = (link[other] == free) & (free < other)
+        link[free[mutual]] = free[mutual]
+        link = _jump(link)
+        a = link[a]
+        b = link[b]
+        live = (a != b) & (np.maximum(a, b) >= count)
+        a = a[live]
+        b = b[live]
+    return (link[comp] + np.int32(1)).reshape(h, w)
 
 
-def _settle_deferred(labels: np.ndarray, value: np.ndarray, deferred: np.ndarray, steps) -> int:
-    """Label the deferred pixels bottom-up, in place; returns how many.
-
-    A pass takes the deferred pixels whose strictly lower deferred
-    neighbors are all decided (Kahn order).  Each gets the one distinct
-    basin label among its 4 neighbors, or 0 for none or several: its
-    lower neighbors are final and its higher ones still read -3, as in
-    the full flood when it pops.  ``steps`` is as for :func:`_deferred`.
-    """
-    # Deferred pixels have no equal neighbor, so each deferred pair is
-    # ordered; count every deferred pixel's strictly lower deferred ones.
-    waiting = np.zeros(value.shape, dtype=np.int8)
-    for step in steps[2:]:  # right and down: each adjacent pair once
-        pair = deferred[:-step] & deferred[step:]
-        first_lower = value[:-step] < value[step:]
-        waiting[step:] += pair & first_lower
-        waiting[:-step] += pair & ~first_lower
-    frontier = np.flatnonzero(deferred & (waiting == 0))
-    none = np.iinfo(labels.dtype).max
-    settled = 0
-    while frontier.size:
-        settled += frontier.size
-        top = np.zeros(frontier.size, dtype=labels.dtype)
-        low = np.full(frontier.size, none, dtype=labels.dtype)
-        ready = []
-        for step in steps:
-            q = frontier + step
-            lab = labels[q]
-            np.maximum(top, lab, out=top)
-            np.minimum(low, np.where(lab > 0, lab, none), out=low)
-            # An undecided neighbor is a higher deferred one: one of its
-            # lower neighbors is now decided.
-            q = q[lab == -3]
-            waiting[q] -= 1
-            ready.append(q[waiting[q] == 0])
-        # One distinct label iff the largest and smallest positive agree.
-        labels[frontier] = np.where(top == low, top, 0)
-        frontier = np.concatenate(ready)
-    return settled
-
-
-def labels_to_mask(
-    labels: np.ndarray,
-    image: np.ndarray,
-    fixed_threshold: int | None = None,
-) -> np.ndarray:
+def labels_to_mask(labels: np.ndarray, image: np.ndarray, threshold: float) -> np.ndarray:
     """Classify basins into tissue (foreground) and pores (background).
 
-    Per-basin mean intensities are computed from ``image``.  By default
-    the basins are split by the Otsu threshold of the floored basin
-    means (one sample per basin): basins whose floored mean exceeds the
-    lowest maximizer are foreground.  When no split has positive
-    between-class variance (a single basin, or all means equal) every
-    basin is foreground.  With ``fixed_threshold`` set, which must lie
-    in 0..255, a basin is foreground iff its mean is >= that value.
-
-    Ridge pixels inherit the majority class of their 4-connected basin
-    neighbors; ties (including no basin neighbor) go to foreground.
+    A basin is foreground iff its mean over ``image`` is >= ``threshold``,
+    which must lie in 0..255.  ``labels`` must hold basin ids >= 1.
     """
-    _check_fixed_threshold(fixed_threshold)
+    _check_threshold(threshold)
     lab = np.asarray(labels)
     img = as_gray(image)
     check_same_shape(lab, img, "labels vs image")
-    k = int(lab.max())
-    if k < 1:
-        raise ValueError("label map has no basins")
+    if lab.min() < 1:
+        raise ValueError("labels must be basin ids >= 1")
     flat = lab.ravel()
+    k = int(lab.max())
     counts = np.bincount(flat, minlength=k + 1)
-    sums = np.bincount(flat, weights=img.ravel().astype(np.float64), minlength=k + 1)
-    basin_ids = np.nonzero(counts[1:])[0] + 1
-    means = np.zeros(k + 1)
-    means[basin_ids] = sums[basin_ids] / counts[basin_ids]
-
-    foreground = np.zeros(k + 1, dtype=bool)
-    if fixed_threshold is not None:
-        foreground[basin_ids] = means[basin_ids] >= fixed_threshold
-    else:
-        binned = np.clip(np.floor(means[basin_ids]), 0, 255).astype(np.int64)
-        hist = np.bincount(binned, minlength=256)
-        sigma = between_class_variance(hist)
-        if sigma.max() <= 0.0:
-            foreground[basin_ids] = True
-        else:
-            t = int(np.argmax(sigma))
-            foreground[basin_ids] = binned > t
-
-    # Side of each pixel: +1 foreground basin, -1 background basin, 0 ridge;
-    # a ridge pixel's vote sums its 4 neighbors' sides (0 outside the image).
-    ballot = np.where(foreground, 1, -1).astype(np.int8)
-    ballot[0] = 0
-    side = ballot[lab]
-    mask = side > 0
-    vote = sum(_shifted4(side, 0))
-    ridge = lab == 0
-    mask[ridge] = vote[ridge] >= 0
-    return mask
+    sums = np.bincount(flat, weights=img.ravel(), minlength=k + 1)
+    means = sums / np.maximum(counts, 1)  # ids no pixel holds are never read
+    return (means >= threshold)[lab]
 
 
 def mask_boundary(mask: np.ndarray) -> np.ndarray:
@@ -518,5 +395,5 @@ def mask_boundary(mask: np.ndarray) -> np.ndarray:
     border are always boundary.
     """
     m = np.asarray(mask, dtype=bool)
-    up, down, left, right = _shifted4(m, False)
-    return m & ~(up & down & left & right)
+    p = np.pad(m, 1)  # the 4-neighbours, False outside the image
+    return m & ~(p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:])

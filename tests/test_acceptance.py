@@ -28,7 +28,7 @@ from lcseg.watershed import watershed_segment
 
 from test_histeq import oracle_equalize
 from test_metrics import oracle_rand_index
-from test_watershed import TWO_PIT, TWO_PIT_LABELS, oracle_flood
+from test_watershed import TWO_PIT, TWO_PIT_FRAME, TWO_PIT_LABELS, oracle_cut
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -88,21 +88,22 @@ def test_criterion_4_watershed_hand_flood_oracle():
     matches = 0
     cases = 0
 
-    got = watershed_segment(TWO_PIT, 0.0)
+    got = watershed_segment(TWO_PIT, TWO_PIT_FRAME, 0.0)
     cases += 1
     matches += np.array_equal(got, TWO_PIT_LABELS) and np.array_equal(
-        oracle_flood(TWO_PIT), TWO_PIT_LABELS
+        oracle_cut(TWO_PIT, TWO_PIT_FRAME), TWO_PIT_LABELS
     )
 
     rng = np.random.default_rng(400)
     for _ in range(10):
         surf = rng.integers(0, 5, size=(8, 8)).astype(float)
+        frame = surf.astype(np.uint8)
         cases += 1
         matches += np.array_equal(
-            watershed_segment(surf, 0.0), oracle_flood(surf)
+            watershed_segment(surf, frame, 0.0), oracle_cut(surf, frame)
         )
     ok = matches == cases
-    _report(4, "watershed matches brute-force Meyer flood", ok,
+    _report(4, "watershed matches the marker-rooted minimum spanning forest", ok,
             f"{matches}/{cases} label-for-label")
 
 

@@ -126,7 +126,7 @@ def test_segment_fixed_threshold_out_of_range_exits_2(phantom_dir, capsys):
         "segment", "--input", str(phantom_dir / "image.pgm"), "--fixed-threshold", "999",
     )
     assert code == 2
-    assert "fixed_threshold must be in 0..255, got 999" in capsys.readouterr().err
+    assert "threshold must be in 0..255, got 999" in capsys.readouterr().err
 
 
 def test_run_writes_manifest(tmp_path, phantom_dir, fast_config, capsys):
@@ -210,7 +210,7 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_stage_isolation_matches_run(tmp_path, phantom_dir, fast_config):
+def test_stage_isolation_matches_run(tmp_path, phantom_dir, fast_config, capsys):
     """Chaining the stage subcommands reproduces run's artifacts."""
     out = tmp_path / "run_out"
     code = run_cli(
@@ -230,11 +230,13 @@ def test_stage_isolation_matches_run(tmp_path, phantom_dir, fast_config):
     assert enhanced.read_bytes() == (out / "enhanced.pgm").read_bytes()
 
     conv = tmp_path / "convergence.csv"
+    capsys.readouterr()
     assert run_cli(
         "optimize", "--input", str(enhanced), "--config", str(fast_config),
         "--out-csv", str(conv),
     ) == 0
     assert conv.read_bytes() == (out / "convergence.csv").read_bytes()
+    threshold = capsys.readouterr().out.splitlines()[0].removeprefix("threshold ")
 
     equalized = tmp_path / "equalized.pgm"
     assert run_cli(
@@ -242,25 +244,28 @@ def test_stage_isolation_matches_run(tmp_path, phantom_dir, fast_config):
     ) == 0
     assert equalized.read_bytes() == (out / "equalized.pgm").read_bytes()
 
+    # run segments the enhanced frame and splits its basins at the bat's
+    # threshold.
     mask = tmp_path / "mask.pgm"
     labels = tmp_path / "labels.pgm"
     assert run_cli(
-        "segment", "--input", str(equalized), "--h-min", "5",
+        "segment", "--input", str(enhanced), "--h-min", "5", "--fixed-threshold", threshold,
         "--out-labels", str(labels), "--out-mask", str(mask),
     ) in (0, 3)
     assert mask.read_bytes() == (out / "mask.pgm").read_bytes()
     assert labels.read_bytes() == (out / "labels.pgm").read_bytes()
 
     # --fixed-threshold classifies the same basins by mean >= 128; its
-    # mask and overlay are pinned to sha256s taken at commit 5ab9498.
+    # mask and overlay are pinned to sha256s taken when the watershed cut
+    # replaced the flood.
     overlay = tmp_path / "overlay.ppm"
     assert run_cli(
-        "segment", "--input", str(equalized), "--h-min", "5", "--fixed-threshold", "128",
+        "segment", "--input", str(enhanced), "--h-min", "5", "--fixed-threshold", "128",
         "--out-labels", str(labels), "--out-mask", str(mask), "--out-overlay", str(overlay),
     ) in (0, 3)
     assert labels.read_bytes() == (out / "labels.pgm").read_bytes()
-    assert _sha256(mask) == "f4992c440a09f1b1318a065a6c1332dc07774b4c3da789271071a955595ef2fd"
-    assert _sha256(overlay) == "40e325593e3934632df167751e9b2533db40344894531c203ce63e9260d48a65"
+    assert _sha256(mask) == "e0df4ce9571d37c10295040f178f03fa02fcae13cc6e83b935ffc862662748f9"
+    assert _sha256(overlay) == "240f0e5685b8c7287a3f1a260c652d39667733e7b061dcd2c134296e964a66fb"
 
     roc = tmp_path / "roc.csv"
     roc_base = tmp_path / "roc_baseline.csv"
@@ -389,17 +394,20 @@ def test_segment_h_min_defaults_to_the_config_default(tmp_path):
         "synth", "--seed", "3", "--size", "48", "--noise", "20", "--out", str(tmp_path),
     ) == 0
     image = str(tmp_path / "image.pgm")
-    masks = {}
+    outputs = {}
     for tag, extra in (
         ("default", []),
         ("config", ["--h-min", str(PipelineConfig().h_min)]),
         ("zero", ["--h-min", "0"]),
     ):
-        path = tmp_path / f"{tag}.pgm"
-        assert run_cli("segment", "--input", image, *extra, "--out-mask", str(path)) in (0, 3)
-        masks[tag] = path.read_bytes()
-    assert masks["default"] == masks["config"]
-    assert masks["default"] != masks["zero"]  # the setting matters on this input
+        mask, labels = tmp_path / f"{tag}_mask.pgm", tmp_path / f"{tag}_labels.pgm"
+        assert run_cli(
+            "segment", "--input", image, *extra,
+            "--out-mask", str(mask), "--out-labels", str(labels),
+        ) in (0, 3)
+        outputs[tag] = (mask.read_bytes(), labels.read_bytes())
+    assert outputs["default"] == outputs["config"]
+    assert outputs["default"][1] != outputs["zero"][1]  # the setting matters on this input
 
 
 def test_roc_prints_aucs(tmp_path, phantom_dir, capsys):

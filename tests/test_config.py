@@ -80,6 +80,14 @@ def test_unknown_key_rejected():
         parse_config("[wavelet]\nlevels = 3\nextra = 1\n")
 
 
+@pytest.mark.parametrize("rule", ["otsu", "threshold"])
+def test_removed_basin_rule_key_rejected(rule):
+    # The bat's threshold always splits the basins now; the key is gone.
+    unknown = r"unknown config key 'basin_rule' in section \[watershed\]"
+    with pytest.raises(ValueError, match=unknown):
+        parse_config(f"[watershed]\nh_min = 5\nbasin_rule = {rule}\n")
+
+
 def test_partial_roi_rejected():
     with pytest.raises(ValueError, match="missing"):
         parse_config("[roi]\nx0 = 1\ny0 = 2\n")
@@ -104,8 +112,6 @@ def test_bad_value_rejected():
         parse_config("[wavelet]\nlevels = many\n")
     with pytest.raises(ValueError):
         parse_config("[bat]\nalpha = 1.5\n")
-    with pytest.raises(ValueError):
-        parse_config("[watershed]\nbasin_rule = magic\n")
 
 
 @pytest.mark.parametrize(
@@ -160,7 +166,6 @@ pulse_rate = 0.5
 
 [watershed]
 h_min = 5
-basin_rule = otsu
 
 [pipeline]
 seed = 0
@@ -190,7 +195,6 @@ h = 24
 
 [watershed]
 h_min = 3.5
-basin_rule = otsu
 
 [pipeline]
 seed = 77
@@ -230,7 +234,6 @@ def configs(draw):
         bat=bat,
         roi=draw(st.none() | st.builds(RoiRect, corner, corner, side, side)),
         h_min=draw(_floats(0.0)),
-        basin_rule=draw(st.sampled_from(("otsu", "threshold"))),
     )
 
 

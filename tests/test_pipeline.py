@@ -36,7 +36,7 @@ def test_pipeline_result_is_the_segmentation_of_its_frame():
     img, _ = generate_phantom(PhantomSpec(64, 64, 16, 5, 20.0, 1))
     cfg = _fast_config(roi=RoiRect(8, 8, 48, 48))
     res = run_pipeline(img, None, cfg)
-    seg = segment(res.cropped, cfg.h_min)
+    seg = segment(res.enhanced[8:56, 8:56], cfg.h_min, res.threshold)
     assert isinstance(res, Segmentation)
     for name, value in vars(seg).items():
         assert np.array_equal(getattr(res, name), value), name
@@ -88,12 +88,12 @@ def test_segment_checks_fixed_threshold_before_the_gradient(monkeypatch):
     from lcseg.pipeline import segment
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the gradient ran before fixed_threshold was checked")
+        raise AssertionError("the gradient ran before the threshold was checked")
 
     monkeypatch.setattr(watershed, "gradient_magnitude", refuse)
     img, _ = generate_phantom(PhantomSpec(16, 16, 8, 3, 0.0, 0))
-    with pytest.raises(ValueError, match=r"fixed_threshold must be in 0\.\.255"):
-        segment(img, 5.0, fixed_threshold=300)
+    with pytest.raises(ValueError, match=r"threshold must be in 0\.\.255"):
+        segment(img, 5.0, 300)
 
 
 @pytest.mark.parametrize("h_min", [-1.0, float("nan")])
@@ -108,7 +108,7 @@ def test_segment_checks_h_min_like_the_config_before_the_gradient(monkeypatch, h
     with pytest.raises(ValueError) as from_config:
         PipelineConfig(h_min=h_min)
     with pytest.raises(ValueError) as from_segment:
-        segment(np.zeros((8, 8), dtype=np.uint8), h_min)
+        segment(np.zeros((8, 8), dtype=np.uint8), h_min, 128)
     assert str(from_segment.value) == str(from_config.value) == "h_min must be non-negative"
 
 
@@ -231,10 +231,19 @@ def test_pipeline_small_roi_without_truth_still_runs():
     assert res.mask.shape == (8, 8)
 
 
-def test_pipeline_threshold_override_mode():
+def test_pipeline_threshold_override_mode(monkeypatch):
+    # The bat's threshold splits the basins by their means over the
+    # enhanced frame: a threshold of 0 makes every basin tissue.
+    from lcseg import bat
+    from lcseg.watershed import labels_to_mask
+
     img, truth = generate_phantom(PhantomSpec(64, 64, 16, 5, 0.0, 3))
-    res = run_pipeline(img, truth, _fast_config(basin_rule="threshold"))
-    assert res.mask.shape == img.shape
+    res = run_pipeline(img, truth, _fast_config())
+    assert np.array_equal(res.mask, labels_to_mask(res.labels, res.enhanced, res.threshold))
+    assert np.array_equal(res.mask, truth)
+    found = bat.optimize_threshold
+    monkeypatch.setattr(bat, "optimize_threshold", lambda *a: (0, found(*a)[1]))
+    assert run_pipeline(img, truth, _fast_config()).mask.all()
 
 
 def test_outputs_manifest(tmp_path):
@@ -279,15 +288,17 @@ def test_end_to_end_determinism_byte_identical(tmp_path):
 
 
 # sha256 of each file write_outputs(..., dump=True) writes for the 64x64
-# phantoms of test_artifacts_are_pinned.  Files the basin rule leaves
-# alone are keyed by noise sigma only.
-_PINNED_COMMON = {
+# phantoms of test_artifacts_are_pinned, keyed by noise sigma.
+_PINNED = {
     0.0: {
         "convergence.csv": "b0601de70298f7fc5e418ab00c41b9e1205f77fb5f8e6d9f582afefeefc4c101",
         "enhanced.pgm": "dd534a20a8206febfd9ef8e013b3618f6414b90d23c29cf54619c9b44b36704a",
         "equalized.pgm": "31961fb4028fd2a794649614dc4f8c507b2acb32f8f2869c5c84a5fa17405645",
-        "gradient.pgm": "1791618de62a1bf2cc1c6d8fe1e89b4602364aed59640c820d5f65e97574a399",
-        "labels.pgm": "81f53d116bec281896a3ab910465071b05fd9f44647420930aca2fae1ee828f8",
+        "gradient.pgm": "908e04f5a70020669c42c630d4cea83af4093d93f7c11facac8dd607d73e6499",
+        "labels.pgm": "b29464e55c3e7c843144228f216c69a7f1e67d773f77de7cd893635ce09824fa",
+        "mask.pgm": "e0df4ce9571d37c10295040f178f03fa02fcae13cc6e83b935ffc862662748f9",
+        "overlay.ppm": "60f8fea8aa50a6d7ad0a9f5278ce1676aa8c75a7332deccd237c00229999d0aa",
+        "report.csv": "028adecc4ad6600c92b356975adff2fff7f54299931451119726268f07d7b5d0",
         "roc.csv": "bc2797f89e3b2e376ce8db5a69961e976dd3d8653fecdeb3bc3294df84dbb03e",
         "roc_baseline.csv": "94b1be1387ab5e3ce3cb0e402fb456ab6219c51830a3d63bcf6da137791cccdb",
     },
@@ -295,53 +306,54 @@ _PINNED_COMMON = {
         "convergence.csv": "5c501cbb46e0c5d7fd599e829841526eeaed165aa121f300adc46a9fe8cae485",
         "enhanced.pgm": "d6d04e8d4b0c1af7a84d4a4a22e7a5345cb5b5dd5b7ac37fa7edd4ed9eaf884c",
         "equalized.pgm": "0687a13e380b8b5f101aaa261a94be0e37ebc64f29854cba51064ad5d1bdfdb2",
-        "gradient.pgm": "d08e1ece399bacc93192452a428380a52b9fe970e2cc36dc63719e6db73aa258",
-        "labels.pgm": "e1658c11973231b0785d25a628fc0ad237edb5920d4e3b2193a37c35ea7badf4",
+        "gradient.pgm": "91708bd86f9cd190f690ab13f3a4ddf639a59bea34cd0e19593ec68b4ed5c2ec",
+        "labels.pgm": "b8234a49311e925dc9534942fac1393e30b09b9b454e2278ff7f99462ee56dac",
+        "mask.pgm": "7c328e6f2e1c7d5fd5afa95bf8940c627a4a8b1ab7bfb6e879758b49c3eee01b",
+        "overlay.ppm": "732abbfb42c268fd0939b0f343fd5e24bc0f8bae5344c5405c8dce847c13886b",
+        "report.csv": "89264370ad3a3faa72e99b4315ab4cae5b15632d506da4e10075d88bc7670d40",
         "roc.csv": "4a98f0ca0e77a342357f2573dd5e5e4844c24239e1caaaf8de84fc0b9cc7f1a4",
         "roc_baseline.csv": "9b4f4496b39779fcdf54b684d6cbc70f4133426c7b7ba42e4f47d5df2f32d0cd",
-    },
-}
-_PINNED_BY_RULE = {
-    (0.0, "otsu"): {
-        "mask.pgm": "0dba8ef4f14240c6d39e2b07643fb3ceb5d093543de9f6012bde2da395774506",
-        "overlay.ppm": "3b40708c6d626f221e0a3fa9ed949a5be4a65426943a2d845046cb004b8e8c62",
-        "report.csv": "416ca54e5208058a79fd5c4030fb8ae5dcea21b8757440cd94148d0968aba528",
-    },
-    (0.0, "threshold"): {
-        "mask.pgm": "0c3a6b1c0155b430e14f3cab0b1ee027d63ca32731fc6fa55a27d58b6499a3b1",
-        "overlay.ppm": "5e82f945d43c589c6fd2a80244208df4c8261c40d442e65f625b4c4b965618e6",
-        "report.csv": "c6155449e845db296ba798c1337c25bef6a6072bad2158de42372ce9f8be00ef",
-    },
-    (20.0, "otsu"): {
-        "mask.pgm": "d9114ff20066277c93b2bc26f92e1ced68558f3a163d591d4d1e3919fc979c53",
-        "overlay.ppm": "5b02cb1575dc548670cae54510e66a5580c14894b54cf77f8d133b0a93b2f7d5",
-        "report.csv": "6badce68f7fd70ab857d4e10ded92dd4442bd3acbcdae84130c62be9a749eda7",
-    },
-    (20.0, "threshold"): {
-        "mask.pgm": "4b826dd738edf24d91d3bfbde74537003ce34420d01bd656b9d8092e5a4dcd3a",
-        "overlay.ppm": "8fa0f8386c38389b5de20026f120a359990fade613b5885a6126c8cce8c3fbdb",
-        "report.csv": "f83f1ab2e4fc05dd548a9f4c8f7bc7993a604c54c4ab427b8e1d140bf8df53bf",
     },
 }
 
 
 @pytest.mark.parametrize("rule", ["otsu", "threshold"])
 @pytest.mark.parametrize("sigma", [0.0, 20.0])
-def test_artifacts_are_pinned(tmp_path, sigma, rule):
+def test_artifacts_are_pinned(tmp_path, monkeypatch, sigma, rule):
     """Every dumped artifact matches a recorded sha256, not just a rerun.
 
     The hashes were taken at commit 5ab9498, before pipeline.segment(),
     the stored ROC rates and the shared 8-bit quantizer existed, under
-    numpy 2.4.6 on Python 3.11.  A change that moves any byte of
-    any artifact fails here; if that change is deliberate, say why and
-    record the new hashes.
+    numpy 2.4.6 on Python 3.11.  The gradient, labels, mask, overlay and
+    report were re-taken when the watershed cut of the enhanced frame,
+    with basins split by the bat's threshold, replaced the flood of the
+    equalized one.  A change that moves any byte of any artifact fails
+    here; if that change is deliberate, say why and record the new hashes.
+
+    ``rule`` picks the threshold that splits the basins: the bat's
+    ("threshold") or the exact Otsu split of the enhanced image, as
+    ``lcseg segment`` takes it when given none ("otsu"; the bat's run and
+    its convergence curve are kept).  On these phantoms both classify
+    every basin alike, so one set of hashes pins both.
     """
     import hashlib
 
+    from lcseg import bat, histeq
+
+    if rule == "otsu":
+        found = bat.optimize_threshold
+
+        def otsu_split(image, params):
+            split = bat.otsu_threshold(histeq.histogram(image)) + 1
+            return split, found(image, params)[1]
+
+        monkeypatch.setattr(bat, "optimize_threshold", otsu_split)
     img, truth = generate_phantom(PhantomSpec(64, 64, 16, 5, sigma, 4))
-    res = run_pipeline(img, truth, _fast_config(seed=11, basin_rule=rule))
+    res = run_pipeline(img, truth, _fast_config(seed=11))
+    if rule == "otsu":  # the split is not the bat's, yet no byte moves
+        assert res.threshold != int(res.bat_state.best_position)
     written = write_outputs(res, tmp_path, dump=True)
-    want = {**_PINNED_COMMON[sigma], **_PINNED_BY_RULE[(sigma, rule)]}
+    want = _PINNED[sigma]
     assert sorted(written) == sorted(want)
     got = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in written}
     assert got == want
@@ -352,10 +364,13 @@ def test_artifacts_are_pinned(tmp_path, sigma, rule):
 # runs).  Taken at commit 1700f44, before SSIM moved to four filtered planes
 # and a folded window of its own; that change reorders SSIM's sums, which
 # could flip its sixth digit here while the 64x64 artifact pins above hold.
+# The mask columns (F-measure, Rand index, sensitivity, specificity and
+# accuracy) were re-taken when the watershed cut replaced the flood; PSNR,
+# MSE and SSIM compare the enhanced frame with the input and did not move.
 REPORT_ROW_PINS = {
-    (256, 32, 10, 20.0): "18.3863,942.867,0.866249,0.775418,79.158,95.9808,59.8695,87.1094",
-    (256, 32, 10, 0.0): "14.6003,2254.52,0.921646,0.857631,86.0243,99.2736,58.522,92.2867",
-    (128, 16, 4, 20.0): "17.6638,1113.52,0.894132,0.826211,92.7874,88.52,75.4074,90.387",
+    (256, 32, 10, 20.0): "18.3863,942.867,0.998483,0.996801,100,99.661,59.8695,99.8398",
+    (256, 32, 10, 0.0): "14.6003,2254.52,1,1,100,100,58.522,100",
+    (128, 16, 4, 20.0): "17.6638,1113.52,0.988553,0.97994,100,98.1988,75.4074,98.9868",
 }
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import lcseg.watershed
 from lcseg.bat import otsu_threshold
 from lcseg.config import PipelineConfig, check_h_min
+from lcseg.histeq import histogram
 from lcseg.image import PhantomSpec, generate_phantom
 from lcseg.image import scale_to_255
 from lcseg.wavelet import enhance_scales
@@ -123,62 +124,55 @@ def oracle_minima(surface):
     return labels, len(roots)
 
 
-def oracle_flood(surface, h_min=0.0):
-    """List-based Meyer flood following the documented contract (oracle).
+def oracle_cut(surface, image, h_min=0.0):
+    """Kruskal's algorithm with the marker rule, one edge at a time (oracle).
 
-    Pops the smallest (value, insertion sequence) entry by linear scan;
-    everything else mirrors the contract in watershed_segment's
-    docstring.
+    Union-find over the 4-adjacent pixel pairs of ``image``, numbered
+    horizontal pairs first, then vertical pairs, each row-major, and
+    taken in (|difference|, number) order.  Each marker component of
+    ``surface`` starts as one tree; an edge is skipped when its two trees
+    both hold a marker.
     """
     filled = oracle_h_minima(surface, h_min) if h_min > 0 else np.asarray(
         surface, dtype=float
     )
-    labels, _ = oracle_minima(filled)
-    h, w = filled.shape
-    queue = []  # entries (value, seq, y, x), scanned linearly for the min
-    queued = [[labels[y, x] > 0 for x in range(w)] for y in range(h)]
-    seq = 0
+    markers, _ = oracle_minima(filled)
+    img = np.asarray(image, dtype=int)
+    h, w = img.shape
+    parent = list(range(h * w))
+    tag = [int(v) for v in markers.ravel()]  # a root's marker label, or 0
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first = {}
+    for p, t in enumerate(tag):
+        if t:
+            parent[p] = first.setdefault(t, p)
+    edges = []
     for y in range(h):
+        for x in range(w - 1):
+            edges.append((abs(img[y, x] - img[y, x + 1]), len(edges), y * w + x, y * w + x + 1))
+    for y in range(h - 1):
         for x in range(w):
-            if labels[y, x] == 0:
-                continue
-            for dy, dx in NEIGHBORS:
-                ny, nx = y + dy, x + dx
-                if 0 <= ny < h and 0 <= nx < w and not queued[ny][nx]:
-                    queued[ny][nx] = True
-                    queue.append((filled[ny, nx], seq, ny, nx))
-                    seq += 1
-    while queue:
-        best = min(range(len(queue)), key=lambda i: (queue[i][0], queue[i][1]))
-        _, _, y, x = queue.pop(best)
-        adjacent = []
-        for dy, dx in NEIGHBORS:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w:
-                lab = labels[ny, nx]
-                if lab > 0 and lab not in adjacent:
-                    adjacent.append(lab)
-        if len(adjacent) == 1:
-            labels[y, x] = adjacent[0]
-        # otherwise the pixel stays 0 (ridge)
-        for dy, dx in NEIGHBORS:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w and not queued[ny][nx]:
-                queued[ny][nx] = True
-                queue.append((filled[ny, nx], seq, ny, nx))
-                seq += 1
-    return labels
+            edges.append((abs(img[y, x] - img[y + 1, x]), len(edges), y * w + x, y * w + x + w))
+    for _, _, p, q in sorted(edges):
+        rp, rq = find(p), find(q)
+        if rp == rq or (tag[rp] and tag[rq]):
+            continue
+        parent[rq] = rp
+        tag[rp] = tag[rp] or tag[rq]
+    return np.array([tag[find(p)] for p in range(h * w)], dtype=np.int32).reshape(h, w)
 
 
-def oracle_labels_to_mask(labels, image, fixed_threshold=None):
-    """Basin classification and per-ridge-pixel vote with loops (oracle).
+def oracle_labels_to_mask(labels, image, threshold):
+    """Basin classification with loops (oracle).
 
-    Basin means are summed pixel by pixel in row-major order; the Otsu
-    rule splits the floored means at the lowest maximizer of the
-    between-class variance (all foreground when the floored means are
-    all equal, so that no split has positive variance).  Each
-    ridge pixel then counts its foreground and background basin
-    neighbors and is foreground on ties.
+    Basin means are summed pixel by pixel in row-major order; a basin is
+    foreground iff its mean is >= ``threshold``.
     """
     lab = np.asarray(labels)
     img = np.asarray(image)
@@ -187,38 +181,13 @@ def oracle_labels_to_mask(labels, image, fixed_threshold=None):
     for y in range(h):
         for x in range(w):
             k = int(lab[y, x])
-            if k > 0:
-                sums[k] = sums.get(k, 0.0) + float(img[y, x])
-                counts[k] = counts.get(k, 0) + 1
-    means = {k: sums[k] / counts[k] for k in sums}
-    if fixed_threshold is not None:
-        foreground = {k: m >= fixed_threshold for k, m in means.items()}
-    else:
-        floored = {k: min(max(int(np.floor(m)), 0), 255) for k, m in means.items()}
-        hist = np.zeros(256, dtype=np.int64)
-        for v in floored.values():
-            hist[v] += 1
-        if len(set(floored.values())) < 2:
-            foreground = {k: True for k in floored}
-        else:
-            t = otsu_threshold(hist)
-            foreground = {k: v > t for k, v in floored.items()}
+            sums[k] = sums.get(k, 0.0) + float(img[y, x])
+            counts[k] = counts.get(k, 0) + 1
     mask = np.zeros((h, w), dtype=bool)
     for y in range(h):
         for x in range(w):
             k = int(lab[y, x])
-            if k > 0:
-                mask[y, x] = foreground[k]
-                continue
-            fg = bg = 0
-            for dy, dx in NEIGHBORS:
-                ny, nx = y + dy, x + dx
-                if 0 <= ny < h and 0 <= nx < w and lab[ny, nx] > 0:
-                    if foreground[int(lab[ny, nx])]:
-                        fg += 1
-                    else:
-                        bg += 1
-            mask[y, x] = fg >= bg
+            mask[y, x] = sums[k] / counts[k] >= threshold
     return mask
 
 
@@ -304,7 +273,7 @@ def test_h_minima_rejects_negative_and_nan_depth():
         with pytest.raises(ValueError, match="non-negative"):
             h_minima(surf, h)
         with pytest.raises(ValueError, match="non-negative"):
-            watershed_segment(surf, h)
+            watershed_segment(surf, surf.astype(np.uint8), h)
 
 
 def test_h_minima_rejects_infinite_depth():
@@ -313,7 +282,7 @@ def test_h_minima_rejects_infinite_depth():
     with pytest.raises(ValueError, match="h_min must be finite"):
         h_minima(surf, np.inf)
     with pytest.raises(ValueError, match="h_min must be finite"):
-        watershed_segment(surf, np.inf)
+        watershed_segment(surf, surf.astype(np.uint8), np.inf)
     with pytest.raises(ValueError, match="h_min must be finite"):
         check_h_min(np.inf)
     with pytest.raises(ValueError, match="h_min must be finite"):
@@ -333,7 +302,7 @@ def test_marker_extraction_rejects_non_finite_surface(bad, h):
     with pytest.raises(ValueError, match="surface must be finite"):
         regional_minima(surf)
     with pytest.raises(ValueError, match="surface must be finite"):
-        watershed_segment(surf, h)
+        watershed_segment(surf, np.zeros(surf.shape, dtype=np.uint8), h)
 
 
 def test_h_minima_zero_is_identity():
@@ -420,20 +389,26 @@ def test_regional_minima_keeps_row_end_and_next_row_start_apart(name):
     assert np.array_equal(got, want)
 
 
+def _phantom_frame():
+    return generate_phantom(PhantomSpec(32, 32, 32, 10, 20.0, 7))[0]
+
+
 def _phantom_gradient():
-    img, _ = generate_phantom(PhantomSpec(32, 32, 32, 10, 20.0, 7))
-    return scale_to_255(gradient_magnitude(img))
+    return scale_to_255(gradient_magnitude(_phantom_frame()))
+
+
+def _enhanced_frame(sigma):
+    img, _ = generate_phantom(PhantomSpec(32, 32, 32, 10, sigma, 7))
+    cfg = PipelineConfig()
+    return enhance_scales(img, cfg.wavelet_levels, cfg.kept_scales)
 
 
 def _enhanced_gradient(sigma):
-    """Sobel gradient of the IUWT-enhanced phantom, not the equalized one.
+    """Sobel gradient of the IUWT-enhanced phantom, as the pipeline takes it.
 
     h_minima takes more passes on it, most of them moving few pixels.
     """
-    img, _ = generate_phantom(PhantomSpec(32, 32, 32, 10, sigma, 7))
-    cfg = PipelineConfig()
-    enhanced = enhance_scales(img, cfg.wavelet_levels, cfg.kept_scales)
-    return scale_to_255(gradient_magnitude(enhanced))
+    return scale_to_255(gradient_magnitude(_enhanced_frame(sigma)))
 
 
 def _heavy_ties():
@@ -444,7 +419,7 @@ def _serpentine():
     """A one-pixel-wide plateau winding through the top 15 rows.
 
     Walls of mixed heights separate its runs; rough ground below it
-    holds the other minima, so the flood has basins to split.
+    holds the other minima, so the watershed has basins to split.
     """
     rng = np.random.default_rng(31)
     surf = rng.integers(1, 7, size=(21, 21)).astype(float)
@@ -462,8 +437,8 @@ def _checkerboard():
 def _wide_shelf():
     """A flat shelf 25 pixels wide on the ramps between two pit columns.
 
-    Both pits flood the shelf from its edges, so its 600 pixels are one
-    long first-in first-out run of equal values, split by insertion order.
+    Its 600 pixels are one plateau of equal values between the two pits,
+    joined by edges of weight 0 as the surface's own frame.
     """
     xs = np.arange(40.0)
     return np.tile(np.minimum(np.minimum(xs, 2.0 * (39.0 - xs)), 10.0), (24, 1))
@@ -522,7 +497,7 @@ def test_h_minima_matches_oracle_at_scale(name, share):
 
 
 # ---------------------------------------------------------------------------
-# Watershed flooding
+# Watershed cut
 # ---------------------------------------------------------------------------
 
 TWO_PIT = np.array(
@@ -536,43 +511,77 @@ TWO_PIT = np.array(
     dtype=float,
 )
 
+# The frame the cut runs on: dark above the anti-diagonal, mid gray on it
+# and bright below it.  Edges of weight 0 join each side to its pit, and
+# each diagonal pixel then joins the dark side, 50 gray levels away
+# against 140.
+TWO_PIT_FRAME = np.array(
+    [
+        [10, 10, 10, 10, 60],
+        [10, 10, 10, 60, 200],
+        [10, 10, 60, 200, 200],
+        [10, 60, 200, 200, 200],
+        [60, 200, 200, 200, 200],
+    ],
+    dtype=np.uint8,
+)
+
 TWO_PIT_LABELS = np.array(
     [
-        [1, 1, 1, 1, 0],
-        [1, 1, 1, 0, 2],
-        [1, 1, 0, 2, 2],
-        [1, 0, 2, 2, 2],
-        [0, 2, 2, 2, 2],
+        [1, 1, 1, 1, 1],
+        [1, 1, 1, 1, 2],
+        [1, 1, 1, 2, 2],
+        [1, 1, 2, 2, 2],
+        [1, 2, 2, 2, 2],
     ],
     dtype=np.int32,
 )
 
 
 def test_two_pit_fixture_exact_labels():
-    labels = watershed_segment(TWO_PIT, 0.0)
+    labels = watershed_segment(TWO_PIT, TWO_PIT_FRAME, 0.0)
     assert np.array_equal(labels, TWO_PIT_LABELS)
     assert labels.max() == 2
 
 
 def test_two_pit_matches_oracle():
-    assert np.array_equal(oracle_flood(TWO_PIT), TWO_PIT_LABELS)
+    assert np.array_equal(oracle_cut(TWO_PIT, TWO_PIT_FRAME), TWO_PIT_LABELS)
 
 
-# Surface rows [5, 0, 1, 3] and [0, 9, 2, 4]: the markers are (0, 1) -> 1 and
-# (1, 0) -> 2.  (1, 1) pops last and sees basin labels 1, 2, 1 on up, left and
-# right, so it is a ridge even though its last claim repeats an earlier one;
-# (1, 3) sees 1 on up and on left, the same basin twice, so basin 1 claims it.
-CONFLICT = np.array([[5, 0, 1, 3], [0, 9, 2, 4]], dtype=float)
-CONFLICT_LABELS = np.array([[0, 1, 1, 1], [2, 0, 1, 1]], dtype=np.int32)
+# The frame is its own marker surface: the markers are (0, 1) -> 1 and
+# (1, 0) -> 2.  Each other pixel reaches both markers through one edge, and
+# both edges weigh the same: 9 for (0, 0), 5 for (1, 1).  The horizontal
+# edge is numbered first, so each pixel joins the marker beside it, even
+# where the marker above it comes first in row-major order.
+EQUAL_WEIGHTS = np.array([[9, 0], [0, 5]], dtype=np.uint8)
+EQUAL_WEIGHTS_LABELS = np.array([[1, 1], [2, 2]], dtype=np.int32)
 
 
-def test_conflicting_claims_make_a_ridge_and_repeated_claims_do_not():
-    assert np.array_equal(watershed_segment(CONFLICT, 0.0), CONFLICT_LABELS)
-    assert np.array_equal(oracle_flood(CONFLICT), CONFLICT_LABELS)
+def test_equal_weights_are_taken_in_edge_number_order():
+    assert np.array_equal(watershed_segment(EQUAL_WEIGHTS, EQUAL_WEIGHTS), EQUAL_WEIGHTS_LABELS)
+    assert np.array_equal(oracle_cut(EQUAL_WEIGHTS, EQUAL_WEIGHTS), EQUAL_WEIGHTS_LABELS)
+
+
+def test_pore_corner_goes_to_the_pore():
+    """The (16, 4) lattice: the enhanced frame rounds each pore's corners
+    up past the threshold, yet the cut gives every corner to its pore."""
+    img, truth = generate_phantom(PhantomSpec(40, 40, 16, 4, 0.0, 7))
+    cfg = PipelineConfig()
+    frame = enhance_scales(img, cfg.wavelet_levels, cfg.kept_scales)
+    surface = scale_to_255(gradient_magnitude(frame))
+    labels = watershed_segment(surface, frame, cfg.h_min)
+    assert np.array_equal(labels, oracle_cut(surface, frame, cfg.h_min))
+    threshold = otsu_threshold(histogram(frame))
+    corners = [(y, x) for y in (4, 15, 20, 31) for x in (4, 15, 20, 31)]
+    assert all(not truth[c] and frame[c] >= threshold for c in corners)
+    for y, x in corners:  # the pore's centre is 6 pixels inwards
+        inward = (y + (6 if y % 16 == 4 else -6), x + (6 if x % 16 == 4 else -6))
+        assert labels[y, x] == labels[inward]
+    assert np.array_equal(labels_to_mask(labels, frame, threshold), truth)
 
 
 def test_constant_surface_single_basin():
-    labels = watershed_segment(np.zeros((6, 6)), 0.0)
+    labels = watershed_segment(np.zeros((6, 6)), np.zeros((6, 6), dtype=np.uint8), 0.0)
     assert labels.max() == 1
     assert (labels == 1).all()
 
@@ -581,9 +590,8 @@ def test_flood_matches_oracle_on_random_surfaces():
     rng = np.random.default_rng(12)
     for _ in range(10):
         surf = rng.integers(0, 5, size=(8, 8)).astype(float)
-        got = watershed_segment(surf, 0.0)
-        want = oracle_flood(surf)
-        assert np.array_equal(got, want)
+        frame = surf.astype(np.uint8)
+        assert np.array_equal(watershed_segment(surf, frame, 0.0), oracle_cut(surf, frame))
 
 
 SHAPES = st.one_of(
@@ -600,8 +608,8 @@ def generated_surfaces(draw):
     """1x1 to 12x12 surfaces of 1 to 5 integer levels, some pixels jittered.
 
     Jitter none, some or all of the pixels: integer plateaus then sit
-    above and below distinct-valued slopes, so queued and deferred
-    pixels meet, and plateaus of equal and of distinct values touch.
+    above and below distinct-valued slopes, and plateaus of equal and of
+    distinct values touch.
     """
     shape = draw(SHAPES)
     levels = draw(st.integers(1, 5))
@@ -623,14 +631,6 @@ def generated_surfaces(draw):
     return surf
 
 
-# 300 examples, or more under a profile that asks for more (the "ci"
-# profile of tests/conftest.py asks for 2000).
-@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
-@given(surf=generated_surfaces(), h_min=DEPTHS)
-def test_flood_matches_oracle_on_generated_surfaces(surf, h_min):
-    assert np.array_equal(watershed_segment(surf, h_min), oracle_flood(surf, h_min))
-
-
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(surf=generated_surfaces(), h=DEPTHS)
 def test_h_minima_matches_oracle_on_generated_surfaces(surf, h):
@@ -648,7 +648,7 @@ def test_h_minima_matches_oracle_at_switch_extremes(share, surf, h):
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(surf=generated_surfaces(), h=DEPTHS)
 def test_regional_minima_matches_oracle_on_generated_surfaces(surf, h):
-    # The surfaces the flood takes its markers from: filled by the oracle.
+    # The surfaces the watershed takes its markers from: filled by the oracle.
     filled = oracle_h_minima(surf, h)
     got, k_got = regional_minima(filled)
     want, k_want = oracle_minima(filled)
@@ -656,51 +656,47 @@ def test_regional_minima_matches_oracle_on_generated_surfaces(surf, h):
     assert np.array_equal(got, want)
 
 
-# Markers (0, 0) -> 1 and (0, 3) -> 2.  Only the equal pair (0, 1), (0, 2)
-# is queued: (0, 1) pops first and takes basin 1, then (0, 2) sees basins 1
-# and 2 and is a ridge.  Every other pixel is deferred.  (1, 2) pops with the
-# ridge pixel (0, 2) and the basin-2 pixel (1, 3) below it and takes basin 2;
-# (1, 1), higher still, then sees basin 1 up and left and basin 2 right, and
-# is a ridge.
-RIDGE_AND_BASIN = np.array([[0, 3, 3, 0], [4, 9, 5, 1]], dtype=float)
-RIDGE_AND_BASIN_LABELS = np.array([[1, 1, 0, 2], [1, 0, 2, 2]], dtype=np.int32)
+@st.composite
+def cut_cases(draw):
+    """A generated surface and a gray frame of its shape.
 
-# Markers (0, 0) -> 1 and (0, 4) -> 2, and no two neighbors are equal, so
-# every other pixel is deferred.  (0, 2) pops with two deferred pixels below
-# it, (0, 1) in basin 1 and (0, 3) in basin 2, so it is a ridge; so is (1, 2),
-# higher still, between (1, 1) in basin 1 and (1, 3) in basin 2.
-DEFERRED_CONFLICT = np.array([[0, 1, 5, 2, 0], [6, 8, 9, 8, 6]], dtype=float)
-DEFERRED_CONFLICT_LABELS = np.array([[1, 1, 0, 2, 2], [1, 1, 0, 2, 2]], dtype=np.int32)
+    The frame is the surface's integer part, so that its plateaus and
+    the markers line up, or independent values of 2, 4 or 256 levels.
+    """
+    surf = draw(generated_surfaces())
+    levels = draw(st.sampled_from([0, 2, 4, 256]))
+    if levels == 0:
+        return surf, np.floor(surf).astype(np.uint8)
+    n = surf.size
+    cells = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+    return surf, np.array(cells, dtype=np.uint8).reshape(surf.shape)
 
 
-@pytest.mark.parametrize(
-    "surf, want",
-    [
-        (RIDGE_AND_BASIN, RIDGE_AND_BASIN_LABELS),
-        (DEFERRED_CONFLICT, DEFERRED_CONFLICT_LABELS),
-    ],
-    ids=["ridge-and-basin-below", "two-basins-below"],
-)
-def test_deferred_pixels_take_the_labels_they_pop_with(surf, want):
-    assert np.array_equal(watershed_segment(surf, 0.0), want)
-    assert np.array_equal(oracle_flood(surf), want)
+# 300 examples, or more under a profile that asks for more (the "ci"
+# profile of tests/conftest.py asks for 2000).
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(case=cut_cases(), h_min=DEPTHS)
+def test_flood_matches_oracle_on_generated_surfaces(case, h_min):
+    surf, frame = case
+    assert np.array_equal(watershed_segment(surf, frame, h_min), oracle_cut(surf, frame, h_min))
 
 
 def test_flood_with_h_min_matches_oracle():
     rng = np.random.default_rng(13)
     for _ in range(5):
         surf = rng.integers(0, 12, size=(8, 8)).astype(float)
-        got = watershed_segment(surf, 3.0)
-        want = oracle_flood(surf, 3.0)
-        assert np.array_equal(got, want)
+        frame = surf.astype(np.uint8)
+        assert np.array_equal(watershed_segment(surf, frame, 3.0), oracle_cut(surf, frame, 3.0))
 
 
 def test_ridge_count_equals_minima_count_at_zero_h():
+    # One basin per marker: the cut leaves no pixel as a ridge.
     rng = np.random.default_rng(14)
     surf = rng.integers(0, 9, size=(12, 12)).astype(float)
     _, k = regional_minima(surf)
-    labels = watershed_segment(surf, 0.0)
+    labels = watershed_segment(surf, surf.astype(np.uint8), 0.0)
     assert labels.max() == k
+    assert labels.min() == 1
 
 
 def test_basin_count_non_increasing_in_h():
@@ -708,7 +704,7 @@ def test_basin_count_non_increasing_in_h():
     surf = gradient_magnitude(img)
     counts = []
     for h in (0.0, 5.0, 20.0, 60.0):
-        labels = watershed_segment(surf, h)
+        labels = watershed_segment(surf, img, h)
         counts.append(int(labels.max()))
     assert counts == sorted(counts, reverse=True)
     assert counts[1] < counts[0]
@@ -717,22 +713,23 @@ def test_basin_count_non_increasing_in_h():
 def test_flood_determinism():
     rng = np.random.default_rng(15)
     surf = rng.integers(0, 4, size=(10, 10)).astype(float)
-    a = watershed_segment(surf, 0.0)
-    b = watershed_segment(surf, 0.0)
+    frame = surf.astype(np.uint8)
+    a = watershed_segment(surf, frame, 0.0)
+    b = watershed_segment(surf, frame, 0.0)
     assert np.array_equal(a, b)
 
 
 def test_basins_are_connected_and_contain_their_marker():
     rng = np.random.default_rng(16)
     surf = rng.integers(0, 5, size=(9, 9)).astype(float)
-    labels = watershed_segment(surf, 0.0)
+    labels = watershed_segment(surf, rng.integers(0, 256, size=(9, 9)).astype(np.uint8), 0.0)
     markers, k = regional_minima(surf)
-    assert labels.max() == k
+    assert labels.max() == k and labels.min() == 1
     for basin in range(1, k + 1):
         inside = labels == basin
-        # marker k sits inside basin k
-        assert (markers[inside] == basin).any() or not (markers == basin).any()
-        assert not ((markers == basin) & ~inside).any()
+        # marker k, and only it, sits inside basin k
+        held = markers[inside & (markers > 0)]
+        assert (held == basin).all() and held.size == (markers == basin).sum()
         # 4-connectivity of the basin
         ys, xs = np.nonzero(inside)
         cells = set(zip(ys.tolist(), xs.tolist()))
@@ -749,13 +746,26 @@ def test_basins_are_connected_and_contain_their_marker():
         assert seen == cells
 
 
+# The frame each large surface's cut runs on: the phantom frame a gradient
+# came from, else the integer surface itself modulo 256.
+LARGE_FRAMES = {
+    "phantom_gradient": _phantom_frame,
+    "enhanced_gradient_s0": partial(_enhanced_frame, 0.0),
+    "enhanced_gradient_s20": partial(_enhanced_frame, 20.0),
+}
+
+
 @pytest.mark.parametrize("name", sorted(LARGE_SURFACES))
 def test_flood_matches_oracle_at_scale(name):
     make, h_min = LARGE_SURFACES[name]
     surf = make()
-    got = watershed_segment(surf, h_min)
+    if name in LARGE_FRAMES:
+        frame = LARGE_FRAMES[name]()
+    else:
+        frame = (surf % 256).astype(np.uint8)
+    got = watershed_segment(surf, frame, h_min)
     assert got.dtype == np.int32
-    assert np.array_equal(got, oracle_flood(surf, h_min))
+    assert np.array_equal(got, oracle_cut(surf, frame, h_min))
 
 
 def test_flood_without_markers_raises(monkeypatch):
@@ -764,14 +774,19 @@ def test_flood_without_markers_raises(monkeypatch):
 
     monkeypatch.setattr(lcseg.watershed, "regional_minima", no_markers)
     with pytest.raises(RuntimeError, match="undecided"):
-        watershed_segment(np.zeros((5, 5)), 0.0)
+        watershed_segment(np.zeros((5, 5)), np.zeros((5, 5), dtype=np.uint8), 0.0)
 
 
 def test_rejects_non_finite_surface():
     surf = np.zeros((4, 4))
     surf[1, 1] = np.nan
     with pytest.raises(ValueError):
-        watershed_segment(surf, 0.0)
+        watershed_segment(surf, np.zeros((4, 4), dtype=np.uint8), 0.0)
+
+
+def test_cut_rejects_a_frame_of_another_shape():
+    with pytest.raises(ValueError, match="image vs surface"):
+        watershed_segment(np.zeros((4, 4)), np.zeros((4, 5), dtype=np.uint8), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -781,15 +796,17 @@ def test_rejects_non_finite_surface():
 def test_single_basin_is_foreground():
     labels = np.ones((4, 4), dtype=np.int32)
     img = np.full((4, 4), 13, dtype=np.uint8)
-    assert labels_to_mask(labels, img).all()
+    assert labels_to_mask(labels, img, 13).all()
 
 
 def test_two_basins_otsu_split():
+    # lcseg segment's default: Otsu's threshold t = 60 of the input puts
+    # 60 in the lower class, so tissue starts at t + 1.
     labels = np.ones((4, 4), dtype=np.int32)
     labels[:, 2:] = 2
     img = np.full((4, 4), 60, dtype=np.uint8)
     img[:, 2:] = 190
-    mask = labels_to_mask(labels, img)
+    mask = labels_to_mask(labels, img, otsu_threshold(histogram(img)) + 1)
     assert not mask[:, :2].any()
     assert mask[:, 2:].all()
 
@@ -799,9 +816,9 @@ def test_fixed_threshold_rule():
     labels[:, 2:] = 2
     img = np.full((4, 4), 60, dtype=np.uint8)
     img[:, 2:] = 190
-    assert labels_to_mask(labels, img, fixed_threshold=200).sum() == 0
-    assert labels_to_mask(labels, img, fixed_threshold=60).all()
-    mask = labels_to_mask(labels, img, fixed_threshold=61)
+    assert labels_to_mask(labels, img, 200).sum() == 0
+    assert labels_to_mask(labels, img, 60).all()
+    mask = labels_to_mask(labels, img, 61)
     assert mask[:, 2:].all() and not mask[:, :2].any()
 
 
@@ -809,108 +826,73 @@ def test_fixed_threshold_rule():
 def test_fixed_threshold_outside_gray_range_is_rejected(fixed_threshold):
     labels = np.ones((4, 4), dtype=np.int32)
     img = np.full((4, 4), 60, dtype=np.uint8)
-    with pytest.raises(ValueError, match="fixed_threshold must be in 0..255"):
-        labels_to_mask(labels, img, fixed_threshold=fixed_threshold)
+    with pytest.raises(ValueError, match="threshold must be in 0..255"):
+        labels_to_mask(labels, img, fixed_threshold)
 
 
-def test_ridge_majority_and_tie():
-    # three columns: basin1 (dark) | ridge | basin2 (bright)
-    labels = np.array([[1, 0, 2]] * 3, dtype=np.int32)
-    img = np.array([[10, 100, 200]] * 3, dtype=np.uint8)
-    mask = labels_to_mask(labels, img)
-    # ridge has one fg and one bg basin neighbor -> tie -> foreground
-    assert mask[:, 1].all()
-    assert mask[:, 2].all()
-    assert not mask[:, 0].any()
+@pytest.mark.parametrize("lowest", [0, -1])
+def test_labels_to_mask_rejects_labels_below_one(lowest):
+    labels = np.array([[1, 2], [lowest, 2]], dtype=np.int32)
+    with pytest.raises(ValueError, match="basin ids >= 1"):
+        labels_to_mask(labels, np.zeros((2, 2), dtype=np.uint8), 0)
 
 
-def test_ridge_majority_follows_neighbors():
-    # ridge pixel surrounded by two bright basins and one dark
-    labels = np.array(
-        [
-            [2, 2, 2],
-            [1, 0, 3],
-            [3, 3, 3],
-        ],
-        dtype=np.int32,
-    )
-    img = np.array(
-        [
-            [200, 200, 200],
-            [10, 0, 210],
-            [205, 205, 205],
-        ],
-        dtype=np.uint8,
-    )
-    mask = labels_to_mask(labels, img)
-    assert mask[1, 1]  # fg majority 3-1
-
-
-def _random_label_map(rng, shape):
-    """Basins 1..9 with about 40% ridge, a ridge-lined border and a ridge
-    pixel whose four neighbors are all ridge."""
-    labels = rng.integers(1, 10, size=shape).astype(np.int32)
-    labels[rng.uniform(size=shape) < 0.4] = 0
-    labels[0, : shape[1] // 2] = 0
-    labels[:, -1] = 0
-    labels[2:5, 2:5] = 0
-    labels[6, 6] = 1  # at least one basin pixel
-    return labels
-
-
+# None stands for lcseg segment's default: Otsu's split of the image.
 @pytest.mark.parametrize("fixed_threshold", [None, 0, 100, 128, 255])
 def test_labels_to_mask_matches_oracle(fixed_threshold):
     rng = np.random.default_rng(40 if fixed_threshold is None else fixed_threshold)
     for _ in range(8):
         shape = tuple(int(v) for v in rng.integers(8, 20, size=2))
-        labels = _random_label_map(rng, shape)
+        labels = rng.integers(1, 10, size=shape).astype(np.int32)
         img = rng.integers(0, 256, size=shape).astype(np.uint8)
-        got = labels_to_mask(labels, img, fixed_threshold=fixed_threshold)
-        want = oracle_labels_to_mask(labels, img, fixed_threshold)
-        assert np.array_equal(got, want)
-        assert got[3, 3]  # no basin neighbor: the tie goes to foreground
+        threshold = fixed_threshold
+        if threshold is None:
+            threshold = otsu_threshold(histogram(img)) + 1
+        got = labels_to_mask(labels, img, threshold)
+        assert np.array_equal(got, oracle_labels_to_mask(labels, img, threshold))
 
 
 def test_labels_to_mask_matches_oracle_on_flooded_phantom():
-    img, _ = generate_phantom(PhantomSpec(32, 32, 32, 10, 20.0, 7))
-    labels = watershed_segment(_phantom_gradient(), PipelineConfig().h_min)
-    assert (labels == 0).any()
-    for fixed_threshold in (None, 128):
-        got = labels_to_mask(labels, img, fixed_threshold=fixed_threshold)
-        assert np.array_equal(got, oracle_labels_to_mask(labels, img, fixed_threshold))
+    frame = _enhanced_frame(20.0)
+    labels = watershed_segment(_enhanced_gradient(20.0), frame, PipelineConfig().h_min)
+    assert labels.min() == 1  # every pixel is in a basin
+    for threshold in (otsu_threshold(histogram(frame)), 128):
+        got = labels_to_mask(labels, frame, threshold)
+        assert np.array_equal(got, oracle_labels_to_mask(labels, frame, threshold))
 
 
 def test_labels_to_mask_dimension_mismatch():
     with pytest.raises(ValueError):
         labels_to_mask(
-            np.ones((3, 3), dtype=np.int32), np.zeros((4, 4), dtype=np.uint8)
+            np.ones((3, 3), dtype=np.int32), np.zeros((4, 4), dtype=np.uint8), 0
         )
 
 
-EDGE_EROSION = pytest.mark.xfail(
-    reason="edge erosion: Sobel makes each beam edge a two-pixel ridge plateau, "
-    "which the flood splits by scan order, so beams lose a pixel on each side",
-    strict=True,
-)
+# The least share of pixels the default pipeline must get right at 256²,
+# phantom seed 7.  The bounds of the last four sit below the worst of
+# phantom seeds 0-9 under the watershed cut: (16, 4, 20) 98.64%,
+# (48, 20, 20) 99.71%, (48, 20, 60) 99.38% and (128, 40, 60) 99.85%.
+GEOMETRY_BOUNDS = {
+    (16, 4, 0.0): 0.99,
+    (32, 10, 0.0): 0.99,
+    (48, 20, 0.0): 0.99,
+    (128, 96, 0.0): 0.99,
+    (32, 10, 20.0): 0.99,
+    (16, 4, 20.0): 0.985,
+    (48, 20, 20.0): 0.995,
+    (48, 20, 60.0): 0.99,
+    (128, 40, 60.0): 0.995,
+}
 
 
-@pytest.mark.parametrize(
-    "period, beam, sigma",
-    [
-        (16, 4, 0.0),
-        pytest.param(32, 10, 0.0, marks=EDGE_EROSION),  # 92.29%
-        pytest.param(48, 20, 0.0, marks=EDGE_EROSION),  # 95.57%
-        (128, 96, 0.0),
-        pytest.param(32, 10, 20.0, marks=EDGE_EROSION),  # 87.11%
-    ],
-)
+@pytest.mark.parametrize("period, beam, sigma", list(GEOMETRY_BOUNDS))
 def test_geometry_sweep_end_to_end_mask(period, beam, sigma):
     img, truth = generate_phantom(PhantomSpec(256, 256, period, beam, sigma, 7))
     from lcseg.pipeline import run_pipeline
 
     result = run_pipeline(img, truth, PipelineConfig())
     agreement = (result.mask == truth).mean()
-    assert agreement >= 0.99
+    assert agreement >= GEOMETRY_BOUNDS[(period, beam, sigma)]
 
 
 # ---------------------------------------------------------------------------
@@ -968,65 +950,67 @@ def _pinned_inputs():
 
 # sha256 of the raw bytes of the float64 Sobel magnitude, its h-minima fill
 # (h = 5 on the [0, 255] rescale), the int32 markers and labels, and the bool
-# mask and boundary, taken at commit d010df6.  The PGM artifact pins cannot
-# see an ulp change in the gradient (gradient.pgm is quantized to 8 bits,
-# labels.pgm saturates at 255); these can.
+# mask and boundary.  The first three were taken at commit d010df6; the
+# labels, mask and boundary were re-taken when the watershed cut, with
+# basins split at the image's Otsu threshold + 1, replaced the flood.  The
+# PGM artifact pins cannot see an ulp change in the gradient (gradient.pgm
+# is quantized to 8 bits, labels.pgm saturates at 255); these can.
 SURFACE_PINS = {
     "random3x3": (
         "efb6efbb1bce5f663d7b7164667c1bda90c130a8414cf2ccf0bf2cc8eb004aa5",
         "03c93ea51de57fd595cf3f946fcfe879f3aa22f697c14ac444cec16ca6a4a5cf",
         "a020a98e111c8e3b881cd7c00487854a0b68718e8ed3302fd02a0f68b5c8663a",
-        "a020a98e111c8e3b881cd7c00487854a0b68718e8ed3302fd02a0f68b5c8663a",
-        "ca535ffcfd5e742c8dc7b866c8173165ed1ab1472bf4416d43b32d1164fa6294",
-        "ca535ffcfd5e742c8dc7b866c8173165ed1ab1472bf4416d43b32d1164fa6294",
+        "a4a19c08b72b400a57bf6eed786b803da8b986a924459bffe1bd5c72b75ac210",
+        "cfd7f1c7e5c3f37b1fa6dc7079e55fb5743fa0c78eb66983d75bbde1c75b0aee",
+        "cfd7f1c7e5c3f37b1fa6dc7079e55fb5743fa0c78eb66983d75bbde1c75b0aee",
     ),
     "random5x17": (
         "35a050cb3a6e3825410e1129521bfd1d737c032def9d88e64fe71eb346b009b2",
         "2b79b25ab8b9ef0dd4683eba4b983edd2235931160f386a233f6a36aed52b7d9",
         "4d88a2ddf7fe9fdd431dd52273329156d38c6110e59b7e8f77a7f44afae2d650",
-        "fae22522303df1b83440baa151ac2a1191de4a3b47231cdcc4daaf423a079635",
-        "8a26636f9ec4fa71c4235ee0e4b6226b6e5da44e0e033d7e07b011d58bf51083",
-        "3b6d72211d058f541943d0e2ceb0404b7cd3a37a412a21227d3c8d8251a69299",
+        "e48165f830e7a4b78da02b4fe659f5a40b0f70ff6f36e0054944c7cc8c255292",
+        "8bba854e67a7413be801fee66b45139b2276dd4608f868ab4b5a84b869d495e2",
+        "968f6dcae0879c5da64ced9c677324b37ef65fb133a875a26ee13b36bac68195",
     ),
     "random40x29": (
         "25541171b41de45b8e4c210ed889ec94e1a57fdc52a2f96eafd9cecf582039c6",
         "d898db7e3f1a88edc74460d707d17b268970be8db7e349a98121ed88b8207b0b",
         "81366d3c2e89714da8ae0aaf1af3d07b8f68f36100ad52ed75a07e35ccb64eb6",
-        "8b97144624c7ed0e26395e8b053b051763925516f63dc0088eaadfb3ce2d5710",
-        "b5d9d596ea02e370ad21ac61d96c1bbd71cb749eca4f81f7f8077804e478d624",
-        "0496e5a054b7b7aa8b6eeddde93952e813b99392a0d477d4ef3d5fdb839dc8aa",
+        "83a22271f2280ceb1fa723611d5480c3fa25c14a342b96abb88cda4f15e17a0a",
+        "5264bdd51c2ad834e0f22c4da4f52f9349ad0f4f469040579425819b79f17fb9",
+        "ae2e3aecba25ccafb238dc22af2d81c93415c6e80145546cf6555315d00b1bb5",
     ),
     "random64x64": (
         "03c1f736fd46ce57a670166dd9a92713841b4017e4804385ca3acda3cdbb0a46",
         "6f03847420cfc46e88c258864e36bc79a20492d26c2e9b45b1960f3e8a2b700a",
         "3bc001d64ce0a6449e26e79f51871a3d4b7e4b515aaba89546a77c85242144ef",
-        "86ee8961208b366efc2194a888e435429468723fa27cd94bad25db59a2c2e1be",
-        "2846bb2f245421926937ad8def6056c55ed592bdf6806dfa32895fa042d52d45",
-        "97321b68a9caffb06593a0d12ca49573171dd2d2db4b7db68b8e15695a076728",
+        "17d1acb37bfef016eb1a5e78f4ffc785a8e795e19ce712fd8a312dd26b5e4501",
+        "09dcba5e43d53c2595718c1194f42bae55944575336de580b258cf7e04422475",
+        "107c612bef8c2ee8c73f0481ab711fd61c62d95d4bf1eb908399aa7d87e7716b",
     ),
     "phantom_s0": (
         "2173bb4b5659cc2d3c8b6893f3a8d564d481225ed81e3c13da2214e2563c6f68",
         "a1a9d1596a800644ec80b6505d05820d3824a50e839196c0917c00a619a43bc2",
         "1b860108abb36aa7c4a2806b29b6c0484cfad535deac3128580ab76628e1cff4",
-        "b3c70dc085931de8c3257fa35c5671d81970ca33a6d06b91ccf3bc6d32ef4cef",
-        "f017ed3b24b122fdad8d6fd7563f8697679b90517d5fbd6a2bd50edddfc187cc",
-        "b476c92c738fa82ece4127ec9684fd69e1013eb3b57de1a23085367735492959",
+        "7e22db8093cc2574bd0abb50a48478345e9e836abe004dedc2ac10f431c51f6e",
+        "81b7964813e3e85daa7ed88fad6195a96fcb3a91571bce571d35d879f30f855e",
+        "fc377354f8fc2d2f134b28667d8720f03b0cdb5fd3bea9e7eab86c89fa1cd106",
     ),
     "phantom_s20": (
         "fad869d88fd8b872789e02f454826aa5f98499a50a017d260546714571b2c8f0",
         "6c9c49f9a2c7f40736e7d14b941e464874b76ba990501939190e34d1e15943cd",
         "e1775d8d804b1913ae3bf1e3d5e9ab9fc12b42040d83c9a95a8b342c460b642e",
-        "6ea70432c63c731221ee7306c2e15bda91eb7c05cf338f22de79e18790f1a740",
-        "12a864aa7da381239ec090f8e3fb5bfb20da3039f63e2dac15976581664b10bb",
-        "c596c3289db18359c593a2ec93dfd643475a1331f0e6461e57be127065eb3264",
+        "d93cb0ef2978dee5d65e599501bd347556b18d7841fdefda73aeac0be2813713",
+        "015094a7db0747afd90be4bdcf0d34605c0e263abd3d4925b95c75c364baa840",
+        "bcb9cdc0e212c5f9ce570194c42408505987dad5010606bf13a7f4f1571721be",
     ),
     "phantom_s60": (
         "d686e9fe57caa897e6c193b9893a5f714a288337c42e7f342d65d2c054e2cd1b",
         "b01e2cea43d57cd00368a282167871e8bcf4b55837a3a250a269bb8ffb6de831",
         "10c856fdcb9b455393053893e86711e1d442d4c3a80ff8fb7bd2e04fdd379bd2",
-        "f5281e73d2898d26f18c5599d4e8b4bf1311f2f57e6b57e4f06cc4c9685f859e",
-        "7b4b3415483d86a99cdeb6cb202ac9c8b5a3cbe3d89465a3d2e9ecbac9bdb078",
-        "50732944268bc82e8c345d7947e8e8bd774b989fcc00262ab054e80917984c75",
+        "3e16ac20a050d10d6fc28ceaacd054c3fe1635fae98cccc3f598be5c24dc2981",
+        "8092cdc214384068b37e1c1acfed85b16b386e6f44207f1200403e0a0863ec58",
+        "e2874e044fa77ebdddec8087e094cb32f682122b024cac30643b496aaf7e6450",
     ),
 }
 
@@ -1040,8 +1024,8 @@ def test_float_surfaces_are_pinned():
         gradient = gradient_magnitude(img)
         surface = scale_to_255(gradient)
         filled = h_minima(surface, 5.0)
-        labels = watershed_segment(surface, 5.0)
-        mask = labels_to_mask(labels, img)
+        labels = watershed_segment(surface, img, 5.0)
+        mask = labels_to_mask(labels, img, otsu_threshold(histogram(img)) + 1)
         markers, _ = regional_minima(filled)
         stages = (gradient, filled, markers, labels, mask, mask_boundary(mask))
         got[name] = tuple(digest(a) for a in stages)
@@ -1049,13 +1033,13 @@ def test_float_surfaces_are_pinned():
 
 
 # sha256 of the int32 labels of the default pipeline on the phantoms the
-# benchmark runs: 256² σ=20 (about 5.7k basins, 37% ridge), the plateau-heavy
-# 256² σ=0, and a 128² σ=20 tile.  Taken at commit 0053bcf, before the drain
-# loop's one-branch-per-neighbour rewrite.
+# benchmark runs: 256² σ=20 (3088 basins), the noise-free 256² σ=0 (65) and
+# a 128² σ=20 tile (534).  Re-taken when the watershed cut of the enhanced
+# frame replaced the flood of the equalized one.
 PIPELINE_LABEL_PINS = {
-    (256, 32, 10, 20.0): "368f4d0b990f7648d26c1b4fe7648504352452f7d76552d349ea1daa7dfeb115",
-    (256, 32, 10, 0.0): "b880db9f6c176052c609de9eb3c64933c3ae2ba90789b06819e565a23af14349",
-    (128, 16, 4, 20.0): "70400aebac43f3d3fe465d011c130083d078ae966b25259cafb5cb909b26f5c5",
+    (256, 32, 10, 20.0): "850792f9e1d2d88491643e8a508d8c8cc9e7e8ba2704fc2ed02c5dcbe586c9b7",
+    (256, 32, 10, 0.0): "e3466d3c39e4e0e6541dc7e7486161a22fbdebcc9f45f9dfbace192a0d100828",
+    (128, 16, 4, 20.0): "8f1a7cb9b57bc38bf822397a72fa68561cffb0f0cacc0aa974704dfbc6a2ae9b",
 }
 
 

@@ -87,7 +87,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_decompose(args) -> int:
     image = read_pgm(args.input)
-    kept = parse_scales(args.kept) if args.kept else tuple(range(1, args.levels + 1))
+    kept = tuple(range(1, args.levels + 1)) if args.kept is None else parse_scales(args.kept)
     write_pgm(enhance_scales(image, args.levels, kept), args.out)
     if args.dump_planes:
         pyramid = iuwt_decompose(image, args.levels)
@@ -121,10 +121,8 @@ def _cmd_equalize(args) -> int:
 def _cmd_segment(args) -> int:
     image = read_pgm(args.input)
     threshold = args.fixed_threshold
-    if threshold is None:
-        # No bat here: Otsu's exact threshold t of the input, whose upper
-        # class {v > t} starts at t + 1 (t < 255 whenever it splits).
-        threshold = bat.otsu_threshold(histeq.histogram(image)) + 1
+    if threshold is None:  # no bat here: Otsu's exact threshold of the input
+        threshold = bat.otsu_threshold(histeq.histogram(image))
     seg = segment(image, args.h_min, threshold)
     if args.out_labels:
         write_pgm(labels_to_gray8(seg.labels), args.out_labels)
@@ -132,6 +130,7 @@ def _cmd_segment(args) -> int:
         write_pgm(mask_to_gray8(seg.mask), args.out_mask)
     if args.out_overlay:
         write_overlay(image, seg.boundary, args.out_overlay)
+    print(f"threshold {threshold}")
     print(f"basins {seg.labels.max()}")
     return _exit_code(seg.degenerate)
 
@@ -223,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fixed-threshold",
         type=int,
         default=None,
-        help="classify basins by mean >= this threshold instead of the input's Otsu split",
+        help="a basin is tissue iff its mean is > this (default: the input's Otsu threshold)",
     )
     p.add_argument("--out-labels", default=None)
     p.add_argument("--out-mask", default=None)

@@ -59,8 +59,8 @@ class PipelineConfig:
 
 
 def parse_scales(text: str) -> tuple[int, ...]:
-    """Comma-separated scale indices, e.g. ``"2, 3"`` -> ``(2, 3)``."""
-    return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+    """Comma-separated scale indices, one ``int()`` a token: ``"2, 3"`` -> ``(2, 3)``."""
+    return tuple(int(tok) for tok in text.split(","))
 
 
 def _fmt_float(x: float) -> str:

@@ -10,12 +10,12 @@ ground truth is supplied).  The input stage crops the input to the ROI
 and checks the sizes of the image and of that frame and the truth shape,
 so bad inputs fail before the expensive stages run.
 
-The bat's threshold classifies the basins: a basin is tissue iff its
-mean over the enhanced frame reaches it.  Histogram equalization stays
-as a stage of the paper's chain; its output is ``equalized.pgm`` and the
-gray background of the overlay, and the segmentation does not read it.
-The ROC sweeps the enhanced frame.  ``lcseg segment`` runs the same
-:func:`segment`.
+The bat's threshold t splits the basins: a basin is tissue iff its mean
+over the enhanced frame is > t (:func:`lcseg.watershed.labels_to_mask`),
+and ``lcseg segment`` runs the same :func:`segment` at Otsu's t of its
+input.  Histogram equalization stays as a stage of the paper's chain; its
+output is ``equalized.pgm`` and the gray background of the overlay, and
+the segmentation does not read it.  The ROC sweeps the enhanced frame.
 """
 
 from __future__ import annotations
@@ -101,11 +101,11 @@ def segment(image: np.ndarray, h_min: float, threshold: int) -> Segmentation:
     Markers come from the Sobel gradient magnitude of ``image``, rescaled
     to [0, 255] so that the ``h_min`` depth is comparable across images;
     the cut runs on ``image`` itself, and a basin is tissue iff its mean
-    over ``image`` is >= ``threshold``.  ``h_min`` and ``threshold`` are
+    over ``image`` is > ``threshold``.  ``h_min`` and ``threshold`` are
     checked before the gradient.
     """
     ws.check_h_min(h_min)
-    ws._check_threshold(threshold)
+    ws.check_threshold(threshold)
     gradient = scale_to_255(ws.gradient_magnitude(image))
     labels = ws.watershed_segment(gradient, image, h_min)
     mask = ws.labels_to_mask(labels, image, threshold)

@@ -22,6 +22,7 @@ from .image import _fold, _fold_kernel, _mirror_pad, as_gray, check_same_shape
 __all__ = [
     "SOBEL_MIN",
     "gradient_magnitude",
+    "check_threshold",
     "check_h_min",
     "h_minima",
     "regional_minima",
@@ -70,7 +71,8 @@ def _check_finite(surface: np.ndarray) -> None:
         raise ValueError("surface must be finite")
 
 
-def _check_threshold(threshold: float) -> None:
+def check_threshold(threshold: float) -> None:
+    """Raise ``ValueError`` unless the basin split ``threshold`` lies in 0..255."""
     if not 0 <= threshold <= 255:  # also rejects NaN
         raise ValueError(f"threshold must be in 0..255, got {threshold}")
 
@@ -371,10 +373,11 @@ def _cut(img: np.ndarray, markers: np.ndarray, count: int) -> np.ndarray:
 def labels_to_mask(labels: np.ndarray, image: np.ndarray, threshold: float) -> np.ndarray:
     """Classify basins into tissue (foreground) and pores (background).
 
-    A basin is foreground iff its mean over ``image`` is >= ``threshold``,
-    which must lie in 0..255.  ``labels`` must hold basin ids >= 1.
+    A basin is foreground iff its mean over ``image`` is > ``threshold``
+    (the upper class {v > t} that the bat's Otsu objective scores), which
+    must lie in 0..255.  ``labels`` must hold basin ids >= 1.
     """
-    _check_threshold(threshold)
+    check_threshold(threshold)
     lab = np.asarray(labels)
     img = as_gray(image)
     check_same_shape(lab, img, "labels vs image")
@@ -385,7 +388,7 @@ def labels_to_mask(labels: np.ndarray, image: np.ndarray, threshold: float) -> n
     counts = np.bincount(flat, minlength=k + 1)
     sums = np.bincount(flat, weights=img.ravel(), minlength=k + 1)
     means = sums / np.maximum(counts, 1)  # ids no pixel holds are never read
-    return (means >= threshold)[lab]
+    return (means > threshold)[lab]
 
 
 def mask_boundary(mask: np.ndarray) -> np.ndarray:

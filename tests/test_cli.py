@@ -255,7 +255,7 @@ def test_stage_isolation_matches_run(tmp_path, phantom_dir, fast_config, capsys)
     assert mask.read_bytes() == (out / "mask.pgm").read_bytes()
     assert labels.read_bytes() == (out / "labels.pgm").read_bytes()
 
-    # --fixed-threshold classifies the same basins by mean >= 128; its
+    # --fixed-threshold classifies the same basins by mean > 128; its
     # mask and overlay are pinned to sha256s taken when the watershed cut
     # replaced the flood.
     overlay = tmp_path / "overlay.ppm"
@@ -348,6 +348,23 @@ def test_decompose_rejects_bad_kept_scales_before_the_transform(
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("kept", ["2 3", "2,,3", ""], ids=["blank-inside", "empty-token", "empty"])
+def test_decompose_rejects_malformed_kept_scales(kept, monkeypatch, tmp_path, phantom_dir, capsys):
+    # An empty --kept is a value like any other, not "keep every scale".
+    import lcseg.wavelet
+
+    calls = []
+    monkeypatch.setattr(lcseg.wavelet, "iuwt_decompose", lambda *a: calls.append(a))
+    out = tmp_path / "e.pgm"
+    code = run_cli(
+        "decompose", "--input", str(phantom_dir / "image.pgm"),
+        "--levels", "3", "--kept", kept, "--out", str(out),
+    )
+    assert code == 2
+    assert "invalid literal for int()" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 @pytest.mark.parametrize("levels", ["0", "-2"])
 def test_decompose_rejects_levels_below_one_before_the_transform(
     levels, monkeypatch, tmp_path, phantom_dir, capsys
@@ -387,6 +404,19 @@ def test_segment_standalone(tmp_path, phantom_dir):
     )
     assert code == 0
     assert mask.exists() and overlay.exists()
+    # The noise-free phantom's pores are 50 and its beams 200: Otsu's t is
+    # 50, and the split at t gives the truth back.
+    assert np.array_equal(read_pgm(mask), read_pgm(phantom_dir / "truth.pgm"))
+
+
+@pytest.mark.parametrize("fixed, want", [([], "50"), (["--fixed-threshold", "120"], "120")])
+def test_segment_prints_its_threshold(phantom_dir, capsys, fixed, want):
+    capsys.readouterr()
+    code = run_cli("segment", "--input", str(phantom_dir / "image.pgm"), *fixed)
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"threshold {want}"
+    assert lines[1].startswith("basins ")
 
 
 def test_segment_h_min_defaults_to_the_config_default(tmp_path):

@@ -11,6 +11,7 @@ from lcseg.config import (
     RoiRect,
     load_config,
     parse_config,
+    parse_scales,
     serialize_config,
 )
 
@@ -112,6 +113,21 @@ def test_bad_value_rejected():
         parse_config("[wavelet]\nlevels = many\n")
     with pytest.raises(ValueError):
         parse_config("[bat]\nalpha = 1.5\n")
+
+
+def test_kept_scale_tokens_may_carry_blanks_around_them():
+    assert parse_scales(" 2 ,3 ") == (2, 3)
+    assert parse_config("[wavelet]\nkept_scales = 2 , 3\n").kept_scales == (2, 3)
+
+
+@pytest.mark.parametrize("value", ["2 3", "2,,3", ""], ids=["blank-inside", "empty-token", "empty"])
+def test_kept_scale_tokens_are_not_merged_or_skipped(value):
+    # "2 3" is not scale 23, which 30 levels would accept, and "2,,3" is
+    # not (2, 3).
+    with pytest.raises(ValueError, match=r"^bad value for 'kept_scales' in \[wavelet\]: "):
+        parse_config(f"[wavelet]\nlevels = 30\nkept_scales = {value}\n")
+    with pytest.raises(ValueError):
+        parse_scales(value)
 
 
 @pytest.mark.parametrize(

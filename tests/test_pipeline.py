@@ -233,7 +233,8 @@ def test_pipeline_small_roi_without_truth_still_runs():
 
 def test_pipeline_threshold_override_mode(monkeypatch):
     # The bat's threshold splits the basins by their means over the
-    # enhanced frame: a threshold of 0 makes every basin tissue.
+    # enhanced frame: a threshold of 0 makes every basin whose mean is
+    # above 0, here all of them, tissue.
     from lcseg import bat
     from lcseg.watershed import labels_to_mask
 
@@ -244,6 +245,43 @@ def test_pipeline_threshold_override_mode(monkeypatch):
     found = bat.optimize_threshold
     monkeypatch.setattr(bat, "optimize_threshold", lambda *a: (0, found(*a)[1]))
     assert run_pipeline(img, truth, _fast_config()).mask.all()
+
+
+def test_pipeline_basin_at_the_threshold_is_pore(monkeypatch):
+    # The bat's t splits its Otsu classes {v <= t} and {v > t}, and so
+    # does the basin split: a basin whose mean is t is pore, one whose
+    # mean is t + 0.5 is tissue.
+    from fractions import Fraction
+
+    from lcseg import bat
+
+    img, truth = generate_phantom(PhantomSpec(64, 64, 16, 5, 20.0, 4))
+    res = run_pipeline(img, truth, _fast_config())
+    labels = res.labels
+    counts = np.bincount(labels.ravel())
+    sums = np.bincount(labels.ravel(), weights=res.enhanced.ravel())
+    means = {k: Fraction(int(sums[k]), int(counts[k])) for k in range(1, counts.size)}
+    whole = {int(m): k for k, m in means.items() if m.denominator == 1}
+    half = {int(m): k for k, m in means.items() if m.denominator == 2}  # keyed by m - 0.5
+    t = min(whole.keys() & half.keys())
+    found = bat.optimize_threshold
+    monkeypatch.setattr(bat, "optimize_threshold", lambda *a: (t, found(*a)[1]))
+    res = run_pipeline(img, truth, _fast_config())
+    assert res.threshold == t and np.array_equal(res.labels, labels)
+    assert not res.mask[labels == whole[t]].any()
+    assert res.mask[labels == half[t]].all()
+
+
+def test_segment_splits_the_noise_free_phantom_at_otsu():
+    # Pores are 50 and beams 200, so Otsu's t is 50 and every pore basin
+    # has mean t: the split must put them in the lower class.
+    from lcseg import bat, histeq
+    from lcseg.pipeline import segment
+
+    img, truth = generate_phantom(PhantomSpec(64, 64, 16, 5, 0.0, 7))
+    t = bat.otsu_threshold(histeq.histogram(img))
+    assert t == 50
+    assert np.array_equal(segment(img, PipelineConfig().h_min, t).mask, truth)
 
 
 def test_outputs_manifest(tmp_path):
@@ -344,7 +382,7 @@ def test_artifacts_are_pinned(tmp_path, monkeypatch, sigma, rule):
         found = bat.optimize_threshold
 
         def otsu_split(image, params):
-            split = bat.otsu_threshold(histeq.histogram(image)) + 1
+            split = bat.otsu_threshold(histeq.histogram(image))
             return split, found(image, params)[1]
 
         monkeypatch.setattr(bat, "optimize_threshold", otsu_split)

@@ -172,7 +172,7 @@ def oracle_labels_to_mask(labels, image, threshold):
     """Basin classification with loops (oracle).
 
     Basin means are summed pixel by pixel in row-major order; a basin is
-    foreground iff its mean is >= ``threshold``.
+    foreground iff its mean is > ``threshold``.
     """
     lab = np.asarray(labels)
     img = np.asarray(image)
@@ -187,7 +187,7 @@ def oracle_labels_to_mask(labels, image, threshold):
     for y in range(h):
         for x in range(w):
             k = int(lab[y, x])
-            mask[y, x] = sums[k] / counts[k] >= threshold
+            mask[y, x] = sums[k] / counts[k] > threshold
     return mask
 
 
@@ -573,7 +573,7 @@ def test_pore_corner_goes_to_the_pore():
     assert np.array_equal(labels, oracle_cut(surface, frame, cfg.h_min))
     threshold = otsu_threshold(histogram(frame))
     corners = [(y, x) for y in (4, 15, 20, 31) for x in (4, 15, 20, 31)]
-    assert all(not truth[c] and frame[c] >= threshold for c in corners)
+    assert all(not truth[c] and frame[c] > threshold for c in corners)
     for y, x in corners:  # the pore's centre is 6 pixels inwards
         inward = (y + (6 if y % 16 == 4 else -6), x + (6 if x % 16 == 4 else -6))
         assert labels[y, x] == labels[inward]
@@ -794,19 +794,23 @@ def test_cut_rejects_a_frame_of_another_shape():
 # ---------------------------------------------------------------------------
 
 def test_single_basin_is_foreground():
+    # A basin is tissue iff its mean is above the threshold.
     labels = np.ones((4, 4), dtype=np.int32)
     img = np.full((4, 4), 13, dtype=np.uint8)
-    assert labels_to_mask(labels, img, 13).all()
+    assert labels_to_mask(labels, img, 0).all()
+    assert labels_to_mask(labels, img, 12).all()
+    assert not labels_to_mask(labels, img, 13).any()
 
 
 def test_two_basins_otsu_split():
     # lcseg segment's default: Otsu's threshold t = 60 of the input puts
-    # 60 in the lower class, so tissue starts at t + 1.
+    # 60 in the lower class {v <= t}, and so does the split at t.
     labels = np.ones((4, 4), dtype=np.int32)
     labels[:, 2:] = 2
     img = np.full((4, 4), 60, dtype=np.uint8)
     img[:, 2:] = 190
-    mask = labels_to_mask(labels, img, otsu_threshold(histogram(img)) + 1)
+    assert otsu_threshold(histogram(img)) == 60
+    mask = labels_to_mask(labels, img, otsu_threshold(histogram(img)))
     assert not mask[:, :2].any()
     assert mask[:, 2:].all()
 
@@ -816,10 +820,23 @@ def test_fixed_threshold_rule():
     labels[:, 2:] = 2
     img = np.full((4, 4), 60, dtype=np.uint8)
     img[:, 2:] = 190
-    assert labels_to_mask(labels, img, 200).sum() == 0
-    assert labels_to_mask(labels, img, 60).all()
-    mask = labels_to_mask(labels, img, 61)
-    assert mask[:, 2:].all() and not mask[:, :2].any()
+    assert labels_to_mask(labels, img, 59).all()
+    for threshold in (60, 189):
+        mask = labels_to_mask(labels, img, threshold)
+        assert mask[:, 2:].all() and not mask[:, :2].any()
+    assert not labels_to_mask(labels, img, 190).any()
+    assert not labels_to_mask(labels, img, 255).any()
+
+
+def test_mean_equal_to_the_threshold_is_pore():
+    # Basin 1 holds 80 only (mean t), basin 2 holds 80 and 81 (mean
+    # t + 0.5), basin 3 holds 79 and 80 (mean t - 0.5): only basin 2 is
+    # above t = 80.
+    labels = np.array([[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 3, 3]], dtype=np.int32)
+    img = np.array([[80, 80, 80, 81], [80, 80, 81, 80], [79, 80, 79, 80]], dtype=np.uint8)
+    mask = labels_to_mask(labels, img, 80)
+    assert np.array_equal(mask, labels == 2)
+    assert np.array_equal(mask, oracle_labels_to_mask(labels, img, 80))
 
 
 @pytest.mark.parametrize("fixed_threshold", [-1, 256, 999, float("nan")])
@@ -847,7 +864,7 @@ def test_labels_to_mask_matches_oracle(fixed_threshold):
         img = rng.integers(0, 256, size=shape).astype(np.uint8)
         threshold = fixed_threshold
         if threshold is None:
-            threshold = otsu_threshold(histogram(img)) + 1
+            threshold = otsu_threshold(histogram(img))
         got = labels_to_mask(labels, img, threshold)
         assert np.array_equal(got, oracle_labels_to_mask(labels, img, threshold))
 
@@ -951,9 +968,12 @@ def _pinned_inputs():
 # sha256 of the raw bytes of the float64 Sobel magnitude, its h-minima fill
 # (h = 5 on the [0, 255] rescale), the int32 markers and labels, and the bool
 # mask and boundary.  The first three were taken at commit d010df6; the
-# labels, mask and boundary were re-taken when the watershed cut, with
-# basins split at the image's Otsu threshold + 1, replaced the flood.  The
-# PGM artifact pins cannot see an ulp change in the gradient (gradient.pgm
+# labels, mask and boundary were re-taken when the watershed cut replaced the
+# flood.  The mask splits the basins at the image's Otsu threshold t, a basin
+# being tissue iff its mean is > t.  The mask and boundary of phantom_s60 were
+# re-taken when that rule replaced a split one gray level above t: a basin of
+# 5 pixels with mean 126.8 against t = 126 became tissue, as its truth is.
+# The PGM artifact pins cannot see an ulp change in the gradient (gradient.pgm
 # is quantized to 8 bits, labels.pgm saturates at 255); these can.
 SURFACE_PINS = {
     "random3x3": (
@@ -1009,8 +1029,8 @@ SURFACE_PINS = {
         "b01e2cea43d57cd00368a282167871e8bcf4b55837a3a250a269bb8ffb6de831",
         "10c856fdcb9b455393053893e86711e1d442d4c3a80ff8fb7bd2e04fdd379bd2",
         "3e16ac20a050d10d6fc28ceaacd054c3fe1635fae98cccc3f598be5c24dc2981",
-        "8092cdc214384068b37e1c1acfed85b16b386e6f44207f1200403e0a0863ec58",
-        "e2874e044fa77ebdddec8087e094cb32f682122b024cac30643b496aaf7e6450",
+        "69e4062d8f519869b5033365a9444fbb5f3857e288b1895bf9fe203f4213754d",
+        "7124132ecd75a7a5c2835414f0b3279d787fb765fac31c193560dc773dae9d0b",
     ),
 }
 
@@ -1025,7 +1045,7 @@ def test_float_surfaces_are_pinned():
         surface = scale_to_255(gradient)
         filled = h_minima(surface, 5.0)
         labels = watershed_segment(surface, img, 5.0)
-        mask = labels_to_mask(labels, img, otsu_threshold(histogram(img)) + 1)
+        mask = labels_to_mask(labels, img, otsu_threshold(histogram(img)))
         markers, _ = regional_minima(filled)
         stages = (gradient, filled, markers, labels, mask, mask_boundary(mask))
         got[name] = tuple(digest(a) for a in stages)

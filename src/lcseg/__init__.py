@@ -1,12 +1,12 @@
 """Bat-optimized watershed segmentation of lamina cribrosa mesh images.
 
-Subpackages follow the processing stages: :mod:`lcseg.image` (pixel
+Modules follow the processing stages: :mod:`lcseg.image` (pixel
 containers, PGM/PPM I/O, phantom generation), :mod:`lcseg.wavelet`
 (undecimated a trous transform), :mod:`lcseg.bat` (bat-algorithm
 threshold optimization), :mod:`lcseg.histeq` (histogram equalization),
-:mod:`lcseg.watershed` (gradient watershed), :mod:`lcseg.metrics`
-(evaluation suite and ROC) and :mod:`lcseg.pipeline` / :mod:`lcseg.cli`
-(orchestration).
+:mod:`lcseg.watershed` (marker-controlled watershed cut),
+:mod:`lcseg.metrics` (evaluation suite and ROC) and :mod:`lcseg.pipeline`
+/ :mod:`lcseg.cli` (orchestration).
 """
 
 from .image import PhantomSpec, generate_phantom, read_pgm, write_pgm

@@ -144,24 +144,6 @@ def _fold(padded: np.ndarray, kernel_y, kernel_x) -> np.ndarray:
     return out.reshape(rows.shape)[..., : padded_w - 2 * reach_x]
 
 
-def _mirror_pad(plane: np.ndarray, kernels) -> np.ndarray:
-    """``plane`` mirror-padded by each kernel's reach, in the dtype the
-    passes sum in: int32 for a uint8 plane whose whole-number taps keep
-    every sum inside int32, float64 otherwise.
-
-    Each axis's gain sum|taps| counts as at least 1, so an all-zero axis
-    cannot let the other axis's taps overflow the cast to int32.
-    """
-    taps = [k[0] for k in kernels]
-    dtype = np.float64
-    if plane.dtype == np.uint8 and all(np.array_equal(t, np.trunc(t)) for t in taps):
-        gain_y, gain_x = (max(float(np.abs(t).sum()), 1.0) for t in taps)
-        if 255 * gain_y * gain_x < 2**31:
-            dtype = np.int32
-    pad = [(_reach(k),) * 2 for k in kernels]
-    return np.pad(plane, pad, mode="reflect").astype(dtype, copy=False)
-
-
 def separable_filter(
     plane: np.ndarray, taps_y: np.ndarray, taps_x: np.ndarray, spacing: int = 1
 ) -> np.ndarray:
@@ -186,9 +168,9 @@ def separable_filter(
     with sums in tap order.
 
     The checks and the mirror padding are done here; the two passes are
-    the private ``_fold``, which :func:`lcseg.watershed.gradient_magnitude`
-    runs twice on one padded copy and :func:`lcseg.metrics.ssim` runs on
-    its row strips of four stacked planes.
+    the private ``_fold``, which serves the wavelet's B3 levels and also
+    runs :func:`lcseg.metrics.ssim`'s row strips of four stacked planes.
+    The 3x3 Sobel gradient is a stencil that adds in the fold's order.
     """
     plane = np.asarray(plane)
     h, w = plane.shape
@@ -198,7 +180,14 @@ def separable_filter(
         reach = _reach(kernels[-1])
         if reach > n - 1:
             raise ValueError(f"separable_filter: {axis} reach {reach} exceeds n - 1 for n = {n}")
-    return _fold(_mirror_pad(plane, kernels), *kernels).astype(np.float64, copy=False)
+    taps = [k[0] for k in kernels]
+    whole = plane.dtype == np.uint8 and all(np.array_equal(t, np.trunc(t)) for t in taps)
+    # Each axis's gain sum|taps| counts as at least 1, so an all-zero axis
+    # cannot let the other axis's taps overflow the cast to int32.
+    gain = 255 * math.prod(max(float(np.abs(t).sum()), 1.0) for t in taps)
+    dtype = np.int32 if whole and gain < 2**31 else np.float64
+    padded = np.pad(plane, [(_reach(k),) * 2 for k in kernels], mode="reflect")
+    return _fold(padded.astype(dtype, copy=False), *kernels).astype(np.float64, copy=False)
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:

@@ -327,6 +327,7 @@ def roc_sweep(
     score_image: np.ndarray, truth: np.ndarray, baseline: np.ndarray
 ) -> tuple[RocCurve, RocCurve]:
     """ROC curves of the pipeline score image and of the baseline image."""
+    check_same_shape(np.asarray(baseline), np.asarray(truth), "baseline vs truth")
     return (
         roc_curve_from_scores(score_image, truth),
         roc_curve_from_scores(baseline, truth),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image import _fold, _fold_kernel, _mirror_pad, as_gray, check_same_shape
+from .image import as_gray, check_same_shape
 
 __all__ = [
     "SOBEL_MIN",
@@ -35,19 +35,15 @@ __all__ = [
 SOBEL_MIN = 3  # the Sobel kernels' side: the smallest image side the gradient takes
 
 
-# Sobel x is [1, 2, 1] down the columns times [-1, 0, 1] along the rows;
-# Sobel y is its transpose.
-_SOBEL_X = (_fold_kernel("sobel", (1, 2, 1), 1), _fold_kernel("sobel", (-1, 0, 1), 1))
-_SOBEL_Y = _SOBEL_X[::-1]
-
-
 def gradient_magnitude(image: np.ndarray) -> np.ndarray:
     """Per-pixel sqrt(Gx^2 + Gy^2) with 3x3 Sobel kernels, as float64.
 
     Mirror boundary extension; requires SOBEL_MIN pixels or more per axis.
-    Both kernels reach one pixel on each axis, so the image is padded once
-    and both run :func:`lcseg.image.separable_filter`'s fold on that copy.
-    A uint8 image is filtered, squared and summed in int32, where
+    The image is padded once and both kernels run as a stencil on that
+    copy: each sums down the columns, then along the rows, in the order
+    :func:`lcseg.image.separable_filter` folds taps (1, 2, 1) and
+    (-1, 0, 1), so the result is that filter's bit for bit.  A uint8
+    image is filtered, squared and summed in int32, where
     |Gx|, |Gy| <= 1020 and Gx^2 + Gy^2 <= 2,080,800 are exact, and only the
     square root is float64; that is the float64 run's result bit for bit.
     Any other image runs the same steps in float64.
@@ -55,9 +51,14 @@ def gradient_magnitude(image: np.ndarray) -> np.ndarray:
     img = np.asarray(image)
     if img.ndim != 2 or min(img.shape) < SOBEL_MIN:
         raise ValueError(f"gradient_magnitude needs an image of at least {SOBEL_MIN}x{SOBEL_MIN}")
-    padded = _mirror_pad(img, _SOBEL_X)
-    gx = _fold(padded, *_SOBEL_X)
-    gy = _fold(padded, *_SOBEL_Y)
+    p = np.pad(img, 1, mode="reflect")
+    p = p.astype(np.int32 if img.dtype == np.uint8 else np.float64, copy=False)
+    s = p[:-2] + p[2:]
+    s += 2 * p[1:-1]
+    gx = s[:, 2:] - s[:, :-2]
+    d = np.subtract(p[2:], p[:-2], out=s)
+    gy = d[:, :-2] + d[:, 2:]
+    gy += 2 * d[:, 1:-1]
     gx *= gx
     gy *= gy
     gx += gy

@@ -84,7 +84,7 @@ def test_criterion_3_histogram_equalization_oracle():
     _report(3, "equalization matches brute-force CDF oracle", ok, f"{exact}/100 exact")
 
 
-def test_criterion_4_watershed_hand_flood_oracle():
+def test_criterion_4_watershed_hand_cut_oracle():
     matches = 0
     cases = 0
 

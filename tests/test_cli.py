@@ -450,3 +450,19 @@ def test_roc_prints_aucs(tmp_path, phantom_dir, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "auc 1" in out  # noise-free phantom separates perfectly
+
+
+def test_roc_blames_a_mis_sized_baseline(tmp_path, phantom_dir, capsys):
+    baseline = tmp_path / "small.pgm"
+    write_pgm(read_pgm(phantom_dir / "image.pgm")[:32, :32], baseline)
+    out_csv, out_baseline_csv = tmp_path / "r.csv", tmp_path / "rb.csv"
+    code = run_cli(
+        "roc", "--score", str(phantom_dir / "image.pgm"),
+        "--truth", str(phantom_dir / "truth.pgm"),
+        "--baseline", str(baseline),
+        "--out-csv", str(out_csv), "--out-baseline-csv", str(out_baseline_csv),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "baseline vs truth (32, 32) vs (64, 64)" in err
+    assert not out_csv.exists() and not out_baseline_csv.exists()

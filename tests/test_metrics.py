@@ -605,6 +605,15 @@ def test_roc_sweep_returns_both_curves():
     assert baseline.auc == roc_curve_from_scores(base, truth).auc
 
 
+def test_roc_sweep_names_the_mis_sized_input():
+    truth = np.zeros((9, 9), dtype=bool)
+    good, small = np.zeros((9, 9), dtype=np.uint8), np.zeros((4, 9), dtype=np.uint8)
+    with pytest.raises(ValueError, match=r"baseline vs truth \(4, 9\) vs \(9, 9\)"):
+        roc_sweep(good, truth, small)
+    with pytest.raises(ValueError, match=r"score vs truth \(4, 9\) vs \(9, 9\)"):
+        roc_sweep(small, truth, good)
+
+
 def test_roc_csv_format():
     rng = np.random.default_rng(13)
     truth = rng.uniform(size=(8, 8)) < 0.5

@@ -13,7 +13,7 @@ from lcseg.bat import otsu_threshold
 from lcseg.config import PipelineConfig, check_h_min
 from lcseg.histeq import histogram
 from lcseg.image import PhantomSpec, generate_phantom
-from lcseg.image import scale_to_255
+from lcseg.image import scale_to_255, separable_filter
 from lcseg.wavelet import enhance_scales
 from lcseg.watershed import (
     gradient_magnitude,
@@ -244,10 +244,31 @@ def test_gradient_of_uint8_equals_float64_bit_for_bit(shape, seed):
     assert got.tobytes() == gradient_magnitude(img.astype(np.float64)).tobytes()
 
 
+# 300 examples, or more under a profile that asks for more.
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(
+    shape=st.tuples(st.integers(3, 30), st.integers(3, 30)),
+    seed=st.integers(0, 2 ** 32 - 1),
+    scale=st.one_of(st.none(), st.floats(-3.0, 6.0)),
+)
+def test_gradient_adds_in_the_separable_filters_order(shape, seed, scale):
+    """The stencil's sums are the fold's, bit for bit: uint8 frames
+    (``scale`` None) and float64 frames of sigma 10**scale."""
+    rng = np.random.default_rng(seed)
+    if scale is None:
+        img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    else:
+        img = rng.normal(0.0, 10.0 ** scale, size=shape)
+    sx = separable_filter(img, (1, 2, 1), (-1, 0, 1))
+    sy = separable_filter(img, (-1, 0, 1), (1, 2, 1))
+    assert gradient_magnitude(img).tobytes() == np.sqrt(sx * sx + sy * sy).tobytes()
+
+
 def test_gradient_pads_once_and_makes_few_float_frames():
     """Peak traced memory of ``gradient_magnitude`` on a 256x256 uint8
-    frame, in float64 frames: one int32 padded copy, the int32 passes and
-    the float64 result come to 2.64; two float64 filter calls took 6.05."""
+    frame, in float64 frames: one int32 padded copy, the int32 column
+    sums (the difference reuses them), the two int32 gradients and the
+    float64 result come to 3.14; two float64 filter calls took 6.05."""
     img = np.random.default_rng(31).integers(0, 256, size=(256, 256), dtype=np.uint8)
     tracemalloc.start()
     try:
@@ -689,7 +710,7 @@ def test_flood_with_h_min_matches_oracle():
         assert np.array_equal(watershed_segment(surf, frame, 3.0), oracle_cut(surf, frame, 3.0))
 
 
-def test_ridge_count_equals_minima_count_at_zero_h():
+def test_basin_count_equals_minima_count_at_zero_h():
     # One basin per marker: the cut leaves no pixel as a ridge.
     rng = np.random.default_rng(14)
     surf = rng.integers(0, 9, size=(12, 12)).astype(float)
@@ -869,7 +890,7 @@ def test_labels_to_mask_matches_oracle(fixed_threshold):
         assert np.array_equal(got, oracle_labels_to_mask(labels, img, threshold))
 
 
-def test_labels_to_mask_matches_oracle_on_flooded_phantom():
+def test_labels_to_mask_matches_oracle_on_cut_phantom():
     frame = _enhanced_frame(20.0)
     labels = watershed_segment(_enhanced_gradient(20.0), frame, PipelineConfig().h_min)
     assert labels.min() == 1  # every pixel is in a basin

@@ -106,7 +106,8 @@ def h_minima(surface: np.ndarray, h: float) -> np.ndarray:
     2(2), 1993).  It is exact.  Any other pixel reads the same five
     values as in the previous pass, so it would compute the value it
     already holds.  Each pass reads the previous iterate before it
-    writes, so every iterate equals the dense one, bit for bit.
+    writes, so every iterate equals the dense one, bit for bit.  The
+    flat indices are ``intp``; only returned label maps are int32.
     """
     check_h_min(h)
     surf = np.asarray(surface, dtype=np.float64)
@@ -115,28 +116,31 @@ def h_minima(surface: np.ndarray, h: float) -> np.ndarray:
         return surf.copy()
     # A border of inf stands for the outside: it never lowers a minimum
     # and never moves.
-    rec = np.pad(surf + h, 1, constant_values=np.inf)
+    rec = np.full((surf.shape[0] + 2, surf.shape[1] + 2), np.inf)
     inner = rec[1:-1, 1:-1]
+    np.add(surf, h, out=inner)
+    nxt, moved = np.empty(surf.shape), np.empty(surf.shape, dtype=bool)
     while True:
-        nxt = np.minimum(rec[:-2, 1:-1], rec[2:, 1:-1])
+        np.minimum(rec[:-2, 1:-1], rec[2:, 1:-1], out=nxt)
         np.minimum(nxt, rec[1:-1, :-2], out=nxt)
         np.minimum(nxt, rec[1:-1, 2:], out=nxt)
         np.minimum(nxt, inner, out=nxt)
         np.maximum(nxt, surf, out=nxt)
-        moved = nxt != inner
+        np.not_equal(nxt, inner, out=moved)
         count = np.count_nonzero(moved)
         if count == 0:
             return nxt
         inner[...] = nxt
         if count <= _FRONTIER_SHARE * surf.size:
             break
+    front = np.flatnonzero(np.pad(moved, 1))
+    del nxt, moved  # the frontier passes need neither
 
     # Flat indices into the padded frame: the neighbours of p are p + steps.
     width = rec.shape[1]
     steps = (-width, -1, 1, width)
     value = rec.ravel()
     floor = np.pad(surf, 1).ravel()
-    front = np.flatnonzero(np.pad(moved, 1))
     near = np.zeros(rec.shape, dtype=bool)  # the next pass's pixels
     flat_near = near.ravel()
     while front.size:
@@ -184,14 +188,15 @@ def regional_minima(surface: np.ndarray) -> tuple[np.ndarray, int]:
     its run.  Only the runs with a link enter the hook-and-jump
     labelling, which roots each plateau at its smallest run.  That run
     holds the plateau's row-major first pixel, so the roots are numbered
-    in the required order.
+    in the required order.  Run and node ids are ``intp``; only the
+    returned label map is int32.
     """
     surf = np.asarray(surface, dtype=np.float64)
     _check_finite(surf)
     h, w = surf.shape
     starts = np.ones((h, w), dtype=bool)  # the first pixel of its run
     np.not_equal(surf[:, 1:], surf[:, :-1], out=starts[:, 1:])
-    run = np.cumsum(starts, dtype=np.int32)  # each flat pixel's run, 1..R
+    run = np.cumsum(starts, dtype=np.intp)  # each flat pixel's run, 1..R
     runs = np.count_nonzero(starts)
 
     # The links, as pairs of run numbers, then as compact node numbers
@@ -288,10 +293,11 @@ def _cut(img: np.ndarray, markers: np.ndarray, count: int) -> np.ndarray:
     Borůvka's rounds build that tree: each component that holds no
     marker joins the tree of its cheapest edge.  Marked components never
     pick, so every pick leads towards a marker or is one edge picked
-    from both ends, which roots at its smaller end.
+    from both ends, which roots at its smaller end.  Index and component
+    ids are ``intp``, which numpy gathers with uncast; only the returned
+    label map is int32.
     """
     h, w = img.shape
-    n = h * w
     f = img.ravel()
     # Edge weights of the flat pairs (p, p + 1) and (p, p + w).  The
     # pairs (p, p + 1) with p at a row end are no edge.
@@ -299,10 +305,31 @@ def _cut(img: np.ndarray, markers: np.ndarray, count: int) -> np.ndarray:
     dx -= np.minimum(f[1:], f[:-1])
     dy = np.maximum(f[w:], f[:-w])
     dy -= np.minimum(f[w:], f[:-w])
+    comp, size = _first_round(dx, dy, markers, count)
+    a, b = _live_edges(comp, dx, dy, count)
 
-    # Round 1 on pixels.  key = weight * 4 + side, with sides left 0,
-    # right 1, up 2 and down 3 in the order of their edges' numbers, so
-    # the least key is each pixel's cheapest edge.
+    # Later rounds: each unmarked component takes its cheapest live edge.
+    link = np.arange(size)
+    while a.size:
+        free, other = _cheapest(a, b, size, count)
+        link[free] = other
+        mutual = (link[other] == free) & (free < other)
+        link[free[mutual]] = free[mutual]
+        link = _jump(link)
+        a = link[a]
+        b = link[b]
+        live = (a != b) & ((a >= count) | (b >= count))
+        a = a[live]
+        b = b[live]
+    return np.add(link[comp], 1, dtype=np.int32).reshape(h, w)
+
+
+def _first_round(dx: np.ndarray, dy: np.ndarray, markers: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+    """Round 1 on pixels: each pixel's component id, the markers 0..K-1 and
+    then the unmarked roots in pixel order, and the number of components."""
+    n, w = markers.size, markers.shape[1]
+    # key = weight * 4 + side, with sides left 0, right 1, up 2 and down 3 in
+    # the order of their edges' numbers: the least key is the cheapest edge.
     key = np.full(n, 0xFFFF, dtype=np.uint16)
     k = dx.astype(np.uint16) << 2
     k[w - 1 :: w] = 0xFFFF
@@ -311,64 +338,57 @@ def _cut(img: np.ndarray, markers: np.ndarray, count: int) -> np.ndarray:
     k = dy.astype(np.uint16) << 2
     np.minimum(key[w:], k | 2, out=key[w:])
     np.minimum(key[:-w], k | 3, out=key[:-w])
-    pixel = np.arange(n, dtype=np.int32)
     # Nodes 0..n-1 are the pixels and n..n+K-1 the markers, which root
     # their pixels.  A 1x1 image's one pixel is a marker.
-    parent = np.empty(n + count, dtype=np.int32)
-    parent[:n] = pixel + np.array([-1, 1, -w, w], dtype=np.int32)[key & 3]
-    flat = markers.ravel()
-    marked = np.flatnonzero(flat)
-    parent[marked] = flat[marked] + (n - 1)
-    parent[n:] = np.arange(n, n + count, dtype=np.int32)
+    parent = np.empty(n + count, dtype=np.intp)
     pick = parent[:n]
+    np.take(np.array([-1, 1, -w, w]), key & 3, out=pick)
+    pixel = np.arange(n)
+    pick += pixel
+    marked = np.flatnonzero(markers)
+    parent[marked] = markers.ravel()[marked] + (n - 1)
+    parent[n:] = np.arange(n, n + count)
+    # A mutual pick roots at its smaller end: no other pixel picks itself.
     mutual = (parent[pick] == pixel) & (pixel < pick)
-    pick[mutual] = pixel[mutual]
+    roots = np.flatnonzero(mutual)
+    pick[roots] = roots
+    del key, k, pick, pixel, marked, mutual  # before the jump copies parent
     parent = _jump(parent)
 
-    # Compact component ids: the markers 0..K-1, then the unmarked roots.
-    roots = np.flatnonzero(parent[:n] == pixel)
-    node = np.empty(n + count, dtype=np.int32)
-    node[n:] = np.arange(count, dtype=np.int32)
-    node[roots] = np.arange(count, count + roots.size, dtype=np.int32)
-    comp = node[parent[:n]]
+    node = np.empty(n + count, dtype=np.intp)
+    node[n:] = np.arange(count)
+    node[roots] = np.arange(count, count + roots.size)
+    return node[parent[:n]], count + roots.size
 
-    # The live edges, between two components not both marked, in
-    # (weight, number) order: horizontal pairs first, each kind in
-    # row-major order, then a stable sort by weight.
-    ends = []
-    for step, d, no_edge in ((1, dx, slice(w - 1, None, w)), (w, dy, slice(0))):
+
+def _cheapest(a: np.ndarray, b: np.ndarray, size: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each unmarked component on a live edge, and the far end of its cheapest one."""
+    rank = np.arange(a.size, dtype=np.int32)  # np.minimum.at is faster on int32
+    cheapest = np.full(size, a.size, dtype=np.int32)
+    np.minimum.at(cheapest, a, rank)
+    np.minimum.at(cheapest, b, rank)
+    free = np.flatnonzero(cheapest[count:] < a.size) + count
+    edge = cheapest[free]
+    return free, np.where(a[edge] == free, b[edge], a[edge])
+
+
+def _live_edges(comp: np.ndarray, dx: np.ndarray, dy: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The end components of the live edges after round 1, in (weight, number) order."""
+    n, w = comp.size, comp.size - dy.size  # dy weighs the n - w vertical pairs
+    # Edge e < n - 1 is the pair (e, e + 1), edge n - 1 + p the pair (p, p + w).
+    live = np.empty(2 * n - 1 - w, dtype=bool)
+    for step, part in ((1, live[: n - 1]), (w, live[n - 1 :])):
         a, b = comp[:-step], comp[step:]
-        live = a != b
-        live &= np.maximum(a, b) >= count
-        live[no_edge] = False
-        e = np.flatnonzero(live)
-        ends.append((a[e], b[e], d[e]))
-    a, b, d = (np.concatenate(part) for part in zip(*ends))
-    order = np.argsort(d, kind="stable")
-    a = a[order]
-    b = b[order]
-
-    # Later rounds: each unmarked component takes its cheapest live edge.
-    size = count + roots.size
-    link = np.arange(size, dtype=np.int32)
-    while a.size:
-        rank = np.arange(a.size, dtype=np.int32)
-        cheapest = np.full(size, a.size, dtype=np.int32)
-        np.minimum.at(cheapest, a, rank)
-        np.minimum.at(cheapest, b, rank)
-        free = np.flatnonzero(cheapest[count:] < a.size).astype(np.int32) + count
-        edge = cheapest[free]
-        other = np.where(a[edge] == free, b[edge], a[edge])
-        link[free] = other
-        mutual = (link[other] == free) & (free < other)
-        link[free[mutual]] = free[mutual]
-        link = _jump(link)
-        a = link[a]
-        b = link[b]
-        live = (a != b) & (np.maximum(a, b) >= count)
-        a = a[live]
-        b = b[live]
-    return (link[comp] + np.int32(1)).reshape(h, w)
+        np.logical_and(a != b, (a >= count) | (b >= count), out=part)
+    live[w - 1 : n - 1 : w] = False  # a row end and the next row's start
+    a = np.flatnonzero(live)
+    a = a[np.argsort(np.concatenate((dx, dy))[a], kind="stable")]
+    down = a >= n - 1
+    np.subtract(a, n - 1, out=a, where=down)
+    b = a + np.where(down, w, 1)
+    a = comp[a]
+    b = comp[b]
+    return a, b
 
 
 def labels_to_mask(labels: np.ndarray, image: np.ndarray, threshold: float) -> np.ndarray:
@@ -384,12 +404,12 @@ def labels_to_mask(labels: np.ndarray, image: np.ndarray, threshold: float) -> n
     check_same_shape(lab, img, "labels vs image")
     if lab.min() < 1:
         raise ValueError("labels must be basin ids >= 1")
-    flat = lab.ravel()
-    k = int(lab.max())
+    flat = lab.astype(np.intp, casting="safe", copy=False).ravel()  # as bincount reads it
+    k = int(flat.max())
     counts = np.bincount(flat, minlength=k + 1)
     sums = np.bincount(flat, weights=img.ravel(), minlength=k + 1)
     means = sums / np.maximum(counts, 1)  # ids no pixel holds are never read
-    return (means > threshold)[lab]
+    return (means > threshold)[flat].reshape(lab.shape)
 
 
 def mask_boundary(mask: np.ndarray) -> np.ndarray:

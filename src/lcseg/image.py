@@ -12,9 +12,9 @@ returns fresh arrays and never mutates its inputs.
 
 The separable filter sums in the padded array's dtype.  A uint8 plane
 with whole-number taps is filtered in int32 whenever
-255 * sum|taps_y| * sum|taps_x| < 2**31: every sum is then a whole
-number inside int32, so int32 and float64 sums agree exactly, and one
-cast returns float64.  Any other plane or taps run in float64.
+255 * sum|taps|**2 < 2**31: every sum is then a whole number inside
+int32, so int32 and float64 sums agree exactly, and one cast returns
+float64.  Any other plane or taps run in float64.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "generate_phantom",
     "scale_to_255",
     "separable_filter",
+    "filter_padded",
     "check_same_shape",
     "to_gray8",
     "labels_to_gray8",
@@ -87,107 +88,79 @@ def scale_to_255(surface: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fold_kernel(axis: str, taps, spacing: int) -> tuple[np.ndarray, np.ufunc, int]:
-    """Check one axis's taps and return ``(taps, pair, spacing)`` for :func:`_fold`.
-
-    ``pair`` is ``np.add`` for symmetric taps and ``np.subtract`` for
-    antisymmetric ones; any other vector, or an even count, is a ``ValueError``.
-    """
-    taps = np.asarray(taps, dtype=np.float64)
-    symmetric = np.array_equal(taps, taps[::-1])
-    if len(taps) % 2 == 0 or not (symmetric or np.array_equal(taps, -taps[::-1])):
-        raise ValueError(
-            f"separable_filter: {axis} taps {taps.tolist()} are not an odd count "
-            "of symmetric or antisymmetric taps"
-        )
-    return taps, np.add if symmetric else np.subtract, spacing
-
-
-def _reach(kernel: tuple[np.ndarray, np.ufunc, int]) -> int:
-    taps, _, spacing = kernel
-    return len(taps) // 2 * spacing
-
-
-def _fold(padded: np.ndarray, kernel_y, kernel_x) -> np.ndarray:
+def filter_padded(padded: np.ndarray, taps: np.ndarray, spacing: int) -> np.ndarray:
     """The two folded passes of :func:`separable_filter` on a padded stack.
 
-    ``padded`` is mirror-padded by each kernel's reach on its last two
-    axes, and may have any leading axes (a stack of planes).  The passes
-    run in its dtype, float64 or int32, with the taps cast to it; the
-    result has the unpadded shape and is a view into a fresh buffer.
+    ``padded`` is mirror-padded by the reach of the odd, symmetric
+    ``taps`` (unchecked) on its last two axes, and may have any leading
+    axes (a stack of planes).  The passes run in its dtype, float64 or
+    int32, with the taps cast to it; the result has the unpadded shape
+    and is a view into a fresh buffer.
     """
     *lead, padded_h, padded_w = padded.shape
-    reach_x = _reach(kernel_x)
-    rows = np.empty((*lead, padded_h - 2 * _reach(kernel_y), padded_w), padded.dtype)
+    taps = np.asarray(taps, dtype=padded.dtype)
+    half = len(taps) // 2
+    reach = half * spacing
+    rows = np.empty((*lead, padded_h - 2 * reach, padded_w), padded.dtype)
     out, scratch = np.empty(rows.size, padded.dtype), np.empty(rows.size, padded.dtype)
     # The y pass runs on the padded planes, the x pass on all their rows
     # laid end to end; the x sums that straddle two rows land in the
     # padding columns, which are dropped.  The passes share one scratch
     # buffer, as each fresh buffer costs page faults.  ``rest`` indexes
     # the axes after the one a pass runs along.
-    passes = ((padded, rows, (slice(None),)), (rows.ravel(), out[: out.size - 2 * reach_x], ()))
-    for (src, dst, rest), kernel in zip(passes, (kernel_y, kernel_x)):
-        taps, pair, spacing = kernel
-        taps = taps.astype(padded.dtype)
-        reach, n = _reach(kernel), dst.shape[-1 - len(rest)]
+    passes = ((padded, rows, (slice(None),)), (rows.ravel(), out[: out.size - 2 * reach], ()))
+    for src, dst, rest in passes:
+        n = dst.shape[-1 - len(rest)]
         tmp = scratch[: dst.size].reshape(dst.shape)
-        np.multiply(src[(..., slice(reach, reach + n), *rest)], taps[len(taps) // 2], out=dst)
-        for k in range(len(taps) // 2):
+        np.multiply(src[(..., slice(reach, reach + n), *rest)], taps[half], out=dst)
+        for k in range(half):
             own, mirrored = k * spacing, 2 * reach - k * spacing
-            pair(
+            np.add(
                 src[(..., slice(own, own + n), *rest)],
                 src[(..., slice(mirrored, mirrored + n), *rest)],
                 out=tmp,
             )
             tmp *= taps[k]
             dst += tmp
-    return out.reshape(rows.shape)[..., : padded_w - 2 * reach_x]
+    return out.reshape(rows.shape)[..., : padded_w - 2 * reach]
 
 
-def separable_filter(
-    plane: np.ndarray, taps_y: np.ndarray, taps_x: np.ndarray, spacing: int = 1
-) -> np.ndarray:
-    """Correlate a 2-D plane with ``taps_y`` along y, then ``taps_x`` along x.
+def separable_filter(plane: np.ndarray, taps: np.ndarray, spacing: int = 1) -> np.ndarray:
+    """Correlate a 2-D plane with ``taps`` along y, then along x.
 
     The taps are centered and spaced ``spacing`` pixels apart; the border
     is mirror-extended (reflection about the edge pixel, no edge repeat),
-    so each axis's reach ``len(taps) // 2 * spacing`` must not exceed
-    ``n - 1`` on that axis.  Each tap vector must have an odd count and be
-    symmetric or antisymmetric (``ValueError`` otherwise), so each pass
-    folds: it starts from the centre tap times the centre sample, then,
-    from the outermost tap inwards, adds each tap of the first half times
-    its sample plus (antisymmetric: minus) the mirrored one.
+    so the reach ``len(taps) // 2 * spacing`` must not exceed ``n - 1`` on
+    either axis.  ``taps`` must be one vector of an odd count of symmetric
+    taps (``ValueError`` otherwise), so each pass folds: it starts from
+    the centre tap times the centre sample, then, from the outermost tap
+    inwards, adds each tap of the first half times its sample plus the
+    mirrored one.
 
     The result is float64.  A uint8 plane with whole-number taps whose
-    gain 255 * sum|taps_y| * sum|taps_x| is below 2**31 is summed in
-    int32.  Its arithmetic is exact modulo 2**32 and every result lies
-    inside int32, so each value is the whole number that float64, which
-    holds all these sums exactly, also computes (a zero that float64
-    would sign negative comes out +0.0).  Any other plane or taps are
-    summed in float64, where folding moves results by a few ulps compared
-    with sums in tap order.
+    gain 255 * sum|taps|**2 is below 2**31 is summed in int32.  Its
+    arithmetic is exact modulo 2**32 and every result lies inside int32,
+    so each value is the whole number that float64, which holds all these
+    sums exactly, also computes (a zero that float64 would sign negative
+    comes out +0.0).  Any other plane or taps are summed in float64, where
+    folding moves results by a few ulps compared with sums in tap order.
 
     The checks and the mirror padding are done here; the two passes are
-    the private ``_fold``, which serves the wavelet's B3 levels and also
-    runs :func:`lcseg.metrics.ssim`'s row strips of four stacked planes.
-    The 3x3 Sobel gradient is a stencil that adds in the fold's order.
+    :func:`filter_padded`, which SSIM's row strips also call.
     """
     plane = np.asarray(plane)
     h, w = plane.shape
-    kernels = []
-    for axis, taps, n in (("y", taps_y, h), ("x", taps_x, w)):
-        kernels.append(_fold_kernel(axis, taps, spacing))
-        reach = _reach(kernels[-1])
+    taps = np.asarray(taps, dtype=np.float64)
+    if taps.ndim != 1 or len(taps) % 2 == 0 or not np.array_equal(taps, taps[::-1]):
+        raise ValueError(f"separable_filter: taps {taps.tolist()} are not one odd symmetric vector")
+    reach = len(taps) // 2 * spacing
+    for axis, n in (("y", h), ("x", w)):
         if reach > n - 1:
             raise ValueError(f"separable_filter: {axis} reach {reach} exceeds n - 1 for n = {n}")
-    taps = [k[0] for k in kernels]
-    whole = plane.dtype == np.uint8 and all(np.array_equal(t, np.trunc(t)) for t in taps)
-    # Each axis's gain sum|taps| counts as at least 1, so an all-zero axis
-    # cannot let the other axis's taps overflow the cast to int32.
-    gain = 255 * math.prod(max(float(np.abs(t).sum()), 1.0) for t in taps)
-    dtype = np.int32 if whole and gain < 2**31 else np.float64
-    padded = np.pad(plane, [(_reach(k),) * 2 for k in kernels], mode="reflect")
-    return _fold(padded.astype(dtype, copy=False), *kernels).astype(np.float64, copy=False)
+    whole = plane.dtype == np.uint8 and np.array_equal(taps, np.trunc(taps))
+    dtype = np.int32 if whole and 255 * np.abs(taps).sum() ** 2 < 2**31 else np.float64
+    padded = np.pad(plane, reach, mode="reflect").astype(dtype, copy=False)
+    return filter_padded(padded, taps, spacing).astype(np.float64, copy=False)
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:

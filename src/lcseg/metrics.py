@@ -6,12 +6,13 @@ curves with trapezoidal AUC.  All ratio metrics use the 0/0 -> 0
 convention so every function is total.
 
 SSIM runs in row strips: each strip stacks its four planes (x, y,
-x*x + y*y and x*y, with the window's halo rows) into one slab that goes
-through the separable filter's fold, sized by ``_SSIM_STRIP_BYTES`` so
-it stays in cache, and the tail is finished in place in strip-sized
-buffers.  No pixel's operations or their order change, so the value is
-bit-identical to filtering whole frames; ``np.mean`` runs once over the
-whole ratio map, as per-strip sums would change its pairwise order.
+x*x + y*y and x*y, with the window's halo rows) into one slab that
+:func:`lcseg.image.filter_padded` filters with the 11-tap Gaussian,
+sized by ``_SSIM_STRIP_BYTES`` so it stays in cache, and the tail is
+finished in place in strip-sized buffers.  No pixel's operations or
+their order change, so the value is bit-identical to filtering whole
+frames; ``np.mean`` runs once over the whole ratio map, as per-strip
+sums would change its pairwise order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .image import _fold, _fold_kernel, as_gray, check_same_shape
+from .image import as_gray, check_same_shape, filter_padded
 
 __all__ = [
     "ConfusionCounts",
@@ -170,7 +171,6 @@ _SSIM_C1 = (0.01 * 255.0) ** 2
 _SSIM_C2 = (0.03 * 255.0) ** 2
 _SSIM_GAUSS = np.exp(-((np.arange(SSIM_WINDOW) - SSIM_WINDOW // 2) ** 2) / (2.0 * _SSIM_SIGMA ** 2))
 _SSIM_TAPS = _SSIM_GAUSS / _SSIM_GAUSS.sum()
-_SSIM_KERNEL = _fold_kernel("ssim", _SSIM_TAPS, 1)
 _SSIM_REACH = SSIM_WINDOW // 2
 # Bytes of one plane's padded row band: four stacked bands and the fold's
 # buffers of the same size stay in cache (30 rows at a width of 256).
@@ -219,7 +219,7 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
         np.multiply(slab[1], slab[1], out=slab[3])
         slab[2] += slab[3]
         np.multiply(slab[0], slab[1], out=slab[3])
-        mu_x, mu_y, sum_sq, cross = _fold(slab, _SSIM_KERNEL, _SSIM_KERNEL)
+        mu_x, mu_y, sum_sq, cross = filter_padded(slab, _SSIM_TAPS, 1)
         # num = (2 mu_xy + C1) (2 (cross - mu_xy) + C2) builds up in the
         # strip's rows of ``ratio`` and den = (mu_sq + C1) (sum_sq - mu_sq + C2)
         # in mu_x, with mu_xy = mu_x mu_y and mu_sq = mu_x^2 + mu_y^2.

@@ -40,9 +40,9 @@ def gradient_magnitude(image: np.ndarray) -> np.ndarray:
 
     Mirror boundary extension; requires SOBEL_MIN pixels or more per axis.
     The image is padded once and both kernels run as a stencil on that
-    copy: each sums down the columns, then along the rows, in the order
-    :func:`lcseg.image.separable_filter` folds taps (1, 2, 1) and
-    (-1, 0, 1), so the result is that filter's bit for bit.  A uint8
+    copy: each sums down the columns, then along the rows, adding in the
+    order of :func:`lcseg.image.filter_padded`'s fold, with the outer
+    samples' difference in place of their sum for taps (-1, 0, 1).  A uint8
     image is filtered, squared and summed in int32, where
     |Gx|, |Gy| <= 1020 and Gx^2 + Gy^2 <= 2,080,800 are exact, and only the
     square root is float64; that is the float64 run's result bit for bit.

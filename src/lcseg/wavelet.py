@@ -112,7 +112,7 @@ def iuwt_decompose(image: np.ndarray, levels: int) -> WaveletPyramid:
     approximations = [np.asarray(image)]
     check_size_for_levels(approximations[0].shape, levels)
     for j in range(levels):
-        smoothed = separable_filter(approximations[-1], _KERNEL, _KERNEL, 2**j)
+        smoothed = separable_filter(approximations[-1], _KERNEL, 2**j)
         smoothed *= 1 / 256  # _KERNEL is 16 times B3 on each axis
         approximations.append(smoothed)
     return WaveletPyramid(tuple(approximations))

@@ -26,19 +26,19 @@ def _mirror(i, n):
     return i
 
 
-def _scalar_passes(plane, taps_y, taps_x, spacing, tap_sum):
-    """``taps_y`` down each column, then ``taps_x`` along each row, with
-    scalar loops and mirror indexing; ``tap_sum(taps, sample)`` is one
-    output sample, where ``sample(d)`` reads d spacings from the centre."""
+def _scalar_passes(plane, taps, spacing, tap_sum):
+    """``taps`` down each column, then along each row, with scalar loops
+    and mirror indexing; ``tap_sum(taps, sample)`` is one output sample,
+    where ``sample(d)`` reads d spacings from the centre."""
     h, w = plane.shape
     rows = np.zeros((h, w))
     for y in range(h):
         for x in range(w):
-            rows[y, x] = tap_sum(taps_y, lambda d: plane[_mirror(y + d * spacing, h), x])
+            rows[y, x] = tap_sum(taps, lambda d: plane[_mirror(y + d * spacing, h), x])
     out = np.zeros((h, w))
     for y in range(h):
         for x in range(w):
-            out[y, x] = tap_sum(taps_x, lambda d: rows[y, _mirror(x + d * spacing, w)])
+            out[y, x] = tap_sum(taps, lambda d: rows[y, _mirror(x + d * spacing, w)])
     return out
 
 
@@ -51,98 +51,104 @@ def _in_tap_order(taps, sample):
 
 def _folded(taps, sample):
     half = len(taps) // 2
-    symmetric = list(taps) == list(taps)[::-1]
     acc = taps[half] * sample(0)
     for k in range(half):
-        own, mirrored = sample(k - half), sample(half - k)
-        acc += taps[k] * (own + mirrored if symmetric else own - mirrored)
+        acc += taps[k] * (sample(k - half) + sample(half - k))
     return acc
 
 
-def oracle_separable(plane, taps_y, taps_x, spacing):
+def oracle_separable(plane, taps, spacing):
     """The filter with each pass summed in tap order from zero (test oracle)."""
-    return _scalar_passes(plane, taps_y, taps_x, spacing, _in_tap_order)
+    return _scalar_passes(plane, taps, spacing, _in_tap_order)
 
 
-def oracle_folded(plane, taps_y, taps_x, spacing):
+def oracle_folded(plane, taps, spacing):
     """The filter with each pass folded as ``separable_filter`` documents:
     the centre tap, then each outer tap from the outside in times its
-    sample plus (antisymmetric: minus) the mirrored one (test oracle)."""
-    return _scalar_passes(plane, taps_y, taps_x, spacing, _folded)
+    sample plus the mirrored one (test oracle)."""
+    return _scalar_passes(plane, taps, spacing, _folded)
 
 
-SOBEL_SMOOTH, SOBEL_DIFF = (1.0, 2.0, 1.0), (-1.0, 0.0, 1.0)
+SOBEL_SMOOTH = (1.0, 2.0, 1.0)
 B3 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
+# The first five ids are those the cases had when the filter took one tap
+# vector per axis; each case keeps its plane, its spacing and the
+# symmetric taps of its axis pair.
 @pytest.mark.parametrize(
-    "shape, taps_y, taps_x, spacing",
+    "shape, taps, spacing",
     [
-        ((7, 9), SOBEL_SMOOTH, SOBEL_DIFF, 1),  # Sobel x
-        ((7, 9), SOBEL_DIFF, SOBEL_SMOOTH, 1),  # Sobel y
-        ((7, 9), (0.25, 0.5, 0.25), (0.3, -1.7, 0.0, 1.7, -0.3), 2),
-        ((5, 9), (0.7, -3.0, 0.5, -3.0, 0.7), (-0.5, 0.0, 0.5), 2),  # reach n - 1 in y
-        ((6, 10), (2.0,), (3.0, 1.0, 3.0), 3),  # one tap in y, reach n - 1 in x
+        pytest.param((7, 9), SOBEL_SMOOTH, 1, id="shape0-taps_y0-taps_x0-1"),
+        pytest.param((9, 7), SOBEL_SMOOTH, 1, id="shape1-taps_y1-taps_x1-1"),
+        pytest.param((7, 9), (0.25, 0.5, 0.25), 2, id="shape2-taps_y2-taps_x2-2"),
+        # reach n - 1 in y
+        pytest.param((5, 9), (0.7, -3.0, 0.5, -3.0, 0.7), 2, id="shape3-taps_y3-taps_x3-2"),
+        pytest.param((6, 10), (2.0,), 3, id="shape4-taps_y4-taps_x4-3"),  # one tap
+        ((10, 6), (3.0, 1.0, 3.0), 5),  # reach n - 1 in x
     ],
 )
-def test_separable_filter_matches_scalar_oracle(shape, taps_y, taps_x, spacing):
+def test_separable_filter_matches_scalar_oracle(shape, taps, spacing):
     plane = np.random.default_rng(12).normal(100.0, 40.0, size=shape)
-    got = separable_filter(plane, taps_y, taps_x, spacing)
-    assert np.array_equal(got, oracle_folded(plane, taps_y, taps_x, spacing))
+    got = separable_filter(plane, taps, spacing)
+    assert np.array_equal(got, oracle_folded(plane, taps, spacing))
 
 
-def _mirrored_taps(half_taps, antisymmetric):
-    """Odd tap vector from its first half and centre (zeroed if antisymmetric)."""
+def _mirrored_taps(half_taps):
+    """Odd symmetric tap vector from its first half and centre."""
     outer = list(half_taps[:-1])
-    centre = 0.0 if antisymmetric else half_taps[-1]
-    mirror = [-t if antisymmetric else t for t in reversed(outer)]
-    return np.array([*outer, centre, *mirror])
+    return np.array([*outer, half_taps[-1], *reversed(outer)])
 
 
 @pytest.mark.parametrize("axis", ["y", "x"])
 def test_separable_filter_rejects_reach_past_one_mirror(axis):
-    """Reach n - 1 needs one mirror and matches the oracle; reach n raises."""
+    """Reach n - 1 on the shorter axis needs one mirror and matches the
+    oracle; reach n raises, naming that axis."""
     rng = np.random.default_rng(13)
     plane = rng.normal(size=(7, 9))
-    n = plane.shape[0] if axis == "y" else plane.shape[1]
-
-    def taps_with_reach(reach):
-        taps = _mirrored_taps(rng.normal(size=reach + 1), antisymmetric=False)
-        return (taps, (1.0,)) if axis == "y" else ((1.0,), taps)
-
-    at_limit = taps_with_reach(n - 1)
-    got = separable_filter(plane, *at_limit)
-    assert np.array_equal(got, oracle_folded(plane, *at_limit, 1))
+    if axis == "x":
+        plane = plane.T
+    n = min(plane.shape)
+    at_limit = _mirrored_taps(rng.normal(size=n))
+    got = separable_filter(plane, at_limit)
+    assert np.array_equal(got, oracle_folded(plane, at_limit, 1))
     with pytest.raises(ValueError, match=f"{axis} reach {n} exceeds n - 1 for n = {n}"):
-        separable_filter(plane, *taps_with_reach(n))
+        separable_filter(plane, _mirrored_taps(rng.normal(size=n + 1)))
 
 
 @pytest.mark.parametrize("axis", ["y", "x"])
 @pytest.mark.parametrize(
-    "taps", [(1.0, 1.0), (1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0), (-1.0, 0.5, 1.0), (1.0, 2.0, -1.0)]
+    "taps",
+    [
+        (1.0, 1.0),
+        (1.0, 2.0, 3.0, 4.0),
+        (1.0, 2.0, 3.0),
+        (-1.0, 0.5, 1.0),
+        (1.0, 2.0, -1.0),
+        (-1.0, 0.0, 1.0),  # antisymmetric
+        (SOBEL_SMOOTH, (-1.0, 0.0, 1.0)),  # one vector per axis
+    ],
 )
 def test_separable_filter_rejects_even_and_asymmetric_taps(axis, taps):
-    plane = np.ones((9, 9))
-    kernels = (taps, (1.0,)) if axis == "y" else ((1.0,), taps)
-    with pytest.raises(ValueError, match=f"{axis} taps .* not an odd count of symmetric"):
-        separable_filter(plane, *kernels)
+    """Bad taps raise before either pass runs, whichever axis of the plane
+    is the long one (every reach here fits the short axis)."""
+    plane = np.ones((9, 3)) if axis == "y" else np.ones((3, 9))
+    with pytest.raises(ValueError, match="taps .* not one odd symmetric vector"):
+        separable_filter(plane, taps)
 
 
 @st.composite
 def filter_cases(draw):
-    """A float plane 1..12 on each axis, a spacing of 1..3 and, per axis, a
-    symmetric or antisymmetric kernel whose reach fits (0 up to n - 1)."""
+    """A float plane 1..12 on each axis, a spacing of 1..3 and a symmetric
+    kernel whose reach fits both axes (0 up to n - 1)."""
     shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
     spacing = draw(st.integers(1, 3))
     values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-    kernels = []
-    for n in shape:
-        half = draw(st.integers(0, (n - 1) // spacing))
-        half_taps = draw(st.lists(values, min_size=half + 1, max_size=half + 1))
-        kernels.append(_mirrored_taps(half_taps, antisymmetric=draw(st.booleans())))
+    half = draw(st.integers(0, (min(shape) - 1) // spacing))
+    taps = _mirrored_taps(draw(st.lists(values, min_size=half + 1, max_size=half + 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     plane = rng.normal(0.0, draw(st.sampled_from([1.0, 100.0, 1e6])), size=shape)
-    return plane, *kernels, spacing
+    return plane, taps, spacing
 
 
 # 300 examples, or more under a profile that asks for more (the "ci"
@@ -150,9 +156,9 @@ def filter_cases(draw):
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(case=filter_cases())
 def test_separable_filter_matches_folded_oracle_on_generated_planes(case):
-    plane, taps_y, taps_x, spacing = case
-    got = separable_filter(plane, taps_y, taps_x, spacing)
-    assert np.array_equal(got, oracle_folded(plane, taps_y, taps_x, spacing))
+    plane, taps, spacing = case
+    got = separable_filter(plane, taps, spacing)
+    assert np.array_equal(got, oracle_folded(plane, taps, spacing))
 
 
 @settings(max_examples=max(100, settings.default.max_examples), deadline=None)
@@ -162,24 +168,23 @@ def test_separable_filter_matches_folded_oracle_on_generated_planes(case):
 )
 def test_separable_filter_is_exact_on_integer_planes(shape, seed):
     """On 8-bit input the folded sums equal the tap-order sums bit for bit:
-    both Sobel kernels, and the B3 kernel chained at spacings 1, 2 and 4
-    as the wavelet's three levels run it (their inputs past level 1 are
-    multiples of 2**-8 and 2**-16, which stay exact too)."""
+    the Sobel smoothing kernel, and the B3 kernel chained at spacings 1, 2
+    and 4 as the wavelet's three levels run it (their inputs past level 1
+    are multiples of 2**-8 and 2**-16, which stay exact too)."""
     plane = np.random.default_rng(seed).integers(0, 256, size=shape).astype(np.float64)
-    for taps_y, taps_x in ((SOBEL_SMOOTH, SOBEL_DIFF), (SOBEL_DIFF, SOBEL_SMOOTH)):
-        got = separable_filter(plane, taps_y, taps_x)
-        assert np.array_equal(got, oracle_separable(plane, taps_y, taps_x, 1))
+    got = separable_filter(plane, SOBEL_SMOOTH)
+    assert np.array_equal(got, oracle_separable(plane, SOBEL_SMOOTH, 1))
     current = plane
     for spacing in (1, 2, 4):
-        got = separable_filter(current, B3, B3, spacing)
-        assert np.array_equal(got, oracle_separable(current, B3, B3, spacing))
+        got = separable_filter(current, B3, spacing)
+        assert np.array_equal(got, oracle_separable(current, B3, spacing))
         current = got
 
 
 @st.composite
 def uint8_plane_cases(draw):
     """A uint8 plane 3..40 on each axis, a spacing of 1..3, and the Sobel
-    and B3 kernels whose reach fits it at that spacing."""
+    smoothing and B3 kernels whose reach fits it at that spacing."""
     shape = (draw(st.integers(3, 40)), draw(st.integers(3, 40)))
     spacing = draw(st.integers(1, 3))
     lo = draw(st.integers(0, 255))
@@ -188,9 +193,9 @@ def uint8_plane_cases(draw):
     plane = rng.integers(lo, hi + 1, size=shape, dtype=np.uint8)
     kernels = []
     if spacing <= min(shape) - 1:
-        kernels += [(SOBEL_SMOOTH, SOBEL_DIFF), (SOBEL_DIFF, SOBEL_SMOOTH)]
+        kernels.append(SOBEL_SMOOTH)
     if 2 * spacing <= min(shape) - 1:
-        kernels += [(B3, B3), (16 * B3, 16 * B3)]
+        kernels += [B3, 16 * B3]
     return plane, kernels, spacing
 
 
@@ -201,9 +206,9 @@ def test_separable_filter_on_uint8_equals_float64_bit_for_bit(case):
     """Integer taps on a uint8 plane sum in int32 and return float64 with
     the float64 run's bits; B3 / 16 has fractional taps and runs in float64."""
     plane, kernels, spacing = case
-    for taps_y, taps_x in kernels:
-        got = separable_filter(plane, taps_y, taps_x, spacing)
-        want = separable_filter(plane.astype(np.float64), taps_y, taps_x, spacing)
+    for taps in kernels:
+        got = separable_filter(plane, taps, spacing)
+        want = separable_filter(plane.astype(np.float64), taps, spacing)
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
 
@@ -220,9 +225,9 @@ def test_separable_filter_falls_back_to_float64_past_int32_gain(taps):
     """A gain of 2**31 or more would wrap int32 sums; such taps run in float64."""
     plane = np.random.default_rng(14).integers(0, 256, size=(5, 6), dtype=np.uint8)
     plane[2, 3] = 255
-    got = separable_filter(plane, taps, taps)
+    got = separable_filter(plane, taps)
     assert got.dtype == np.float64
-    assert np.array_equal(got, oracle_folded(plane.astype(np.float64), taps, taps, 1))
+    assert np.array_equal(got, oracle_folded(plane.astype(np.float64), taps, 1))
     assert got.max() >= 255 * sum(taps) ** 2 / len(taps) ** 2
 
 

@@ -349,10 +349,10 @@ def full_frame_ssim(a, b):
     same per-pixel operations strip by strip, so the two agree bit for bit."""
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
-    mu_x = separable_filter(x, _SSIM_TAPS, _SSIM_TAPS)
-    mu_y = separable_filter(y, _SSIM_TAPS, _SSIM_TAPS)
-    sum_sq = separable_filter(x * x + y * y, _SSIM_TAPS, _SSIM_TAPS)
-    cross = separable_filter(x * y, _SSIM_TAPS, _SSIM_TAPS)
+    mu_x = separable_filter(x, _SSIM_TAPS)
+    mu_y = separable_filter(y, _SSIM_TAPS)
+    sum_sq = separable_filter(x * x + y * y, _SSIM_TAPS)
+    cross = separable_filter(x * y, _SSIM_TAPS)
     mu_sq = mu_x * mu_x + mu_y * mu_y
     mu_xy = mu_x * mu_y
     num = (2.0 * mu_xy + _SSIM_C1) * (2.0 * (cross - mu_xy) + _SSIM_C2)

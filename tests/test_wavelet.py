@@ -177,7 +177,7 @@ def test_integer_taps_scaled_once_equal_b3_taps_bit_for_bit(plane):
     pyr = iuwt_decompose(plane, 2)
     current = plane
     for j, spacing in enumerate((1, 2)):
-        smoothed = separable_filter(current, B3_OVER_16, B3_OVER_16, spacing)
+        smoothed = separable_filter(current, B3_OVER_16, spacing)
         assert pyr.details[j].tobytes() == (current - smoothed).tobytes()
         current = smoothed
     assert pyr.smooth.tobytes() == current.tobytes()

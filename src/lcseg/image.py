@@ -81,7 +81,7 @@ def scale_to_255(surface: np.ndarray) -> np.ndarray:
     lo = surface.min()
     hi = surface.max()
     if hi == lo:
-        return np.zeros_like(surface)
+        return np.zeros(np.shape(surface))
     out = np.subtract(surface, lo, dtype=np.float64)
     out /= hi - lo
     out *= 255.0
@@ -202,11 +202,22 @@ def mask_to_gray8(mask: np.ndarray) -> np.ndarray:
 _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)")
 
 
+def _unsigned_ints(fields: list[bytes]) -> list[int]:
+    """The values of ``fields``, each one or more ASCII digits as netpbm
+    reads them (``int`` alone would also take a sign and "_");
+    ``ValueError`` otherwise."""
+    if not b"".join(fields).isdigit():
+        raise ValueError("a field is not all ASCII digits")
+    return [int(f) for f in fields]
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a P5 (binary) or P2 (ASCII) PGM file with maxval 255.
 
     ``#`` comments, each to the end of its line, may precede any header
-    field.  The two encodings of the same raster yield identical arrays.
+    field.  Header fields and P2 samples are unsigned decimal numbers
+    (ASCII digits only).  The two encodings of the same raster yield
+    identical arrays.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -224,7 +235,7 @@ def read_pgm(path) -> np.ndarray:
     if data[offset : offset + 1].isspace():
         offset += 1  # single whitespace after maxval, then raw pixel data
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = _unsigned_ints(tokens)
     except ValueError as exc:
         raise PgmError(f"malformed PGM header: non-numeric field {tokens}") from exc
     if width < 1 or height < 1:
@@ -247,10 +258,10 @@ def read_pgm(path) -> np.ndarray:
                 f"truncated PGM pixel data: expected {npix} values, got {len(fields)}"
             )
         try:
-            values = [int(f) for f in fields[:npix]]
+            values = _unsigned_ints(fields[:npix])
         except ValueError as exc:
             raise PgmError("malformed PGM pixel data: non-numeric value") from exc
-        if any(v < 0 or v > 255 for v in values):
+        if any(v > 255 for v in values):
             raise PgmError("malformed PGM pixel data: value outside [0, 255]")
         flat = np.array(values, dtype=np.uint8)
     return flat.reshape(height, width)

@@ -8,11 +8,11 @@ convention so every function is total.
 SSIM runs in row strips: each strip stacks its four planes (x, y,
 x*x + y*y and x*y, with the window's halo rows) into one slab that
 :func:`lcseg.image.filter_padded` filters with the 11-tap Gaussian,
-sized by ``_SSIM_STRIP_BYTES`` so it stays in cache, and the tail is
-finished in place in strip-sized buffers.  No pixel's operations or
-their order change, so the value is bit-identical to filtering whole
-frames; ``np.mean`` runs once over the whole ratio map, as per-strip
-sums would change its pairwise order.
+sized by ``_SSIM_STRIP_BYTES`` so it stays in cache, and each strip
+evaluates the SSIM ratio formula on its filtered planes.  No pixel's
+operations or their order change, so the value is bit-identical to
+filtering whole frames; ``np.mean`` runs once over the whole ratio map,
+as per-strip sums would change its pairwise order.
 """
 
 from __future__ import annotations
@@ -220,25 +220,10 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
         slab[2] += slab[3]
         np.multiply(slab[0], slab[1], out=slab[3])
         mu_x, mu_y, sum_sq, cross = filter_padded(slab, _SSIM_TAPS, 1)
-        # num = (2 mu_xy + C1) (2 (cross - mu_xy) + C2) builds up in the
-        # strip's rows of ``ratio`` and den = (mu_sq + C1) (sum_sq - mu_sq + C2)
-        # in mu_x, with mu_xy = mu_x mu_y and mu_sq = mu_x^2 + mu_y^2.
-        num = ratio[lo:hi]
-        np.multiply(mu_x, mu_y, out=num)
-        mu_x *= mu_x
-        mu_y *= mu_y
-        mu_x += mu_y
-        cross -= num
-        cross *= 2.0
-        cross += _SSIM_C2
-        num *= 2.0
-        num += _SSIM_C1
-        num *= cross
-        sum_sq -= mu_x
-        sum_sq += _SSIM_C2
-        mu_x += _SSIM_C1
-        mu_x *= sum_sq
-        num /= mu_x
+        mu_xy = mu_x * mu_y
+        mu_sq = mu_x * mu_x + mu_y * mu_y
+        num = (2.0 * mu_xy + _SSIM_C1) * (2.0 * (cross - mu_xy) + _SSIM_C2)
+        ratio[lo:hi] = num / ((mu_sq + _SSIM_C1) * (sum_sq - mu_sq + _SSIM_C2))
     return float(np.mean(ratio))
 
 

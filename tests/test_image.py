@@ -12,6 +12,7 @@ from lcseg.image import (
     labels_to_gray8,
     mask_to_gray8,
     read_pgm,
+    scale_to_255,
     separable_filter,
     write_overlay,
     write_pgm,
@@ -286,6 +287,30 @@ def test_read_rejects_garbage_header(tmp_path):
         read_pgm(path)
 
 
+# Python's int() also takes these; netpbm reads unsigned decimal digits only.
+@pytest.mark.parametrize("header", [b"2_0 1 255", b"+2 1 255", b"2 1_0 255", b"2 +1 255", b"2 1 +255"])
+def test_read_rejects_header_field_that_is_not_ascii_digits(tmp_path, header):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P2\n" + header + b"\n1 2")
+    with pytest.raises(PgmError, match="^malformed PGM header: non-numeric field"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("sample", [b"3_0", b"+3", b"-0"])
+def test_read_rejects_p2_sample_that_is_not_ascii_digits(tmp_path, sample):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P2 2 1 255 1 " + sample)
+    with pytest.raises(PgmError, match="^malformed PGM pixel data: non-numeric value$"):
+        read_pgm(path)
+
+
+def test_read_rejects_header_number_past_int_digit_limit(tmp_path):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P2 " + b"1" * 5000 + b" 1 255 1")
+    with pytest.raises(PgmError, match="^malformed PGM header: non-numeric field"):
+        read_pgm(path)
+
+
 def oracle_header(data, count):
     """The first ``count`` header tokens of ``data`` and the offset past the
     one whitespace byte after the last, by a byte-at-a-time lexer: ``#``
@@ -475,6 +500,14 @@ def test_as_gray_accepts_whole_values_of_any_dtype(values):
     gray = as_gray(a)
     assert gray.dtype == np.uint8
     assert np.array_equal(gray, a)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_scale_to_255_of_constant_integer_surface_is_float64_zeros(dtype):
+    out = scale_to_255(np.full((3, 4), 7, dtype=dtype))
+    assert out.dtype == np.float64
+    assert out.shape == (3, 4)
+    assert not out.any()
 
 
 # ---------------------------------------------------------------------------

@@ -410,8 +410,9 @@ def test_ssim_in_strips_equals_full_frame_bit_for_bit(pair):
 
 def test_ssim_makes_no_full_frame_temporaries():
     """Peak traced memory of ``ssim`` on 256x256, in float64 frames: the
-    ratio map, the padded uint8 pair and one strip's buffers come to 3.8;
-    four filtered full-frame planes and their tail took 11.3."""
+    ratio map, the padded uint8 pair and one strip's buffers and formula
+    temporaries come to 4.11; four filtered full-frame planes and their
+    tail took 11.3."""
     rng = np.random.default_rng(23)
     a, b = (rng.integers(0, 256, size=(256, 256), dtype=np.uint8) for _ in range(2))
     tracemalloc.start()

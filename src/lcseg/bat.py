@@ -48,6 +48,19 @@ pure, elementwise function from an array of positions to an array of
 values (a scalar return stands for every position): it may be called on
 candidates past an event, whose values are discarded.
 
+Settled tail: a caller may pass a ``ceiling``, a bound on every value
+``fitness`` can return.  Once every bat's fitness has reached it, no
+event can follow: an acceptance needs a candidate above the bat's own
+fitness and a new best one above the best fitness, and no candidate
+scores above the ceiling.  From the first stretch that starts so
+settled, the rest of the run is one stretch in which only the cursors
+walk and the velocities add up; no candidate is built, clamped or
+scored, and the history repeats the best fitness.  The loop would still
+score every candidate, so a NaN among the velocity candidates (never a
+walk's) still reaches ``fitness``, which may raise on it as the loop
+would: the candidates are scored, with each walk replaced by x_best,
+whenever a velocity is NaN.
+
 Draw tables: the draw rows and the table of cursor steps at pulse rate
 r0 depend only on (seed, population, iterations, r0), and every image of
 a run uses the same ``BatParams``, so they are built once, kept
@@ -68,7 +81,7 @@ from typing import Callable
 import numpy as np
 
 from .histeq import histogram
-from .image import as_gray, check_int
+from .image import check_int
 
 __all__ = [
     "BatParams",
@@ -139,12 +152,15 @@ class BatState:
     history: list[float] = field(default_factory=list)
 
 
-def bat_optimize(params: BatParams, fitness: FitnessFn) -> BatState:
+def bat_optimize(params: BatParams, fitness: FitnessFn, *, ceiling: float = math.inf) -> BatState:
     """Run the bat algorithm for exactly ``params.iterations`` iterations.
 
     ``fitness`` maps an array of positions in [0, 255] to the array of
     their values, higher being better; see the module docstring.
-    Positions are clamped to [0, 255] after every move.
+    Positions are clamped to [0, 255] after every move.  ``ceiling``
+    must be at least every value ``fitness`` can return; once every bat
+    scores it, the rest of the run is the settled tail of the module
+    docstring.  The default, inf, is never reached.
     """
     n, iterations = params.population, params.iterations
     # Tables over 8 MiB (16 B per draw: the draw and its step) serve this call only.
@@ -169,8 +185,10 @@ def bat_optimize(params: BatParams, fitness: FitnessFn) -> BatState:
     mean_loudness = float(np.add.reduce(loudness) / n)
     t, stretch = 1, _FIRST_STRETCH
     while t <= iterations:
-        # Iterations t, t + 1, ... evaluated as if none held an event.
-        length = min(stretch, iterations + 1 - t)
+        # Iterations t, t + 1, ... evaluated as if none held an event; once
+        # settled, none can hold one, and the stretch runs to the end.
+        settled = fitnesses.min() >= ceiling
+        length = iterations + 1 - t if settled else min(stretch, iterations + 1 - t)
         path = np.empty((length + 1, n), dtype=np.intp)
         path[0] = cursors
         for here, there in itertools.pairwise(path):
@@ -180,8 +198,15 @@ def bat_optimize(params: BatParams, fitness: FitnessFn) -> BatState:
         vel = (positions - best_position) * (f_min + f_span * flat[at])
         vel[0] += velocities
         np.cumsum(vel, axis=0, out=vel)  # in sequence, as the loop adds
+        walked = after - at == 4
+        if settled:
+            if np.isnan(vel).any():  # the loop scores the NaN candidates: raise as it does
+                _evaluate(fitness, np.clip(np.where(walked, best_position, positions + vel), _LOW, _HIGH))
+            history += [best_fitness] * length
+            velocities = vel[-1]
+            break
         walk = best_position + (-1.0 + 2.0 * flat[at + 2]) * mean_loudness
-        cand = np.where(after - at == 4, walk, positions + vel)
+        cand = np.where(walked, walk, positions + vel)
         cand[cand < _LOW] = _LOW  # the clamp min(max(cand, _LOW), _HIGH)
         cand[cand > _HIGH] = _HIGH
         fit = _evaluate(fitness, cand)
@@ -290,7 +315,11 @@ def otsu_fitness(image: np.ndarray) -> FitnessFn:
 
     Positions outside [0, 255] score as the nearest end of the table; NaN raises.
     """
-    table = between_class_variance(histogram(image))
+    return _table_fitness(between_class_variance(histogram(image)))
+
+
+def _table_fitness(table: np.ndarray) -> FitnessFn:
+    """Fitness mapping positions x, elementwise, to table[floor(clip(x))]; NaN raises."""
 
     def fitness(x: np.ndarray) -> np.ndarray:
         x = np.minimum(np.maximum(x, _LOW), _HIGH)  # NaN stays NaN
@@ -307,10 +336,11 @@ def optimize_threshold(image: np.ndarray, params: BatParams) -> tuple[int, BatSt
     Runs the bat algorithm over [0, 255] with the between-class-variance
     objective and returns floor(best position), an integer in [0, 255],
     together with the final state (whose history is the convergence
-    curve).
+    curve).  No score exceeds the table's maximum, which bounds the
+    settled tail.
     """
-    img = as_gray(image)
-    state = bat_optimize(params, otsu_fitness(img))
+    table = between_class_variance(histogram(image))
+    state = bat_optimize(params, _table_fitness(table), ceiling=float(table.max()))
     return math.floor(state.best_position), state
 
 

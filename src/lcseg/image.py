@@ -211,6 +211,17 @@ def _unsigned_ints(fields: list[bytes]) -> list[int]:
     return [int(f) for f in fields]
 
 
+def _header_field(number: int, token: bytes) -> int:
+    """The value of header field ``number`` (1-based); ``PgmError`` naming
+    the field, with at most 20 bytes of it, otherwise."""
+    if not token.isdigit():  # ASCII digits only, as in _unsigned_ints
+        raise PgmError(f"malformed PGM header: non-numeric field {number}: {token[:20]!r}")
+    try:
+        return int(token)
+    except ValueError as exc:  # past Python's int() digit limit
+        raise PgmError(f"malformed PGM header: field {number} has {len(token)} digits") from exc
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a P5 (binary) or P2 (ASCII) PGM file with maxval 255.
 
@@ -234,10 +245,7 @@ def read_pgm(path) -> np.ndarray:
         offset = match.end()
     if data[offset : offset + 1].isspace():
         offset += 1  # single whitespace after maxval, then raw pixel data
-    try:
-        width, height, maxval = _unsigned_ints(tokens)
-    except ValueError as exc:
-        raise PgmError(f"malformed PGM header: non-numeric field {tokens}") from exc
+    width, height, maxval = (_header_field(i, token) for i, token in enumerate(tokens, start=1))
     if width < 1 or height < 1:
         raise PgmError(f"malformed PGM header: bad dimensions {width}x{height}")
     if maxval != 255:

@@ -333,10 +333,11 @@ def _smooth_fake(x):
 
 
 def _pinned_fitness(name):
+    """The fitness and the least upper bound of its values, or inf."""
     if name == "otsu":
         img, _ = generate_phantom(PhantomSpec(64, 64, 16, 5, 20.0, 7))
-        return otsu_fitness(img)
-    return _smooth_fake
+        return otsu_fitness(img), float(between_class_variance(histogram(img)).max())
+    return _smooth_fake, math.inf
 
 
 _PINNED_PARAMS = {
@@ -482,12 +483,17 @@ def test_final_state_is_pinned(fitness_name, params_name, seed):
     """The whole final state matches a recorded value bit for bit.
 
     ``convergence.csv`` keeps six significant digits, so it cannot see a
-    one-ulp drift in the loop; these hashes can.
+    one-ulp drift in the loop; these hashes can.  The Otsu runs match
+    their pins with the settled tail too.
     """
     params = BatParams(seed=seed, **_PINNED_PARAMS[params_name])
-    state = bat_optimize(params, _pinned_fitness(fitness_name))
+    fitness, ceiling = _pinned_fitness(fitness_name)
+    state = bat_optimize(params, fitness)
     assert len(state.history) == params.iterations
-    assert _state_record(state) == _PINNED_STATES[(fitness_name, params_name, seed)]
+    pin = _PINNED_STATES[(fitness_name, params_name, seed)]
+    assert _state_record(state) == pin
+    if ceiling < math.inf:
+        assert _state_record(bat_optimize(params, fitness, ceiling=ceiling)) == pin
 
 
 @pytest.mark.parametrize("seed", [0, 1, 99, 2**40 + 3])
@@ -540,7 +546,9 @@ def bat_params(draw):
 
 @st.composite
 def fitness_pairs(draw):
-    """(array fitness for ``bat_optimize``, scalar fitness for the oracle)."""
+    """(array fitness for ``bat_optimize``, scalar fitness for the oracle,
+    the least upper bound of the fitness on [0, 255], or inf where that
+    bound is not known exactly)."""
     kind = draw(st.sampled_from(["otsu", "smooth", "constant", "steps"]))
     if kind == "otsu":
         # A few intensity clusters, so the table has plateaus and a clear peak.
@@ -548,19 +556,22 @@ def fitness_pairs(draw):
         values = draw(st.lists(st.sampled_from(centers), min_size=1, max_size=64))
         jitter = draw(st.lists(st.integers(-20, 20), min_size=len(values), max_size=len(values)))
         img = np.clip(np.add(values, jitter), 0, 255).astype(np.uint8).reshape(1, -1)
-        return otsu_fitness(img), scalar_otsu(img)
+        ceiling = float(between_class_variance(histogram(img)).max())
+        return otsu_fitness(img), scalar_otsu(img), ceiling
     if kind == "smooth":
-        return _smooth_fake, _smooth_fake
+        return _smooth_fake, _smooth_fake, math.inf
     if kind == "constant":
         value = draw(st.floats(-1e6, 1e6))
-        return (lambda x: value), (lambda x: value)
-    # Plateaus a few intensities wide, capped: many exact ties.
+        return (lambda x: value), (lambda x: value), value
+    # Plateaus a few intensities wide, capped: many exact ties.  The
+    # highest step is at x = 255 when rising, at x = 0 when falling.
     width = draw(st.sampled_from([0.5, 1.0, 7.0, 64.0, 300.0]))
     cap = draw(st.sampled_from([0.0, 1.0, 3.0, 1e9]))
     sign = draw(st.sampled_from([1.0, -1.0]))
     return (
         lambda x: sign * np.minimum(np.floor(x / width), cap),
         lambda x: sign * min(math.floor(x / width), cap),
+        sign * min(math.floor((255.0 if sign > 0 else 0.0) / width), cap),
     )
 
 
@@ -569,12 +580,14 @@ def fitness_pairs(draw):
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(params=bat_params(), fitness=fitness_pairs())
 def test_bat_matches_oracle_bit_for_bit(params, fitness):
-    array_fitness, scalar_fitness = fitness
+    array_fitness, scalar_fitness, ceiling = fitness
     got = bat_optimize(params, array_fitness)
     again = bat_optimize(params, array_fitness)  # reads the cached draw tables
     want = oracle_bat(params, scalar_fitness)
     assert _state_bytes(got) == _state_bytes(want)
     assert _state_bytes(again) == _state_bytes(want)
+    if ceiling < math.inf:  # the settled tail changes nothing either
+        assert _state_bytes(bat_optimize(params, array_fitness, ceiling=ceiling)) == _state_bytes(want)
 
 
 def test_interleaved_parameter_sets_each_read_their_own_draw_tables():
@@ -639,3 +652,71 @@ def test_tables_over_8_mib_are_built_per_call_and_not_cached():
     assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, 1)
     assert _state_record(bat_optimize(default, _smooth_fake)) == pin
     assert _draw_tables.cache_info().hits == before.hits + 1
+
+
+# ---------------------------------------------------------------------------
+# The settled tail
+# ---------------------------------------------------------------------------
+
+def _counted(fitness):
+    """``fitness`` and a list that collects the number of positions of each call."""
+    sizes = []
+
+    def wrapped(x):
+        sizes.append(np.size(x))
+        return fitness(x)
+
+    return wrapped, sizes
+
+
+@pytest.mark.parametrize("size", [64, 128, 256])
+@pytest.mark.parametrize("sigma", [0.0, 20.0, 60.0])
+def test_optimize_threshold_equals_the_run_without_a_ceiling(size, sigma):
+    """``optimize_threshold`` bounds the run by the Otsu table's maximum;
+    its state is the unbounded run's bit for bit."""
+    img, _ = generate_phantom(PhantomSpec(size, size, 32, 10, sigma, 4))
+    for seed in (0, 1, 7):
+        params = BatParams(seed=seed)
+        _, state = optimize_threshold(img, params)
+        assert _state_bytes(state) == _state_bytes(bat_optimize(params, otsu_fitness(img)))
+
+
+def test_constant_image_settles_before_the_first_iteration():
+    """Every threshold of a constant image scores 0, the ceiling: the
+    initial positions are the only ones scored, and the state is the
+    unbounded run's."""
+    img = np.full((16, 16), 77, dtype=np.uint8)
+    params = BatParams(seed=3)
+    fitness, sizes = _counted(otsu_fitness(img))
+    state = bat_optimize(params, fitness, ceiling=0.0)
+    assert sizes == [params.population]
+    assert _state_bytes(state) == _state_bytes(bat_optimize(params, otsu_fitness(img)))
+    assert _state_bytes(optimize_threshold(img, params)[1]) == _state_bytes(state)
+    assert state.history == [0.0] * params.iterations
+
+
+def test_settled_tail_scores_no_candidate():
+    """On a phantom every bat reaches the table's maximum within a few
+    dozen iterations; after that the run scores nothing."""
+    img, _ = generate_phantom(PhantomSpec(128, 128, 32, 10, 20.0, 1))
+    ceiling = float(between_class_variance(histogram(img)).max())
+    params = BatParams(seed=0)
+    fitness, sizes = _counted(otsu_fitness(img))
+    state = bat_optimize(params, fitness, ceiling=ceiling)
+    assert sum(sizes) < params.population * 60
+    unbounded, all_sizes = _counted(otsu_fitness(img))
+    assert _state_bytes(bat_optimize(params, unbounded)) == _state_bytes(state)
+    assert sum(all_sizes) >= params.population * (params.iterations + 1)
+
+
+def test_settled_tail_still_raises_on_a_nan_candidate():
+    """f_max - f_min near 2e307 makes the velocities overflow to inf and
+    then NaN; the unbounded run scores a NaN candidate and raises, and so
+    does the run that is settled from its first iteration."""
+    img = np.full((16, 16), 77, dtype=np.uint8)
+    params = BatParams(f_min=-1e307, f_max=1e307, iterations=50)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="cannot score a NaN position"):
+            bat_optimize(params, otsu_fitness(img))
+        with pytest.raises(ValueError, match="cannot score a NaN position"):
+            optimize_threshold(img, params)

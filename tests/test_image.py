@@ -307,7 +307,15 @@ def test_read_rejects_p2_sample_that_is_not_ascii_digits(tmp_path, sample):
 def test_read_rejects_header_number_past_int_digit_limit(tmp_path):
     path = tmp_path / "x.pgm"
     path.write_bytes(b"P2 " + b"1" * 5000 + b" 1 255 1")
-    with pytest.raises(PgmError, match="^malformed PGM header: non-numeric field"):
+    with pytest.raises(PgmError, match="^malformed PGM header: field 1 has 5000 digits$") as info:
+        read_pgm(path)
+    assert len(str(info.value)) < 200
+
+
+def test_read_header_message_echoes_at_most_20_bytes_of_a_field(tmp_path):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P2 1 " + b"9" * 4000 + b"x" * 1000 + b" 255 1")
+    with pytest.raises(PgmError, match=r"^malformed PGM header: non-numeric field 2: b'9{20}'$"):
         read_pgm(path)
 
 

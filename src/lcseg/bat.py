@@ -1,20 +1,21 @@
 """Bat-algorithm metaheuristic and the intensity-threshold objective.
 
 The optimizer is the canonical echolocation scheme (Yang 2010) on the one
-search interval lcseg uses, the 8-bit intensity range [0, 255].  Each bat
-carries a position, velocity, loudness A and pulse rate r.  Per
-iteration and bat
+search interval lcseg uses, the 8-bit intensity range [0, 255], over a
+table of the 256 scores of the integer thresholds: a position x scores
+``table[floor(x)]``.  Each bat carries a position, velocity, loudness A
+and pulse rate r.  Per iteration and bat
 
     f = f_min + (f_max - f_min) * U(0,1)
     v <- v + (x - x_best) * f
     candidate = clamp(x + v)
     with probability (1 - r): candidate = clamp(x_best + eps * A_mean),
                               eps ~ U(-1,1)
-    accept candidate iff U(0,1) < A and its fitness beats the bat's own;
+    accept candidate iff U(0,1) < A and its score beats the bat's own;
     on acceptance  A <- alpha * A,  r <- r0 * (1 - exp(-gamma * t))
 
 Maximization convention throughout.  The global best tracks every
-evaluated candidate, accepted or not, so the best-so-far history is
+scored candidate, accepted or not, so the best-so-far history is
 non-decreasing by construction.
 
 Determinism contract: the master seed is split into one PCG64 stream per
@@ -34,32 +35,25 @@ move in the same iteration.
 
 Evaluation in stretches: an *event* is an acceptance or a new global
 best.  Between events x_best, the mean loudness and each bat's position,
-fitness, loudness and pulse rate stay constant, so a stretch of
+score, loudness and pulse rate stay constant, so a stretch of
 iterations is computed at once as if it held none: the cursor paths
 follow from the pulse rates alone, the velocities are one ``np.cumsum``
-along the iterations, and ``fitness`` is called once on every candidate
-of the stretch.  The first iteration that holds an event is then
+along the iterations, and every candidate of the stretch is looked up
+in the table at once.  The first iteration that holds an event is then
 resolved bat by bat, in bat order; the rest of the stretch is discarded.
 ``np.cumsum`` adds in sequence, and every other value is the same
 IEEE-754 operation on the same operands as in a loop over one candidate
 at a time, so the final state is that loop's bit for bit
-(tests/test_bat.py keeps it as the oracle).  So ``fitness`` must be a
-pure, elementwise function from an array of positions to an array of
-values (a scalar return stands for every position): it may be called on
-candidates past an event, whose values are discarded.
+(tests/test_bat.py keeps it as the oracle).
 
-Settled tail: a caller may pass a ``ceiling``, a bound on every value
-``fitness`` can return.  Once every bat's fitness has reached it, no
-event can follow: an acceptance needs a candidate above the bat's own
-fitness and a new best one above the best fitness, and no candidate
-scores above the ceiling.  From the first stretch that starts so
-settled, the rest of the run is one stretch in which only the cursors
-walk and the velocities add up; no candidate is built, clamped or
-scored, and the history repeats the best fitness.  The loop would still
-score every candidate, so a NaN among the velocity candidates (never a
-walk's) still reaches ``fitness``, which may raise on it as the loop
-would: the candidates are scored, with each walk replaced by x_best,
-whenever a velocity is NaN.
+Settled tail: once every bat scores the table's maximum, no event can
+follow: an acceptance needs a candidate above the bat's own score and a
+new best one above the best score, and no candidate scores above the
+maximum.  From the first stretch that starts so settled, the rest of the
+run is one stretch in which only the cursors walk and the velocities add
+up; no candidate is built, clamped or looked up, and the history repeats
+the best score.  ``BatParams`` bounds every velocity, so no candidate
+the loop would score there is NaN.
 
 Draw tables: the draw rows and the table of cursor steps at pulse rate
 r0 depend only on (seed, population, iterations, r0), and every image of
@@ -75,8 +69,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,13 +83,9 @@ __all__ = [
     "bat_optimize",
     "between_class_variance",
     "otsu_threshold",
-    "otsu_fitness",
     "optimize_threshold",
     "convergence_csv",
 ]
-
-# Positions in, their values out, elementwise; a scalar stands for all.
-FitnessFn = Callable[[np.ndarray], "np.ndarray | float"]
 
 # The search interval: every threshold of an 8-bit image.
 _LOW, _HIGH = 0.0, 255.0
@@ -106,7 +96,12 @@ _FIRST_STRETCH = 8
 
 @dataclass(frozen=True)
 class BatParams:
-    """Knobs of the bat algorithm plus its master seed."""
+    """Knobs of the bat algorithm plus its master seed.
+
+    An iteration changes a velocity by at most 255 * max(|f_min|, |f_max|),
+    so 2 * 255 * max(|f_min|, |f_max|) * iterations (twice that sum, to
+    cover rounding) must be finite; then every velocity and candidate is.
+    """
 
     population: int = 20
     iterations: int = 500
@@ -129,6 +124,13 @@ class BatParams:
             raise ValueError("f_min must not exceed f_max")
         if not math.isfinite(self.f_max - self.f_min):
             raise ValueError(f"f_max - f_min must be finite, got {self.f_max - self.f_min!r}")
+        # Compared as iterations <= max / step, so that no count overflows a float.
+        step = 2 * 255 * max(abs(self.f_min), abs(self.f_max))
+        if step > 0.0 and not self.iterations <= sys.float_info.max / step:
+            raise ValueError(
+                "the velocity bound 2 * 255 * max(|f_min|, |f_max|) * iterations must be finite,"
+                f" got f_min={self.f_min!r}, f_max={self.f_max!r}, iterations={self.iterations!r}"
+            )
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not self.gamma > 0.0:
@@ -141,7 +143,12 @@ class BatParams:
 
 @dataclass
 class BatState:
-    """Final population state and the per-iteration best-fitness history."""
+    """Final population state and the per-iteration best-fitness history.
+
+    ``evaluations`` counts the positions looked up in the table: the
+    initial population and every candidate built, those discarded past an
+    event included; the settled tail looks up none.
+    """
 
     positions: np.ndarray
     velocities: np.ndarray
@@ -149,19 +156,22 @@ class BatState:
     pulse_rate: np.ndarray
     best_position: float
     best_fitness: float
-    history: list[float] = field(default_factory=list)
+    history: list[float]
+    evaluations: int
 
 
-def bat_optimize(params: BatParams, fitness: FitnessFn, *, ceiling: float = math.inf) -> BatState:
+def bat_optimize(params: BatParams, table: np.ndarray) -> BatState:
     """Run the bat algorithm for exactly ``params.iterations`` iterations.
 
-    ``fitness`` maps an array of positions in [0, 255] to the array of
-    their values, higher being better; see the module docstring.
-    Positions are clamped to [0, 255] after every move.  ``ceiling``
-    must be at least every value ``fitness`` can return; once every bat
-    scores it, the rest of the run is the settled tail of the module
-    docstring.  The default, inf, is never reached.
+    ``table`` holds the 256 finite scores of the integer thresholds 0..255,
+    higher being better; a position x in [0, 255] scores ``table[floor(x)]``.
+    Positions are clamped to [0, 255] after every move.  See the module
+    docstring.
     """
+    table = np.asarray(table, dtype=np.float64)
+    if table.shape != (256,) or not np.isfinite(table).all():
+        raise ValueError("the score table must hold 256 finite values")
+    top = table.max()
     n, iterations = params.population, params.iterations
     # Tables over 8 MiB (16 B per draw: the draw and its step) serve this call only.
     build = _draw_tables if n * (1 + 4 * iterations) * 16 <= 8 << 20 else _draw_tables.__wrapped__
@@ -174,7 +184,8 @@ def bat_optimize(params: BatParams, fitness: FitnessFn, *, ceiling: float = math
     velocities = np.zeros(n)
     loudness = np.full(n, params.a0)
     pulse_rate = np.full(n, params.r0)
-    fitnesses = np.array(_evaluate(fitness, positions))
+    fitnesses = table.take(positions.astype(np.intp))  # floor, as positions >= 0
+    evaluations = n
     initial = fitnesses.tolist()
     best_fitness = max(initial)
     best_position = float(positions[initial.index(best_fitness)])  # the first of equals
@@ -187,7 +198,7 @@ def bat_optimize(params: BatParams, fitness: FitnessFn, *, ceiling: float = math
     while t <= iterations:
         # Iterations t, t + 1, ... evaluated as if none held an event; once
         # settled, none can hold one, and the stretch runs to the end.
-        settled = fitnesses.min() >= ceiling
+        settled = fitnesses.min() == top
         length = iterations + 1 - t if settled else min(stretch, iterations + 1 - t)
         path = np.empty((length + 1, n), dtype=np.intp)
         path[0] = cursors
@@ -198,18 +209,16 @@ def bat_optimize(params: BatParams, fitness: FitnessFn, *, ceiling: float = math
         vel = (positions - best_position) * (f_min + f_span * flat[at])
         vel[0] += velocities
         np.cumsum(vel, axis=0, out=vel)  # in sequence, as the loop adds
-        walked = after - at == 4
         if settled:
-            if np.isnan(vel).any():  # the loop scores the NaN candidates: raise as it does
-                _evaluate(fitness, np.clip(np.where(walked, best_position, positions + vel), _LOW, _HIGH))
             history += [best_fitness] * length
             velocities = vel[-1]
             break
         walk = best_position + (-1.0 + 2.0 * flat[at + 2]) * mean_loudness
-        cand = np.where(walked, walk, positions + vel)
+        cand = np.where(after - at == 4, walk, positions + vel)
         cand[cand < _LOW] = _LOW  # the clamp min(max(cand, _LOW), _HIGH)
         cand[cand > _HIGH] = _HIGH
-        fit = _evaluate(fitness, cand)
+        fit = table.take(cand.astype(np.intp))
+        evaluations += cand.size
         accept = (flat[after - 1] < loudness) & (fit > fitnesses)
         event = accept | (fit > best_fitness)
         first = int(event.argmax())  # row-major, so iteration t + first // n
@@ -246,7 +255,8 @@ def bat_optimize(params: BatParams, fitness: FitnessFn, *, ceiling: float = math
         t += 1
 
     return BatState(
-        positions, velocities.copy(), loudness, pulse_rate, best_position, best_fitness, history
+        positions, velocities.copy(), loudness, pulse_rate,
+        best_position, best_fitness, history, evaluations,
     )
 
 
@@ -270,12 +280,6 @@ def _draw_tables(
     steps[:-1] += flat[1:] > r0
     draws.flags.writeable = steps.flags.writeable = False
     return draws, steps
-
-
-def _evaluate(fitness: FitnessFn, x: np.ndarray) -> np.ndarray:
-    """``fitness(x)`` as a float64 array of x's shape."""
-    values = np.asarray(fitness(x), dtype=np.float64)
-    return values if values.shape == x.shape else np.broadcast_to(values, x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -310,37 +314,15 @@ def otsu_threshold(hist: np.ndarray) -> int:
     return int(np.argmax(between_class_variance(hist)))
 
 
-def otsu_fitness(image: np.ndarray) -> FitnessFn:
-    """Fitness mapping positions x, elementwise, to sigma_B^2(floor(x)) of ``image``.
-
-    Positions outside [0, 255] score as the nearest end of the table; NaN raises.
-    """
-    return _table_fitness(between_class_variance(histogram(image)))
-
-
-def _table_fitness(table: np.ndarray) -> FitnessFn:
-    """Fitness mapping positions x, elementwise, to table[floor(clip(x))]; NaN raises."""
-
-    def fitness(x: np.ndarray) -> np.ndarray:
-        x = np.minimum(np.maximum(x, _LOW), _HIGH)  # NaN stays NaN
-        if np.isnan(x).any():
-            raise ValueError("cannot score a NaN position")
-        return table.take(x.astype(np.intp))  # floor, as x >= 0
-
-    return fitness
-
-
 def optimize_threshold(image: np.ndarray, params: BatParams) -> tuple[int, BatState]:
     """Search the best global intensity threshold of ``image``.
 
-    Runs the bat algorithm over [0, 255] with the between-class-variance
-    objective and returns floor(best position), an integer in [0, 255],
+    Runs the bat algorithm over the between-class-variance table of
+    ``image`` and returns floor(best position), an integer in [0, 255],
     together with the final state (whose history is the convergence
-    curve).  No score exceeds the table's maximum, which bounds the
-    settled tail.
+    curve).
     """
-    table = between_class_variance(histogram(image))
-    state = bat_optimize(params, _table_fitness(table), ceiling=float(table.max()))
+    state = bat_optimize(params, between_class_variance(histogram(image)))
     return math.floor(state.best_position), state
 
 

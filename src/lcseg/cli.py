@@ -160,11 +160,13 @@ def _cmd_roc(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.out == "":
+        raise ValueError("--out must not be empty")
     cfg = _load_pipeline_config(args)
+    out_dir = cfg.output_dir if args.out is None else args.out
     image = read_pgm(args.input)
     truth = _read_mask(args.truth) if args.truth else None
     result = run_pipeline(image, truth, cfg)
-    out_dir = args.out or cfg.output_dir
     written = write_outputs(result, out_dir, dump=args.dump)
     print(f"threshold {result.threshold}")
     print(f"basins {result.labels.max()}")

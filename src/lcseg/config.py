@@ -53,6 +53,8 @@ class PipelineConfig:
         check_int("wavelet_levels", self.wavelet_levels, 1)
         check_scales(self.wavelet_levels, self.kept_scales)
         check_h_min(self.h_min)
+        if not self.output_dir:
+            raise ValueError("output_dir must not be empty")
 
     def with_seed(self, seed: int) -> "PipelineConfig":
         return replace(self, bat=replace(self.bat, seed=seed))

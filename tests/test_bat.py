@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lcseg.bat import (
     BatParams,
@@ -16,21 +17,28 @@ from lcseg.bat import (
     between_class_variance,
     convergence_csv,
     optimize_threshold,
-    otsu_fitness,
     otsu_threshold,
 )
+from lcseg.cli import main
 from lcseg.histeq import histogram
 from lcseg.config import load_config
 from lcseg.image import PhantomSpec, generate_phantom
 
 
-def oracle_bat(params, fitness):
+def oracle_bat(params, table):
     """The bat algorithm one candidate at a time, as the module docstring
-    states it; ``fitness`` is called on one float per candidate.
+    states it; each candidate x scores ``table[floor(x)]`` on its own.
 
     ``bat_optimize`` evaluates the iterations between events as arrays
-    and must return this function's final state bit for bit.
+    and must return this function's final state bit for bit.  The loop
+    scores every candidate, so its ``evaluations`` is population *
+    (iterations + 1).
     """
+    scores = np.asarray(table, dtype=np.float64).tolist()
+
+    def fitness(x):
+        return scores[math.floor(x)]
+
     n = params.population
     blocks = [
         np.random.Generator(np.random.PCG64(s)).random(1 + 4 * params.iterations).tolist()
@@ -42,7 +50,7 @@ def oracle_bat(params, fitness):
     velocities = [0.0] * n
     loudness = [params.a0] * n
     pulse_rate = [params.r0] * n
-    fitnesses = [float(fitness(x)) for x in positions]
+    fitnesses = [fitness(x) for x in positions]
     best_idx = fitnesses.index(max(fitnesses))  # the first of equals
     best_position = positions[best_idx]
     best_fitness = fitnesses[best_idx]
@@ -72,7 +80,7 @@ def oracle_bat(params, fitness):
                 cand = 0.0
             elif cand > 255.0:
                 cand = 255.0
-            cand_fitness = float(fitness(cand))
+            cand_fitness = fitness(cand)
             if accept_coin < loudness[i] and cand_fitness > fitnesses[i]:
                 positions[i] = cand
                 fitnesses[i] = cand_fitness
@@ -92,37 +100,38 @@ def oracle_bat(params, fitness):
         best_position=best_position,
         best_fitness=best_fitness,
         history=history,
+        evaluations=n * (params.iterations + 1),
     )
 
 
-def scalar_otsu(image):
-    """The Otsu fitness on one float at a time, as ``math.floor`` reads it."""
-    table = between_class_variance(histogram(image)).tolist()
-    return lambda x: table[min(max(math.floor(x), 0), 255)]
+_THRESHOLDS = np.arange(256.0)
+
+
+def _quadratic(peak):
+    """A table with its one maximum, 0, at threshold ``peak``."""
+    return -((_THRESHOLDS - peak) ** 2)
 
 
 def test_quadratic_argmax_found():
     for seed in (0, 1, 2, 3, 4):
         params = BatParams(population=20, iterations=200, seed=seed)
-        state = bat_optimize(params, lambda x: -((x - 3.0) ** 2))
-        assert abs(state.best_position - 3.0) <= 0.05
-        # grid oracle: no grid point may beat the returned best materially
-        grid = np.linspace(0.0, 255.0, 10_000)
-        grid_best = float(np.max(-((grid - 3.0) ** 2)))
-        assert state.best_fitness >= grid_best - 1e-3
+        state = bat_optimize(params, _quadratic(3.0))
+        assert math.floor(state.best_position) == 3
+        assert state.best_fitness == 0.0
 
 
 def test_constant_fitness_flat_history():
     params = BatParams(population=5, iterations=20, seed=9)
-    state = bat_optimize(params, lambda x: 7.0)
+    state = bat_optimize(params, np.full(256, 7.0))
     assert state.best_fitness == 7.0
     assert state.history == [7.0] * 20
+    assert state.evaluations == 5  # settled before the first iteration
 
 
 def test_determinism_same_seed_identical_state():
     params = BatParams(population=8, iterations=50, seed=123)
-    s1 = bat_optimize(params, lambda x: -((x - 100.0) ** 2))
-    s2 = bat_optimize(params, lambda x: -((x - 100.0) ** 2))
+    s1 = bat_optimize(params, _quadratic(100.0))
+    s2 = bat_optimize(params, _quadratic(100.0))
     assert np.array_equal(s1.positions, s2.positions)
     assert np.array_equal(s1.velocities, s2.velocities)
     assert np.array_equal(s1.loudness, s2.loudness)
@@ -133,28 +142,38 @@ def test_determinism_same_seed_identical_state():
 def test_different_seeds_differ():
     p1 = BatParams(population=8, iterations=30, seed=1)
     p2 = BatParams(population=8, iterations=30, seed=2)
-    s1 = bat_optimize(p1, lambda x: -((x - 77.0) ** 2))
-    s2 = bat_optimize(p2, lambda x: -((x - 77.0) ** 2))
+    s1 = bat_optimize(p1, _quadratic(77.0))
+    s2 = bat_optimize(p2, _quadratic(77.0))
     assert not np.array_equal(s1.positions, s2.positions)
 
 
 def test_history_monotone_and_bounds_respected():
-    lower, upper = 0.0, 255.0
-    seen = []
-
-    def instrumented(x):
-        seen.append(np.array(x))
-        return np.sin(x / 20.0)
-
+    table = np.sin(_THRESHOLDS / 20.0)
     params = BatParams(population=10, iterations=100, seed=5)
-    state = bat_optimize(params, instrumented)
+    state = bat_optimize(params, table)
     assert all(a <= b for a, b in zip(state.history, state.history[1:]))
     assert len(state.history) == 100
-    seen = np.concatenate([x.ravel() for x in seen])
-    # Every candidate of every iteration was scored, and maybe some past an event.
-    assert seen.size >= 10 * 101
-    assert all(lower <= v <= upper for v in seen.tolist())
-    assert state.positions.min() >= lower and state.positions.max() <= upper
+    assert state.best_fitness == table[math.floor(state.best_position)]
+    assert state.positions.min() >= 0.0 and state.positions.max() <= 255.0
+    assert state.evaluations >= params.population
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.zeros(255),
+        np.zeros(257),
+        np.zeros((16, 16)),
+        0.0,
+        np.where(_THRESHOLDS == 9.0, math.nan, 1.0),
+        np.where(_THRESHOLDS == 0.0, math.inf, 1.0),
+        np.where(_THRESHOLDS == 255.0, -math.inf, 1.0),
+    ],
+    ids=["255", "257", "16x16", "scalar", "nan", "inf", "-inf"],
+)
+def test_table_that_is_not_256_finite_values_is_rejected(table):
+    with pytest.raises(ValueError, match="256 finite values"):
+        bat_optimize(BatParams(population=2, iterations=1), table)
 
 
 def test_params_validation():
@@ -190,7 +209,29 @@ def test_params_reject_overflowing_frequency_span(f_min, f_max):
     # Each bound is finite, but the span the velocity update scales by is not.
     with pytest.raises(ValueError, match="f_max - f_min must be finite"):
         BatParams(f_min=f_min, f_max=f_max)
-    assert BatParams(f_min=f_min / 2.0, f_max=f_max / 2.0).f_max == f_max / 2.0
+    assert BatParams(f_min=-1e300, f_max=1e300).f_max == 1e300
+
+
+def test_params_reject_an_unbounded_velocity(tmp_path, capsys):
+    """f = +-1e307 over 50 iterations keeps f_max - f_min finite, but the
+    velocities could overflow to inf and then NaN; the settings are
+    refused at construction, at load and by ``lcseg run`` before any stage."""
+    message = r"velocity bound .* must be finite"
+    with pytest.raises(ValueError, match=message):
+        BatParams(f_min=-1e307, f_max=1e307, iterations=50)
+    config = tmp_path / "bat.ini"
+    config.write_text("[bat]\nf_min = -1e307\nf_max = 1e307\niterations = 50\n")
+    with pytest.raises(ValueError, match=message):
+        load_config(config)
+    out = tmp_path / "out"
+    missing = tmp_path / "never-read.pgm"  # the config fails before the input is read
+    assert main(["run", "--input", str(missing), "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in ("f_min", "f_max", "iterations"))
+    assert not out.exists()
+    # An iteration count past the float range is refused the same way.
+    with pytest.raises(ValueError, match=message):
+        BatParams(iterations=10**400)
 
 
 @pytest.mark.parametrize(
@@ -237,29 +278,6 @@ def test_constant_image_zero_everywhere():
     img = np.full((6, 6), 120, dtype=np.uint8)
     sigma = between_class_variance(histogram(img))
     assert not sigma.any()
-
-
-def test_otsu_fitness_floor_semantics():
-    img = np.array([[50] * 8 + [200] * 8], dtype=np.uint8).reshape(4, 4)
-    fit = otsu_fitness(img)
-    sigma = between_class_variance(histogram(img))
-    assert fit(50.9) == sigma[50]
-    assert fit(49.999) == sigma[49]
-    assert fit(300.0) == sigma[255]
-    assert fit(-3.0) == sigma[0]
-    # The same on arrays, elementwise and shape for shape.
-    x = np.array([[50.9, 49.999, 300.0, -3.0], [0.0, 255.0, 254.5, 1e300]])
-    want = sigma[[[50, 49, 255, 0], [0, 255, 254, 255]]]
-    got = fit(x)
-    assert got.shape == x.shape and got.tobytes() == want.tobytes()
-    assert fit(np.array([-np.inf, np.inf])).tolist() == [sigma[0], sigma[255]]
-
-
-@pytest.mark.parametrize("x", [math.nan, np.array([1.0, math.nan]), np.full((2, 2), math.nan)])
-def test_otsu_fitness_rejects_nan_positions(x):
-    img = np.array([[50] * 8 + [200] * 8], dtype=np.uint8).reshape(4, 4)
-    with pytest.raises(ValueError, match="NaN"):
-        otsu_fitness(img)(x)
 
 
 def test_bat_reaches_exhaustive_max_on_phantom():
@@ -327,17 +345,10 @@ def test_csv_round_trip():
 # Pinned final state
 # ---------------------------------------------------------------------------
 
-def _smooth_fake(x):
-    # A polynomial, so the value is the same on every IEEE-754 platform.
-    return -(x - 97.3) * (x - 97.3) + 0.5 * x
-
-
-def _pinned_fitness(name):
-    """The fitness and the least upper bound of its values, or inf."""
-    if name == "otsu":
-        img, _ = generate_phantom(PhantomSpec(64, 64, 16, 5, 20.0, 7))
-        return otsu_fitness(img), float(between_class_variance(histogram(img)).max())
-    return _smooth_fake, math.inf
+def _pinned_table():
+    """The Otsu table of the pinned runs' phantom."""
+    img, _ = generate_phantom(PhantomSpec(64, 64, 16, 5, 20.0, 7))
+    return between_class_variance(histogram(img))
 
 
 _PINNED_PARAMS = {
@@ -419,81 +430,22 @@ _PINNED_STATES = {
         "162.905221514975",
         "5532.815423387138",
     ),
-    ("smooth", "default", 0): (
-        "722a1ab89fadbc1757c6badcfb10e5840bd658428d152685da9cab9c03116fe0",
-        "d213de6a97bb20c3dedd0f0074c5ae877e43d50f4c66e6bc8a7a0d0f517f6163",
-        "fcb644bdcecf5bb391370ecec5d50b1b1a6aa81517750e11947afa1bb16582c1",
-        "a25bbfbd5d694e837fda1972f5d841a340e4b9f5a6068b27895e848697a85638",
-        "b0534c59846ac7c9828dd6868d060f360f36d30b27d1dc1a3e525eb0e9b8bb97",
-        "97.54989430023757",
-        "48.71249998882756",
-    ),
-    ("smooth", "default", 5): (
-        "67eab8b95417e57f40e9c00bbc2146c8cb566aa62c39c2fd72b876d3c47aa201",
-        "d5a9497cbb24de67a1e2523671333a6f6e2725f3dc6c13ce42942c3ccb5cbc47",
-        "563a3fe260b3489c24f438804e7da8e7df93b05e189fa676d74ea140241f6e7a",
-        "630c4d578ba403788c64067fe6fc1847f9753e1ed3e31e5feb70fe30946f5608",
-        "6119c3c76abdb3917d7ae36452b9b3ecbc7946e73e524fca4c3a8eaf1b074f8b",
-        "97.54979391028134",
-        "48.71249995752703",
-    ),
-    ("smooth", "default", 2024): (
-        "34860bbff99874b0ebf5cee9a3f5a2434ddd55652741b0bfaced1861fa3a782b",
-        "070397d624aebae400e4015917da41f64c268d019d1aee87ad816b8a08985264",
-        "03f48727b810a7504fc7675191c8f385687afb4c57a819e66cca11ed6e0a2bab",
-        "a25bbfbd5d694e837fda1972f5d841a340e4b9f5a6068b27895e848697a85638",
-        "d064fb1e2c3cc5efbc326a6ce543be0a96fee41e2ed49c84ab7f44b9d8aa650c",
-        "97.55031673553053",
-        "48.712499899678605",
-    ),
-    ("smooth", "small", 0): (
-        "e249f5e2de49f9d0318bbaedd2172442d04cb460a21f1f19b9b316cafcf663aa",
-        "897cb32f63234d5cf6b8f7955796bfda96abf39323ffaa0fc0170ea4df936b62",
-        "c9680916203f02ecbee0ec79117fbc17047929cf0510413af4c4a33796f8d04d",
-        "8155015048da6be12d5de489c308e7c00b301e8d4f1dccc95b0359673f2aaa5b",
-        "f0fb06757535d248f8ff76359e3c6fcaad45f08be902a63b28b1a633f736f93e",
-        "97.54036671568541",
-        "48.712407199833315",
-    ),
-    ("smooth", "small", 5): (
-        "ec15ee682b4b24deec3b6875f8755aee6201a7ba91aa2a414930b8658f533a74",
-        "d99b5d5f2a112ecbbaa7ccfb4b007f1d790d9dd24e2420b295d4d87254afb7c5",
-        "fa3c42d799b257503de22a0c602192d9440288da8f7695e6976c85b6bf1958de",
-        "ab33bcd53afc8b1c922938f75b0fbe48e363646b4fd918e9dce3c1473b0f0f14",
-        "dccb4985c50960bae6da6fd05de089f48ba3ba6e02dc275df3c98402c2ea435d",
-        "98.76519807896437",
-        "47.23579362888128",
-    ),
-    ("smooth", "small", 2024): (
-        "b3600143c6202ec9ed5bd5b05724439e8ab765a51abc053db3292b720f5e8724",
-        "3eb662fc56dd80970b223f602b5a0441d53601b7e4a87402bf6f65fee288d28c",
-        "c62d068efbef308436336ac8b15588eeebbd8c526d1561458064540ace6bec9b",
-        "738e8c460d12d70b502d0837c81d8eb87295f0b7bf0bf5f4386a27900bd20a6a",
-        "56e701c39a1cbd12c0afe46c821b7258c34e4f2d6d5e25fe1096b83831632f3b",
-        "36.65623278318275",
-        "-3659.338385855927",
-    ),
 }
 
 
-@pytest.mark.parametrize("fitness_name", ["otsu", "smooth"])
+@pytest.mark.parametrize("fitness_name", ["otsu"])
 @pytest.mark.parametrize("params_name", sorted(_PINNED_PARAMS))
 @pytest.mark.parametrize("seed", [0, 5, 2024])
 def test_final_state_is_pinned(fitness_name, params_name, seed):
     """The whole final state matches a recorded value bit for bit.
 
     ``convergence.csv`` keeps six significant digits, so it cannot see a
-    one-ulp drift in the loop; these hashes can.  The Otsu runs match
-    their pins with the settled tail too.
+    one-ulp drift in the loop; these hashes can.
     """
     params = BatParams(seed=seed, **_PINNED_PARAMS[params_name])
-    fitness, ceiling = _pinned_fitness(fitness_name)
-    state = bat_optimize(params, fitness)
+    state = bat_optimize(params, _pinned_table())
     assert len(state.history) == params.iterations
-    pin = _PINNED_STATES[(fitness_name, params_name, seed)]
-    assert _state_record(state) == pin
-    if ceiling < math.inf:
-        assert _state_record(bat_optimize(params, fitness, ceiling=ceiling)) == pin
+    assert _state_record(state) == _PINNED_STATES[(fitness_name, params_name, seed)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 99, 2**40 + 3])
@@ -545,49 +497,39 @@ def bat_params(draw):
 
 
 @st.composite
-def fitness_pairs(draw):
-    """(array fitness for ``bat_optimize``, scalar fitness for the oracle,
-    the least upper bound of the fitness on [0, 255], or inf where that
-    bound is not known exactly)."""
-    kind = draw(st.sampled_from(["otsu", "smooth", "constant", "steps"]))
+def score_tables(draw):
+    """256-entry score tables: Otsu tables of drawn images, constants,
+    capped steps with many ties, and arbitrary finite floats."""
+    kind = draw(st.sampled_from(["otsu", "constant", "steps", "floats"]))
     if kind == "otsu":
         # A few intensity clusters, so the table has plateaus and a clear peak.
         centers = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4))
         values = draw(st.lists(st.sampled_from(centers), min_size=1, max_size=64))
         jitter = draw(st.lists(st.integers(-20, 20), min_size=len(values), max_size=len(values)))
         img = np.clip(np.add(values, jitter), 0, 255).astype(np.uint8).reshape(1, -1)
-        ceiling = float(between_class_variance(histogram(img)).max())
-        return otsu_fitness(img), scalar_otsu(img), ceiling
-    if kind == "smooth":
-        return _smooth_fake, _smooth_fake, math.inf
+        return between_class_variance(histogram(img))
     if kind == "constant":
-        value = draw(st.floats(-1e6, 1e6))
-        return (lambda x: value), (lambda x: value), value
-    # Plateaus a few intensities wide, capped: many exact ties.  The
-    # highest step is at x = 255 when rising, at x = 0 when falling.
-    width = draw(st.sampled_from([0.5, 1.0, 7.0, 64.0, 300.0]))
-    cap = draw(st.sampled_from([0.0, 1.0, 3.0, 1e9]))
-    sign = draw(st.sampled_from([1.0, -1.0]))
-    return (
-        lambda x: sign * np.minimum(np.floor(x / width), cap),
-        lambda x: sign * min(math.floor(x / width), cap),
-        sign * min(math.floor((255.0 if sign > 0 else 0.0) / width), cap),
-    )
+        return np.full(256, draw(st.floats(-1e6, 1e6)))
+    if kind == "steps":
+        # Plateaus a few intensities wide, capped: many exact ties.  The
+        # highest step is at 255 when rising, at 0 when falling.
+        width = draw(st.sampled_from([0.5, 1.0, 7.0, 64.0, 300.0]))
+        cap = draw(st.sampled_from([0.0, 1.0, 3.0, 1e9]))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        return sign * np.minimum(np.floor(_THRESHOLDS / width), cap)
+    return draw(arrays(np.float64, 256, elements=st.floats(allow_nan=False, allow_infinity=False)))
 
 
 # 300 examples, or more under a profile that asks for more (the "ci"
 # profile of tests/conftest.py asks for 2000).
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
-@given(params=bat_params(), fitness=fitness_pairs())
-def test_bat_matches_oracle_bit_for_bit(params, fitness):
-    array_fitness, scalar_fitness, ceiling = fitness
-    got = bat_optimize(params, array_fitness)
-    again = bat_optimize(params, array_fitness)  # reads the cached draw tables
-    want = oracle_bat(params, scalar_fitness)
+@given(params=bat_params(), table=score_tables())
+def test_bat_matches_oracle_bit_for_bit(params, table):
+    got = bat_optimize(params, table)
+    again = bat_optimize(params, table)  # reads the cached draw tables
+    want = oracle_bat(params, table)
     assert _state_bytes(got) == _state_bytes(want)
     assert _state_bytes(again) == _state_bytes(want)
-    if ceiling < math.inf:  # the settled tail changes nothing either
-        assert _state_bytes(bat_optimize(params, array_fitness, ceiling=ceiling)) == _state_bytes(want)
 
 
 def test_interleaved_parameter_sets_each_read_their_own_draw_tables():
@@ -597,13 +539,15 @@ def test_interleaved_parameter_sets_each_read_their_own_draw_tables():
     only the population changed, each between two default runs: every
     state equals its pin or, where none is pinned, the oracle's.
     """
+    table = _pinned_table()
+
     def pinned(params_name, seed):
         params = BatParams(seed=seed, **_PINNED_PARAMS[params_name])
-        return params, _state_record, _PINNED_STATES[("smooth", params_name, seed)]
+        return params, _state_record, _PINNED_STATES[("otsu", params_name, seed)]
 
     def oracle(seed, **changed):
         params = BatParams(seed=seed, **changed)
-        return params, _state_bytes, _state_bytes(oracle_bat(params, _smooth_fake))
+        return params, _state_bytes, _state_bytes(oracle_bat(params, table))
 
     runs = [
         pinned("default", 0),
@@ -619,12 +563,12 @@ def test_interleaved_parameter_sets_each_read_their_own_draw_tables():
         pinned("default", 0),
     ]
     for params, record, expected in runs:
-        assert record(bat_optimize(params, _smooth_fake)) == expected, params
+        assert record(bat_optimize(params, table)) == expected, params
 
 
 def test_cached_draw_tables_are_read_only_and_never_rewritten():
     params = BatParams(population=6, iterations=80, r0=0.9, seed=11)
-    state = bat_optimize(params, _smooth_fake)
+    state = bat_optimize(params, _pinned_table())
     assert state.pulse_rate.tolist() != [params.r0] * 6  # acceptances rewrote steps
     draws, steps = _draw_tables(11, 6, 80, 0.9)
     fresh_draws, fresh_steps = _draw_tables.__wrapped__(11, 6, 80, 0.9)
@@ -641,16 +585,17 @@ def test_tables_over_8_mib_are_built_per_call_and_not_cached():
     The tables take population * (1 + 4 * iterations) * 16 bytes: 0.64 MB
     at the defaults and just over 8 MiB at 20 bats and 6554 iterations.
     """
+    table = _pinned_table()
     default = BatParams()
     large = BatParams(iterations=6554, seed=1)
-    pin = _PINNED_STATES[("smooth", "default", 0)]
-    assert _state_record(bat_optimize(default, _smooth_fake)) == pin
+    pin = _PINNED_STATES[("otsu", "default", 0)]
+    assert _state_record(bat_optimize(default, table)) == pin
     before = _draw_tables.cache_info()
-    got = bat_optimize(large, _smooth_fake)
-    assert _state_bytes(got) == _state_bytes(oracle_bat(large, _smooth_fake))
+    got = bat_optimize(large, table)
+    assert _state_bytes(got) == _state_bytes(oracle_bat(large, table))
     after = _draw_tables.cache_info()
     assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, 1)
-    assert _state_record(bat_optimize(default, _smooth_fake)) == pin
+    assert _state_record(bat_optimize(default, table)) == pin
     assert _draw_tables.cache_info().hits == before.hits + 1
 
 
@@ -658,40 +603,31 @@ def test_tables_over_8_mib_are_built_per_call_and_not_cached():
 # The settled tail
 # ---------------------------------------------------------------------------
 
-def _counted(fitness):
-    """``fitness`` and a list that collects the number of positions of each call."""
-    sizes = []
-
-    def wrapped(x):
-        sizes.append(np.size(x))
-        return fitness(x)
-
-    return wrapped, sizes
-
-
 @pytest.mark.parametrize("size", [64, 128, 256])
 @pytest.mark.parametrize("sigma", [0.0, 20.0, 60.0])
 def test_optimize_threshold_equals_the_run_without_a_ceiling(size, sigma):
-    """``optimize_threshold`` bounds the run by the Otsu table's maximum;
-    its state is the unbounded run's bit for bit."""
+    """``optimize_threshold`` stops scoring once every bat has the Otsu
+    table's maximum; its state is the oracle's, which scores every
+    candidate, bit for bit."""
     img, _ = generate_phantom(PhantomSpec(size, size, 32, 10, sigma, 4))
+    table = between_class_variance(histogram(img))
     for seed in (0, 1, 7):
         params = BatParams(seed=seed)
-        _, state = optimize_threshold(img, params)
-        assert _state_bytes(state) == _state_bytes(bat_optimize(params, otsu_fitness(img)))
+        threshold, state = optimize_threshold(img, params)
+        want = oracle_bat(params, table)
+        assert _state_bytes(state) == _state_bytes(want)
+        assert threshold == math.floor(want.best_position)
 
 
 def test_constant_image_settles_before_the_first_iteration():
-    """Every threshold of a constant image scores 0, the ceiling: the
-    initial positions are the only ones scored, and the state is the
-    unbounded run's."""
+    """Every threshold of a constant image scores 0, the table's maximum:
+    the initial positions are the only ones scored, and the state is the
+    oracle's."""
     img = np.full((16, 16), 77, dtype=np.uint8)
     params = BatParams(seed=3)
-    fitness, sizes = _counted(otsu_fitness(img))
-    state = bat_optimize(params, fitness, ceiling=0.0)
-    assert sizes == [params.population]
-    assert _state_bytes(state) == _state_bytes(bat_optimize(params, otsu_fitness(img)))
-    assert _state_bytes(optimize_threshold(img, params)[1]) == _state_bytes(state)
+    _, state = optimize_threshold(img, params)
+    assert state.evaluations == params.population
+    assert _state_bytes(state) == _state_bytes(oracle_bat(params, np.zeros(256)))
     assert state.history == [0.0] * params.iterations
 
 
@@ -699,24 +635,9 @@ def test_settled_tail_scores_no_candidate():
     """On a phantom every bat reaches the table's maximum within a few
     dozen iterations; after that the run scores nothing."""
     img, _ = generate_phantom(PhantomSpec(128, 128, 32, 10, 20.0, 1))
-    ceiling = float(between_class_variance(histogram(img)).max())
     params = BatParams(seed=0)
-    fitness, sizes = _counted(otsu_fitness(img))
-    state = bat_optimize(params, fitness, ceiling=ceiling)
-    assert sum(sizes) < params.population * 60
-    unbounded, all_sizes = _counted(otsu_fitness(img))
-    assert _state_bytes(bat_optimize(params, unbounded)) == _state_bytes(state)
-    assert sum(all_sizes) >= params.population * (params.iterations + 1)
-
-
-def test_settled_tail_still_raises_on_a_nan_candidate():
-    """f_max - f_min near 2e307 makes the velocities overflow to inf and
-    then NaN; the unbounded run scores a NaN candidate and raises, and so
-    does the run that is settled from its first iteration."""
-    img = np.full((16, 16), 77, dtype=np.uint8)
-    params = BatParams(f_min=-1e307, f_max=1e307, iterations=50)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="cannot score a NaN position"):
-            bat_optimize(params, otsu_fitness(img))
-        with pytest.raises(ValueError, match="cannot score a NaN position"):
-            optimize_threshold(img, params)
+    _, state = optimize_threshold(img, params)
+    # The first stretch builds 8 iterations of candidates whatever follows.
+    assert params.population * 9 <= state.evaluations < params.population * 60
+    want = oracle_bat(params, between_class_variance(histogram(img)))
+    assert _state_bytes(state) == _state_bytes(want)

@@ -171,6 +171,28 @@ def test_run_negative_seed_exits_2_before_running(tmp_path, phantom_dir, capsys)
     assert not out.exists()
 
 
+def test_run_empty_out_exits_2_before_running(tmp_path, phantom_dir, monkeypatch, capsys):
+    # An empty --out once fell back to the config's output_dir.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code = run_cli("run", "--input", str(phantom_dir / "image.pgm"), "--out", "")
+    assert code == 2
+    assert "--out must not be empty" in capsys.readouterr().err
+    assert not list(work.iterdir())
+
+
+def test_run_out_overrides_the_config_output_dir(tmp_path, phantom_dir):
+    config = tmp_path / "dir.ini"
+    config.write_text(FAST_CONFIG + "\n[pipeline]\noutput_dir = " + str(tmp_path / "from-config") + "\n")
+    out = tmp_path / "from-flag"
+    code = run_cli(
+        "run", "--input", str(phantom_dir / "image.pgm"), "--config", str(config), "--out", str(out),
+    )
+    assert code == 0
+    assert (out / "mask.pgm").exists() and not (tmp_path / "from-config").exists()
+
+
 def test_run_frame_below_ssim_window_exits_2(tmp_path, capsys):
     # 9x9 passes 2 wavelet levels but not the 11x11 SSIM window that --truth
     # needs; run_pipeline raises that as a PipelineError tagged [input].

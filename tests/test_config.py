@@ -307,6 +307,15 @@ def test_config_validation():
         RoiRect(-1, 0, 4, 4)
 
 
+def test_empty_output_dir_rejected(tmp_path):
+    with pytest.raises(ValueError, match="output_dir must not be empty"):
+        PipelineConfig(output_dir="")
+    path = tmp_path / "empty.ini"
+    path.write_text("[pipeline]\noutput_dir =\n")
+    with pytest.raises(ValueError, match="output_dir must not be empty"):
+        load_config(path)
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [

@@ -46,22 +46,19 @@ IEEE-754 operation on the same operands as in a loop over one candidate
 at a time, so the final state is that loop's bit for bit
 (tests/test_bat.py keeps it as the oracle).
 
-Settled tail: once every bat scores the table's maximum, no event can
+Settled run: once every bat scores the table's maximum, no event can
 follow: an acceptance needs a candidate above the bat's own score and a
 new best one above the best score, and no candidate scores above the
-maximum.  From the first stretch that starts so settled, the rest of the
-run is one stretch in which only the cursors walk and the velocities add
-up; no candidate is built, clamped or looked up, and the history repeats
-the best score.  ``BatParams`` bounds every velocity, so no candidate
-the loop would score there is NaN.
+maximum.  The run ends at the first stretch that starts so settled; the
+history repeats the best score for the iterations left, and the rest of
+the final state is what the loop would end with, since only the cursors
+and velocities, which the state does not hold, would still move.
 
-Draw tables: the draw rows and the table of cursor steps at pulse rate
-r0 depend only on (seed, population, iterations, r0), and every image of
-a run uses the same ``BatParams``, so they are built once, kept
-read-only in a one-entry cache (about 0.64 MB at the defaults) and
-reused by later calls; tables over 8 MiB are built for one call only.
-Each call copies only the step table, because an acceptance rewrites
-the bat's steps from its cursor on.
+Draw table: the draw rows depend only on (seed, population, iterations),
+and every image of a run uses the same ``BatParams``, so they are built
+once, kept read-only in a one-entry cache (about 0.32 MB at the
+defaults) and reused by later calls; rows over 8 MiB are built for one
+call only.
 """
 
 from __future__ import annotations
@@ -147,11 +144,11 @@ class BatState:
 
     ``evaluations`` counts the positions looked up in the table: the
     initial population and every candidate built, those discarded past an
-    event included; the settled tail looks up none.
+    event included.  perfbench's traced run reads ``loudness``,
+    ``history`` and ``best_fitness``, so those fields must stay.
     """
 
     positions: np.ndarray
-    velocities: np.ndarray
     loudness: np.ndarray
     pulse_rate: np.ndarray
     best_position: float
@@ -173,12 +170,12 @@ def bat_optimize(params: BatParams, table: np.ndarray) -> BatState:
         raise ValueError("the score table must hold 256 finite values")
     top = table.max()
     n, iterations = params.population, params.iterations
-    # Tables over 8 MiB (16 B per draw: the draw and its step) serve this call only.
-    build = _draw_tables if n * (1 + 4 * iterations) * 16 <= 8 << 20 else _draw_tables.__wrapped__
-    draws, steps = build(params.seed, n, iterations, params.r0)
-    steps = steps.copy()  # acceptances rewrite it
-    flat, row_size = draws.ravel(), draws.shape[1]
-    cursors = np.arange(1, flat.size, row_size)  # flat indices, at draw 1 of each row
+    # Rows over 8 MiB (8 B per draw) serve this call only.
+    build = _draw_tables if n * (1 + 4 * iterations) * 8 <= 8 << 20 else _draw_tables.__wrapped__
+    draws = build(params.seed, n, iterations)
+    flat = draws.ravel()
+    coins = flat[1:]  # coins[c]: the walk coin of an iteration that starts at c
+    cursors = np.arange(1, flat.size, draws.shape[1])  # flat indices, at draw 1 of each row
 
     positions = _LOW + (_HIGH - _LOW) * draws[:, 0]
     velocities = np.zeros(n)
@@ -196,23 +193,19 @@ def bat_optimize(params: BatParams, table: np.ndarray) -> BatState:
     mean_loudness = float(np.add.reduce(loudness) / n)
     t, stretch = 1, _FIRST_STRETCH
     while t <= iterations:
-        # Iterations t, t + 1, ... evaluated as if none held an event; once
-        # settled, none can hold one, and the stretch runs to the end.
-        settled = fitnesses.min() == top
-        length = iterations + 1 - t if settled else min(stretch, iterations + 1 - t)
+        if fitnesses.min() == top:  # settled: no event can follow
+            history += [best_fitness] * (iterations + 1 - t)
+            break
+        # Iterations t, t + 1, ... evaluated as if none held an event.
+        length = min(stretch, iterations + 1 - t)
         path = np.empty((length + 1, n), dtype=np.intp)
         path[0] = cursors
         for here, there in itertools.pairwise(path):
-            # Every cursor is in range; "clip" only spares take a buffer.
-            steps.take(here, out=there, mode="clip")
+            np.add(here + 3, coins.take(here) > pulse_rate, out=there)  # + 1 with the walk
         at, after = path[:-1], path[1:]
         vel = (positions - best_position) * (f_min + f_span * flat[at])
         vel[0] += velocities
         np.cumsum(vel, axis=0, out=vel)  # in sequence, as the loop adds
-        if settled:
-            history += [best_fitness] * length
-            velocities = vel[-1]
-            break
         walk = best_position + (-1.0 + 2.0 * flat[at + 2]) * mean_loudness
         cand = np.where(after - at == 4, walk, positions + vel)
         cand[cand < _LOW] = _LOW  # the clamp min(max(cand, _LOW), _HIGH)
@@ -241,11 +234,6 @@ def bat_optimize(params: BatParams, table: np.ndarray) -> BatState:
                 positions[i], fitnesses[i] = cand[k, i], fit[k, i]
                 loudness[i] *= params.alpha
                 pulse_rate[i] = rate
-                # Bat i reads no step before its cursor again.
-                c, end = cursors[i], (i + 1) * row_size - 1
-                ahead = steps[c:end]
-                np.greater(flat[c + 1 : end + 1], rate, out=ahead)
-                ahead += np.arange(c + 3, end + 3)
             mean_loudness = float(np.add.reduce(loudness) / n)
         row_cand = cand[k].tolist()
         for i, value in enumerate(fit[k].tolist()):
@@ -255,31 +243,22 @@ def bat_optimize(params: BatParams, table: np.ndarray) -> BatState:
         t += 1
 
     return BatState(
-        positions, velocities.copy(), loudness, pulse_rate,
-        best_position, best_fitness, history, evaluations,
+        positions, loudness, pulse_rate, best_position, best_fitness, history, evaluations
     )
 
 
 @functools.lru_cache(maxsize=1)
-def _draw_tables(
-    seed: int, population: int, iterations: int, r0: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The draw rows and the initial step table of a run, read-only.
+def _draw_tables(seed: int, population: int, iterations: int) -> np.ndarray:
+    """The draw rows of a run, read-only.
 
-    Row i of ``draws`` is bat i's stream, read through its cursor in the
-    order the module docstring fixes; cursors are flat indices into
-    ``draws``.  ``steps[c]`` is the cursor after an iteration that starts
-    at c with pulse rate ``r0``: c + 4 when the walk coin at c + 1 exceeds
-    it, else c + 3.
+    Row i is bat i's stream, read through its cursor in the order the
+    module docstring fixes; cursors are flat indices into the rows.
     """
     draws = np.empty((population, 1 + 4 * iterations))
     for row, seq in zip(draws, np.random.SeedSequence(seed).spawn(population)):
         np.random.Generator(np.random.PCG64(seq)).random(out=row)
-    flat = draws.ravel()
-    steps = np.arange(3, flat.size + 3)
-    steps[:-1] += flat[1:] > r0
-    draws.flags.writeable = steps.flags.writeable = False
-    return draws, steps
+    draws.flags.writeable = False
+    return draws
 
 
 # ---------------------------------------------------------------------------

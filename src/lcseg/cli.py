@@ -87,7 +87,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_decompose(args) -> int:
     image = read_pgm(args.input)
-    kept = tuple(range(1, args.levels + 1)) if args.kept is None else parse_scales(args.kept)
+    kept = tuple(range(1, args.levels + 1))
+    if args.kept is not None:
+        try:
+            kept = parse_scales(args.kept)
+        except ValueError as exc:
+            raise ValueError(f"bad value for --kept: {exc}") from exc
     write_pgm(enhance_scales(image, args.levels, kept), args.out)
     if args.dump_planes:
         pyramid = iuwt_decompose(image, args.levels)

@@ -94,7 +94,6 @@ def oracle_bat(params, table):
 
     return BatState(
         positions=np.array(positions),
-        velocities=np.array(velocities),
         loudness=np.array(loudness),
         pulse_rate=np.array(pulse_rate),
         best_position=best_position,
@@ -133,7 +132,6 @@ def test_determinism_same_seed_identical_state():
     s1 = bat_optimize(params, _quadratic(100.0))
     s2 = bat_optimize(params, _quadratic(100.0))
     assert np.array_equal(s1.positions, s2.positions)
-    assert np.array_equal(s1.velocities, s2.velocities)
     assert np.array_equal(s1.loudness, s2.loudness)
     assert s1.best_position == s2.best_position
     assert s1.history == s2.history
@@ -364,7 +362,6 @@ def _sha(values):
 def _state_record(state):
     return (
         _sha(state.positions),
-        _sha(state.velocities),
         _sha(state.loudness),
         _sha(state.pulse_rate),
         _sha(state.history),
@@ -373,12 +370,11 @@ def _state_record(state):
     )
 
 # Taken before the bat read its draws from per-bat blocks, under numpy 2.4.6
-# on Python 3.11: (sha256 of positions, velocities, loudness, pulse_rate,
-# history as float64 bytes; repr of best_position, best_fitness).
+# on Python 3.11: (sha256 of positions, loudness, pulse_rate, history as
+# float64 bytes; repr of best_position, best_fitness).
 _PINNED_STATES = {
     ("otsu", "default", 0): (
         "80c5e6ca9d27852f14cc1537e6984848bd2a78844b634a9059b597db14f4aefa",
-        "d132d209ba35769fbb23bc63d0aac614d7de7b8089453733b8973c59a1e5647e",
         "363fdcf0ed7e1db2c7265da7d31fe39992567b3851ac79f8480aa889e8207733",
         "6b53acfafd6f8ec96ea3ffdf33be6bcd5f9a8ed3a2932a126f3eb8b963bd38d8",
         "37e2b21dfde8f75bd451e6cf7052dcbc4ee6e96739d11bc49333fb6acf44a2b1",
@@ -387,7 +383,6 @@ _PINNED_STATES = {
     ),
     ("otsu", "default", 5): (
         "62e9c0b31a816264e9eb52a1128cd9d3f367601cfcf6567b70a3c23d8d7e05f2",
-        "ea2fba5376cd649fdf9d10f72ce412e73b482879418ff7acd05ae931aca5ce4d",
         "620333bdea773d08b140578d28e3717d422388f41fcb861b6db08a3192755588",
         "76f417c698abf3a4447393dc4987988ab80ea163cff66636ab3c2250ff0ce846",
         "37e2b21dfde8f75bd451e6cf7052dcbc4ee6e96739d11bc49333fb6acf44a2b1",
@@ -396,7 +391,6 @@ _PINNED_STATES = {
     ),
     ("otsu", "default", 2024): (
         "a853e31b359d3c5e3e37b3c3b4ae696add077f731ce54b592320f134133fbfe8",
-        "bdfb19dc716c74cf887e4db346f28e4236f154a8665fa65f53b34e532ecf66a1",
         "82492640e2940024d46a672d45d9d256f29500952f1bbc302c676064ea541a82",
         "2d07478c6287d6a94da913c1a7988c3c17557879853bfa5cb6286466bac36625",
         "73f8c5621c9b5b7f8557fc3f0063d564ce20e6cac21a440db6187464977b8a7c",
@@ -405,7 +399,6 @@ _PINNED_STATES = {
     ),
     ("otsu", "small", 0): (
         "751360845fe3a5fdc83f0ac1e3469e7fe7aac3f7dabc569fae2ccc4ec481dccf",
-        "ceafacc682b3ed2342f16ca6c13dd07e96c2b89b80f38045efe175bec64f54bb",
         "b74f4b63e36cae3a0b419c1a6654c8fe8639aa0fb0dfd3e3b9625951f169a279",
         "02c31034080ef67ca2f90fa5d365c98ed00e25700eb01665219add3b2f577002",
         "84084fc14a8d1d5c289f075c022d5685d4aa072ee7feced0e0081185a4d4eff5",
@@ -414,7 +407,6 @@ _PINNED_STATES = {
     ),
     ("otsu", "small", 5): (
         "87d1c7adec7550bf84c52b105ec4b6b8d70dc42a200e01344c6560622c7b714c",
-        "8c016f2c19cd74b2071b551432e8c55644399a72f68bc4d88c9ab7066c8306f4",
         "662a2cab8fa5b52f92a34b10b59a8b0796a661115ff3b2b2d369b579d8ad3e4f",
         "92e954ce8bd892250a4a7ed634c40d167d1a7389268455d3bae0a3ac56a8761b",
         "1d9fd45d8c2ea2f6d986d99fed5b35f5a77a997d76db817dee0811b1b70323cd",
@@ -423,7 +415,6 @@ _PINNED_STATES = {
     ),
     ("otsu", "small", 2024): (
         "21c5a63a76e375f8d76dba05a02ebd73c9bb5553a27cd4876849d1e95689d1dd",
-        "05ab3e1bca4711e01de0d5f1048b0fc8e124d32881e6dba7a9f91acc7cfd3de2",
         "703e8858a633347cebf531d39053edd68b0eeb10134bbdcb261952da07a4b627",
         "3dfe368d7d4d4be277226427da128b3cd742f9fbeda504359e40c434323043c6",
         "3ea29366b9735f42e2f89d9758f4434ef045874ba0cb22992baf640f06671c8f",
@@ -473,7 +464,7 @@ def test_block_draws_equal_single_uniform_draws(seed):
 # ---------------------------------------------------------------------------
 
 def _state_bytes(state):
-    arrays = (state.positions, state.velocities, state.loudness, state.pulse_rate, state.history)
+    arrays = (state.positions, state.loudness, state.pulse_rate, state.history)
     return tuple(np.asarray(a, dtype=np.float64).tobytes() for a in arrays) + (
         repr(state.best_position),
         repr(state.best_fitness),
@@ -533,11 +524,12 @@ def test_bat_matches_oracle_bit_for_bit(params, table):
 
 
 def test_interleaved_parameter_sets_each_read_their_own_draw_tables():
-    """The one-entry draw-table cache never serves one call another's tables.
+    """The one-entry draw-table cache never serves one call another's rows.
 
     Seeds 0 -> 5 -> 0, then seed 0 with only r0, only the iterations or
     only the population changed, each between two default runs: every
-    state equals its pin or, where none is pinned, the oracle's.
+    state equals its pin or, where none is pinned, the oracle's.  r0 is
+    not part of the key: a run that changes only r0 reads the cached rows.
     """
     table = _pinned_table()
 
@@ -564,30 +556,33 @@ def test_interleaved_parameter_sets_each_read_their_own_draw_tables():
     ]
     for params, record, expected in runs:
         assert record(bat_optimize(params, table)) == expected, params
+    hits = _draw_tables.cache_info().hits
+    params, record, expected = oracle(0, r0=0.1)
+    assert record(bat_optimize(params, table)) == expected
+    assert _draw_tables.cache_info().hits == hits + 1
 
 
 def test_cached_draw_tables_are_read_only_and_never_rewritten():
     params = BatParams(population=6, iterations=80, r0=0.9, seed=11)
     state = bat_optimize(params, _pinned_table())
-    assert state.pulse_rate.tolist() != [params.r0] * 6  # acceptances rewrote steps
-    draws, steps = _draw_tables(11, 6, 80, 0.9)
-    fresh_draws, fresh_steps = _draw_tables.__wrapped__(11, 6, 80, 0.9)
-    assert draws.tobytes() == fresh_draws.tobytes() and steps.tobytes() == fresh_steps.tobytes()
-    for table in (draws, steps):
-        assert not table.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            table[0] = 1
+    assert state.pulse_rate.tolist() != [params.r0] * 6  # some bat accepted a move
+    draws = _draw_tables(11, 6, 80)
+    assert draws.tobytes() == _draw_tables.__wrapped__(11, 6, 80).tobytes()
+    assert not draws.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        draws[0] = 1
 
 
 def test_tables_over_8_mib_are_built_per_call_and_not_cached():
-    """A run whose draw tables exceed 8 MiB leaves the cached entry alone.
+    """A run whose draw rows exceed 8 MiB leaves the cached entry alone.
 
-    The tables take population * (1 + 4 * iterations) * 16 bytes: 0.64 MB
-    at the defaults and just over 8 MiB at 20 bats and 6554 iterations.
+    The rows take population * (1 + 4 * iterations) * 8 bytes: 0.32 MB at
+    the defaults, just over 8 MiB at 20 bats and 13,107 iterations and
+    just under it at 13,106.
     """
     table = _pinned_table()
     default = BatParams()
-    large = BatParams(iterations=6554, seed=1)
+    large = BatParams(iterations=13107, seed=1)
     pin = _PINNED_STATES[("otsu", "default", 0)]
     assert _state_record(bat_optimize(default, table)) == pin
     before = _draw_tables.cache_info()
@@ -597,18 +592,22 @@ def test_tables_over_8_mib_are_built_per_call_and_not_cached():
     assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, 1)
     assert _state_record(bat_optimize(default, table)) == pin
     assert _draw_tables.cache_info().hits == before.hits + 1
+    below = BatParams(iterations=13106, seed=1)
+    assert bat_optimize(below, table).history == bat_optimize(below, table).history
+    after = _draw_tables.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses + 1)
 
 
 # ---------------------------------------------------------------------------
-# The settled tail
+# The settled run
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("size", [64, 128, 256])
 @pytest.mark.parametrize("sigma", [0.0, 20.0, 60.0])
-def test_optimize_threshold_equals_the_run_without_a_ceiling(size, sigma):
-    """``optimize_threshold`` stops scoring once every bat has the Otsu
+def test_optimize_threshold_equals_the_oracle_on_phantoms(size, sigma):
+    """``optimize_threshold`` ends the run once every bat has the Otsu
     table's maximum; its state is the oracle's, which scores every
-    candidate, bit for bit."""
+    candidate to the last iteration, bit for bit."""
     img, _ = generate_phantom(PhantomSpec(size, size, 32, 10, sigma, 4))
     table = between_class_variance(histogram(img))
     for seed in (0, 1, 7):

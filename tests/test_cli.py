@@ -383,7 +383,9 @@ def test_decompose_rejects_malformed_kept_scales(kept, monkeypatch, tmp_path, ph
         "--levels", "3", "--kept", kept, "--out", str(out),
     )
     assert code == 2
-    assert "invalid literal for int()" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid literal for int()" in err
+    assert "bad value for --kept: " in err
     assert calls == [] and not out.exists()
 
 

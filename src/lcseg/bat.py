@@ -46,13 +46,32 @@ IEEE-754 operation on the same operands as in a loop over one candidate
 at a time, so the final state is that loop's bit for bit
 (tests/test_bat.py keeps it as the oracle).
 
-Settled run: once every bat scores the table's maximum, no event can
-follow: an acceptance needs a candidate above the bat's own score and a
-new best one above the best score, and no candidate scores above the
-maximum.  The run ends at the first stretch that starts so settled; the
-history repeats the best score for the iterations left, and the rest of
+Settled run: once the best scores the table's maximum, no candidate
+can beat it, so ``best_position`` and ``best_fitness`` are final and the
+history repeats the best score to the last iteration; once every bat
+scores the maximum, no event can follow at all: an acceptance needs a
+candidate above the bat's own score and a new best one above the best
+score.  The run ends at the first stretch that starts so settled, and
 the final state is what the loop would end with, since only the cursors
 and velocities, which the state does not hold, would still move.
+``bat_optimize`` stops earlier, at the first stretch that starts with
+the answer final, and returns a state holding the answer; the first read
+of ``positions``, ``loudness``, ``pulse_rate`` or ``evaluations``, or a
+``repr``, ``pickle`` or ``copy`` of the state, resumes the same loop to the
+settled end, so each field is the loop's value bit for bit.  Until then
+the state holds the per-bat loop state, a copy of the score table and
+the cached draw rows, none of a stretch's arrays; a run whose rows are
+not cached forms its population before it returns.  Two threads must
+not make the first population read of one state at once.
+
+Ties: ``best_position`` is the first position scored at the best score,
+in scoring order: the initial positions in bat order, then each
+iteration's candidates in bat order; a later one replaces it only by
+scoring higher.  On a table whose maximum is shared the threshold so
+depends on the seed: every threshold of a constant image scores 0, and
+a constant 64x64 image gives 240, 178 and 238 at seeds 0, 1 and 2,
+where ``otsu_threshold`` gives the lowest maximizer, 0.  The mask is
+single-class either way, and ``lcseg run`` exits with code 3.
 
 Draw table: the draw rows depend only on (seed, population, iterations),
 and every image of a run uses the same ``BatParams``, so they are built
@@ -146,6 +165,14 @@ class BatState:
     initial population and every candidate built, those discarded past an
     event included.  perfbench's traced run reads ``loudness``,
     ``history`` and ``best_fitness``, so those fields must stay.
+
+    ``bat_optimize`` may return a state whose ``best_position``,
+    ``best_fitness`` and ``history`` are final while the population is
+    not yet formed; the first read of ``positions``, ``loudness``,
+    ``pulse_rate`` or ``evaluations`` runs the rest of the run and
+    leaves a plain ``BatState``, as do ``repr``, ``pickle`` and
+    ``copy``.  Two threads must not make that first read of one state
+    at once.
     """
 
     positions: np.ndarray
@@ -157,22 +184,74 @@ class BatState:
     evaluations: int
 
 
+class _InFlight(BatState):
+    """A state whose run is suspended once its answer was final."""
+
+    def __init__(self, flight, best_position, best_fitness, history):
+        self._flight = flight
+        self.best_position, self.best_fitness, self.history = best_position, best_fitness, history
+
+    def __getattr__(self, name):  # called only for a name the state does not hold
+        if name not in ("positions", "loudness", "pulse_rate", "evaluations"):
+            raise AttributeError(name)
+        self._settle()
+        return getattr(self, name)
+
+    def __reduce_ex__(self, protocol):
+        self._settle()
+        return self.__reduce_ex__(protocol)
+
+    def __repr__(self):
+        self._settle()
+        return repr(self)
+
+    def _settle(self):
+        """Resume the run to its settled end; the state becomes a plain ``BatState``."""
+        try:
+            next(self._flight)
+        except StopIteration as landed:
+            vars(self).update(vars(landed.value))
+        del self._flight
+        self.__class__ = BatState
+
+
 def bat_optimize(params: BatParams, table: np.ndarray) -> BatState:
     """Run the bat algorithm for exactly ``params.iterations`` iterations.
 
     ``table`` holds the 256 finite scores of the integer thresholds 0..255,
     higher being better; a position x in [0, 255] scores ``table[floor(x)]``.
-    Positions are clamped to [0, 255] after every move.  See the module
-    docstring.
+    Positions are clamped to [0, 255] after every move.  The run stops
+    once its answer is final, and the returned state forms its population
+    on first read (see ``BatState``); a run whose draw rows are not cached
+    forms it before returning.  See the module docstring.
     """
-    table = np.asarray(table, dtype=np.float64)
+    table = np.array(table, dtype=np.float64)  # a copy: a suspended run reads it later
     if table.shape != (256,) or not np.isfinite(table).all():
         raise ValueError("the score table must hold 256 finite values")
-    top = table.max()
     n, iterations = params.population, params.iterations
     # Rows over 8 MiB (8 B per draw) serve this call only.
-    build = _draw_tables if n * (1 + 4 * iterations) * 8 <= 8 << 20 else _draw_tables.__wrapped__
-    draws = build(params.seed, n, iterations)
+    cached = n * (1 + 4 * iterations) * 8 <= 8 << 20
+    draws = (_draw_tables if cached else _draw_tables.__wrapped__)(params.seed, n, iterations)
+    flight = _flight(params, table, draws)
+    try:
+        state = _InFlight(flight, *next(flight))
+    except StopIteration as landed:  # the population was final with the answer
+        return landed.value
+    if not cached:  # a suspended run would hold the rows
+        state._settle()
+    return state
+
+
+def _flight(params: BatParams, table: np.ndarray, draws: np.ndarray):
+    """The run of ``bat_optimize`` as a generator.
+
+    Yields (best_position, best_fitness, history) once the best scores
+    the table's maximum while some bat does not, the history whole; then
+    returns the final ``BatState`` once every bat does or the iterations
+    run out.
+    """
+    top = table.max()
+    n, iterations = params.population, params.iterations
     flat = draws.ravel()
     coins = flat[1:]  # coins[c]: the walk coin of an iteration that starts at c
     cursors = np.arange(1, flat.size, draws.shape[1])  # flat indices, at draw 1 of each row
@@ -188,14 +267,20 @@ def bat_optimize(params: BatParams, table: np.ndarray) -> BatState:
     best_position = float(positions[initial.index(best_fitness)])  # the first of equals
 
     f_min, f_span = params.f_min, params.f_max - params.f_min
+    # history[t - 1] is the best score after iteration t, written out up
+    # to the iteration before each event and in full once it is final.
     history: list[float] = []
     # numpy's pairwise sum over n, as np.mean adds: the pinned artifacts use it.
     mean_loudness = float(np.add.reduce(loudness) / n)
     t, stretch = 1, _FIRST_STRETCH
-    while t <= iterations:
-        if fitnesses.min() == top:  # settled: no event can follow
-            history += [best_fitness] * (iterations + 1 - t)
-            break
+    while t <= iterations and fitnesses.min() < top:  # once settled, no event can follow
+        if best_fitness == top and len(history) < iterations:
+            # The answer is final.  Suspend holding the per-bat state
+            # only, not the arrays of the last stretch or views of them.
+            history += [top] * (iterations - len(history))
+            velocities, cursors = velocities.copy(), cursors.copy()
+            path = here = there = at = after = vel = walk = cand = fit = accept = event = None
+            yield best_position, best_fitness, history
         # Iterations t, t + 1, ... evaluated as if none held an event.
         length = min(stretch, iterations + 1 - t)
         path = np.empty((length + 1, n), dtype=np.intp)
@@ -216,7 +301,6 @@ def bat_optimize(params: BatParams, table: np.ndarray) -> BatState:
         event = accept | (fit > best_fitness)
         first = int(event.argmax())  # row-major, so iteration t + first // n
         if not event.flat[first]:
-            history += [best_fitness] * length
             t, stretch = t + length, 2 * stretch
             velocities, cursors = vel[-1], path[-1]
             continue
@@ -224,8 +308,8 @@ def bat_optimize(params: BatParams, table: np.ndarray) -> BatState:
         # it, so its values are the loop's; resolve it in bat order and
         # drop the rest of the stretch.
         k = first // n
-        history += [best_fitness] * k
         t, stretch = t + k, _FIRST_STRETCH
+        history += [best_fitness] * (t - 1 - len(history))
         velocities, cursors = vel[k], path[k + 1]
         won = np.flatnonzero(accept[k]).tolist()
         if won:
@@ -239,9 +323,9 @@ def bat_optimize(params: BatParams, table: np.ndarray) -> BatState:
         for i, value in enumerate(fit[k].tolist()):
             if value > best_fitness:
                 best_fitness, best_position = value, row_cand[i]
-        history.append(best_fitness)
         t += 1
 
+    history += [best_fitness] * (iterations - len(history))
     return BatState(
         positions, loudness, pulse_rate, best_position, best_fitness, history, evaluations
     )

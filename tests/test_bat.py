@@ -1,7 +1,10 @@
+import copy
 import csv
 import hashlib
 import io
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,6 +440,7 @@ def test_final_state_is_pinned(fitness_name, params_name, seed):
     state = bat_optimize(params, _pinned_table())
     assert len(state.history) == params.iterations
     assert _state_record(state) == _PINNED_STATES[(fitness_name, params_name, seed)]
+    assert len(state.history) == params.iterations  # forming the population kept the history
 
 
 @pytest.mark.parametrize("seed", [0, 1, 99, 2**40 + 3])
@@ -614,6 +618,8 @@ def test_optimize_threshold_equals_the_oracle_on_phantoms(size, sigma):
         params = BatParams(seed=seed)
         threshold, state = optimize_threshold(img, params)
         want = oracle_bat(params, table)
+        # The answer, read before the population forms.
+        assert (threshold, state.history) == (math.floor(want.best_position), want.history)
         assert _state_bytes(state) == _state_bytes(want)
         assert threshold == math.floor(want.best_position)
 
@@ -640,3 +646,51 @@ def test_settled_tail_scores_no_candidate():
     assert params.population * 9 <= state.evaluations < params.population * 60
     want = oracle_bat(params, between_class_variance(histogram(img)))
     assert _state_bytes(state) == _state_bytes(want)
+
+
+# ---------------------------------------------------------------------------
+# The returned state: answer final, population formed on first read
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "copier", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_an_unsettled_state_survives_copying(copier):
+    """A copy of a state whose population is not yet formed forms it
+    first: the copy and the original are the oracle's final state."""
+    img, _ = generate_phantom(PhantomSpec(128, 128, 32, 10, 20.0, 1))
+    params = BatParams(seed=0)
+    _, state = optimize_threshold(img, params)
+    assert type(state) is not BatState  # the run stopped with its answer
+    copied = copier(state)
+    assert type(copied) is BatState and type(state) is BatState
+    want = _state_bytes(oracle_bat(params, between_class_variance(histogram(img))))
+    assert _state_bytes(copied) == want
+    assert _state_bytes(state) == want
+    assert copied.evaluations == state.evaluations
+
+
+def test_a_returned_state_holds_no_stretch_and_no_per_call_rows():
+    """A run whose draw rows are built for one call forms its population
+    before it returns, so it holds none of its 8.4 MB of rows; with the
+    cached rows, a state whose population is not yet formed holds the
+    per-bat loop state and the score table, not a stretch's arrays."""
+    table = _pinned_table()
+    default = BatParams()
+    bat_optimize(default, table)  # caches the default draw rows
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        large = bat_optimize(BatParams(iterations=13107, seed=1), table)
+        assert type(large) is BatState
+        assert tracemalloc.get_traced_memory()[0] - base < 1 << 20
+        del large
+        base = tracemalloc.get_traced_memory()[0]
+        state = bat_optimize(default, table)
+        assert type(state) is not BatState
+        assert tracemalloc.get_traced_memory()[0] - base < 16 << 10
+    finally:
+        tracemalloc.stop()
+    assert repr(state).startswith("BatState(positions=array(")  # forms the population
+    assert type(state) is BatState
+    assert _state_record(state) == _PINNED_STATES[("otsu", "default", 0)]

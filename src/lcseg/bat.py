@@ -390,6 +390,15 @@ def optimize_threshold(image: np.ndarray, params: BatParams) -> tuple[int, BatSt
 
 
 def convergence_csv(state: BatState) -> str:
-    """The best-so-far history as CSV, one row per iteration."""
-    rows = (f"{t},{value:.6g}\n" for t, value in enumerate(state.history, start=1))
-    return "iteration,best_fitness\n" + "".join(rows)
+    """The best-so-far history as CSV, one row per iteration.
+
+    Each distinct score is formatted once: the history mostly repeats one.
+    """
+    formatted: dict = {}
+    lines = ["iteration,best_fitness\n"]
+    for t, value in enumerate(state.history, start=1):
+        key = value or str(value)  # 0.0 == -0.0, yet they print as "0" and "-0"
+        if key not in formatted:
+            formatted[key] = f"{value:.6g}"
+        lines.append(f"{t},{formatted[key]}\n")
+    return "".join(lines)

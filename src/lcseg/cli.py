@@ -27,7 +27,13 @@ from .image import (
     write_pgm,
 )
 from .pipeline import PipelineError, run_pipeline, segment, write_outputs
-from .wavelet import enhance_scales, iuwt_decompose
+from .wavelet import (
+    check_scales,
+    check_size_for_levels,
+    enhance_pyramid,
+    enhance_scales,
+    iuwt_decompose,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,9 +99,13 @@ def _cmd_decompose(args) -> int:
             kept = parse_scales(args.kept)
         except ValueError as exc:
             raise ValueError(f"bad value for --kept: {exc}") from exc
-    write_pgm(enhance_scales(image, args.levels, kept), args.out)
-    if args.dump_planes:
+    if not args.dump_planes:
+        write_pgm(enhance_scales(image, args.levels, kept), args.out)
+    else:  # one full pyramid gives the enhanced image and the planes
+        check_size_for_levels(image.shape, args.levels)
+        check_scales(args.levels, kept)  # before the transform, as enhance_scales does
         pyramid = iuwt_decompose(image, args.levels)
+        write_pgm(enhance_pyramid(pyramid, args.levels, kept), args.out)
         plane_dir = Path(args.dump_planes)
         plane_dir.mkdir(parents=True, exist_ok=True)
         for j, plane in enumerate(pyramid.details, start=1):

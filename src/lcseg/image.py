@@ -34,6 +34,7 @@ __all__ = [
     "crop",
     "generate_phantom",
     "scale_to_255",
+    "mirror_pad",
     "separable_filter",
     "filter_padded",
     "check_same_shape",
@@ -85,6 +86,37 @@ def scale_to_255(surface: np.ndarray) -> np.ndarray:
     out = np.subtract(surface, lo, dtype=np.float64)
     out /= hi - lo
     out *= 255.0
+    return out
+
+
+def mirror_pad(a: np.ndarray, reach: int, dtype=None) -> np.ndarray:
+    """``a`` mirror-extended by ``reach`` on its last two axes, in ``dtype``.
+
+    Equal to ``numpy.pad(a, reach, mode="reflect")`` on those axes (reflection
+    about the edge pixel, no edge repeat; leading axes are not padded),
+    cast to ``dtype`` (default: ``a``'s).  ``reach`` must lie in
+    0..n - 1 for each axis length n (``ValueError`` otherwise).  Each
+    padded sample is written once, straight into the fresh result: the
+    columns from ``a``, then the rows from the padded columns, so the
+    corners mirror on both axes as ``numpy.pad`` makes them.
+    """
+    a = np.asarray(a)
+    check_int("reach", reach, 0)
+    if a.ndim < 2:
+        raise ValueError(f"mirror_pad needs at least 2 axes, got shape {a.shape}")
+    *lead, h, w = a.shape
+    for axis, n in (("y", h), ("x", w)):
+        if reach > n - 1:
+            raise ValueError(f"cannot mirror-pad: {axis} reach {reach} exceeds n - 1 for n = {n}")
+    r = reach
+    out = np.empty((*lead, h + 2 * r, w + 2 * r), a.dtype if dtype is None else dtype)
+    rows = out[..., r : r + h, :]
+    rows[..., r : r + w] = a
+    if r:
+        rows[..., :r] = a[..., 1 : r + 1][..., ::-1]
+        rows[..., r + w :] = a[..., w - 1 - r : w - 1][..., ::-1]
+        out[..., :r, :] = out[..., r + 1 : 2 * r + 1, :][..., ::-1, :]
+        out[..., r + h :, :] = out[..., h - 1 : r + h - 1, :][..., ::-1, :]
     return out
 
 
@@ -145,21 +177,19 @@ def separable_filter(plane: np.ndarray, taps: np.ndarray, spacing: int = 1) -> n
     comes out +0.0).  Any other plane or taps are summed in float64, where
     folding moves results by a few ulps compared with sums in tap order.
 
-    The checks and the mirror padding are done here; the two passes are
+    The taps are checked here, :func:`mirror_pad` checks the reach and
+    pads straight into the working dtype, and the two passes are
     :func:`filter_padded`, which SSIM's row strips also call.
     """
     plane = np.asarray(plane)
-    h, w = plane.shape
+    if plane.ndim != 2:
+        raise ValueError(f"separable_filter expects a 2-D plane, got shape {plane.shape}")
     taps = np.asarray(taps, dtype=np.float64)
     if taps.ndim != 1 or len(taps) % 2 == 0 or not np.array_equal(taps, taps[::-1]):
         raise ValueError(f"separable_filter: taps {taps.tolist()} are not one odd symmetric vector")
-    reach = len(taps) // 2 * spacing
-    for axis, n in (("y", h), ("x", w)):
-        if reach > n - 1:
-            raise ValueError(f"separable_filter: {axis} reach {reach} exceeds n - 1 for n = {n}")
     whole = plane.dtype == np.uint8 and np.array_equal(taps, np.trunc(taps))
     dtype = np.int32 if whole and 255 * np.abs(taps).sum() ** 2 < 2**31 else np.float64
-    padded = np.pad(plane, reach, mode="reflect").astype(dtype, copy=False)
+    padded = mirror_pad(plane, len(taps) // 2 * spacing, dtype)
     return filter_padded(padded, taps, spacing).astype(np.float64, copy=False)
 
 

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .image import as_gray, check_same_shape, filter_padded
+from .image import as_gray, check_same_shape, filter_padded, mirror_pad
 
 __all__ = [
     "ConfusionCounts",
@@ -208,7 +208,7 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ValueError(f"ssim needs images of at least {SSIM_WINDOW}x{SSIM_WINDOW}")
     r = _SSIM_REACH
-    padded = np.pad(np.stack((x, y)), ((0, 0), (r, r), (r, r)), mode="reflect")
+    padded = mirror_pad(np.stack((x, y)), r)
     bounds = _ssim_strip_bounds(h, w)
     slab_buffer = np.empty(4 * (max(np.diff(bounds)) + 2 * r) * (w + 2 * r))
     ratio = np.empty((h, w))
@@ -298,11 +298,14 @@ def roc_curve_from_scores(score_image: np.ndarray, truth: np.ndarray) -> RocCurv
     img = as_gray(score_image)
     t = np.asarray(truth, dtype=bool)
     check_same_shape(img, t, "score vs truth")
-    pos = int(np.count_nonzero(t))
-    neg = t.size - pos
-    # tp(t) = count of positives with score >= t (suffix sums).
-    tp = np.cumsum(np.bincount(img[t], minlength=256)[::-1])[::-1]
-    fp = np.cumsum(np.bincount(img[~t], minlength=256)[::-1])[::-1]
+    # One count of every (score, truth) pair, in bin 2 * score + truth;
+    # its suffix sums give fp(t) and tp(t), the negatives and positives
+    # with score >= t, whose values at t = 0 are the class sizes.
+    key = np.left_shift(img, 1, dtype=np.uint16)
+    key |= t
+    counts = np.bincount(key.ravel(), minlength=512).reshape(256, 2)
+    fp, tp = np.cumsum(counts[::-1], axis=0)[::-1].T
+    neg, pos = fp[0], tp[0]
     tpr = tp / pos if pos > 0 else np.zeros(256)
     fpr = fp / neg if neg > 0 else np.zeros(256)
     return RocCurve(fpr=tuple(fpr.tolist()), tpr=tuple(tpr.tolist()))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image import as_gray, check_same_shape
+from .image import as_gray, check_same_shape, mirror_pad
 
 __all__ = [
     "SOBEL_MIN",
@@ -39,10 +39,11 @@ def gradient_magnitude(image: np.ndarray) -> np.ndarray:
     """Per-pixel sqrt(Gx^2 + Gy^2) with 3x3 Sobel kernels, as float64.
 
     Mirror boundary extension; requires SOBEL_MIN pixels or more per axis.
-    The image is padded once and both kernels run as a stencil on that
-    copy: each sums down the columns, then along the rows, adding in the
-    order of :func:`lcseg.image.filter_padded`'s fold, with the outer
-    samples' difference in place of their sum for taps (-1, 0, 1).  A uint8
+    The image is mirror-padded once, straight into its working dtype, and
+    both kernels run as a stencil on that copy: each sums down the
+    columns, then along the rows, adding in the order of
+    :func:`lcseg.image.filter_padded`'s fold, with the outer samples'
+    difference in place of their sum for taps (-1, 0, 1).  A uint8
     image is filtered, squared and summed in int32, where
     |Gx|, |Gy| <= 1020 and Gx^2 + Gy^2 <= 2,080,800 are exact, and only the
     square root is float64; that is the float64 run's result bit for bit.
@@ -51,8 +52,7 @@ def gradient_magnitude(image: np.ndarray) -> np.ndarray:
     img = np.asarray(image)
     if img.ndim != 2 or min(img.shape) < SOBEL_MIN:
         raise ValueError(f"gradient_magnitude needs an image of at least {SOBEL_MIN}x{SOBEL_MIN}")
-    p = np.pad(img, 1, mode="reflect")
-    p = p.astype(np.int32 if img.dtype == np.uint8 else np.float64, copy=False)
+    p = mirror_pad(img, 1, np.int32 if img.dtype == np.uint8 else np.float64)
     s = p[:-2] + p[2:]
     s += 2 * p[1:-1]
     gx = s[:, 2:] - s[:, :-2]
@@ -133,14 +133,19 @@ def h_minima(surface: np.ndarray, h: float) -> np.ndarray:
         inner[...] = nxt
         if count <= _FRONTIER_SHARE * surf.size:
             break
-    front = np.flatnonzero(np.pad(moved, 1))
+    # Flat indices into the padded frame: pixel p = i * w + j of the frame
+    # is (i + 1) * (w + 2) + j + 1 = p + 2 * i + w + 3 there, and the
+    # neighbours of a padded index are it + steps.
+    front = np.flatnonzero(moved)
+    w = surf.shape[1]
+    front += 2 * (front // w) + w + 3
     del nxt, moved  # the frontier passes need neither
 
-    # Flat indices into the padded frame: the neighbours of p are p + steps.
-    width = rec.shape[1]
-    steps = (-width, -1, 1, width)
+    steps = (-(w + 2), -1, 1, w + 2)
     value = rec.ravel()
-    floor = np.pad(surf, 1).ravel()
+    floor = np.zeros(rec.shape)  # the border is never read
+    floor[1:-1, 1:-1] = surf
+    floor = floor.ravel()
     near = np.zeros(rec.shape, dtype=bool)  # the next pass's pixels
     flat_near = near.ravel()
     while front.size:
@@ -426,5 +431,6 @@ def mask_boundary(mask: np.ndarray) -> np.ndarray:
     border are always boundary.
     """
     m = np.asarray(mask, dtype=bool)
-    p = np.pad(m, 1)  # the 4-neighbours, False outside the image
-    return m & ~(p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:])
+    out = m.copy()  # border pixels keep their value: boundary iff foreground
+    out[1:-1, 1:-1] &= ~(m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:])
+    return out

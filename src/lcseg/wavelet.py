@@ -35,6 +35,7 @@ __all__ = [
     "iuwt_decompose",
     "iuwt_reconstruct",
     "enhance_scales",
+    "enhance_pyramid",
     "min_size_for_levels",
     "check_size_for_levels",
     "check_scales",
@@ -126,6 +127,12 @@ def iuwt_reconstruct(pyramid: WaveletPyramid) -> np.ndarray:
     return out
 
 
+def _depth(levels: int, kept_scales: Sequence[int]) -> int:
+    """The deepest scale of 1..``levels`` not kept; 1 when all are kept."""
+    kept = set(kept_scales)
+    return max((j for j in range(1, levels + 1) if j not in kept), default=1)
+
+
 def enhance_scales(
     image: np.ndarray, levels: int, kept_scales: Sequence[int]
 ) -> np.ndarray:
@@ -148,11 +155,27 @@ def enhance_scales(
     """
     check_size_for_levels(np.shape(image), levels)
     check_scales(levels, kept_scales)
-    kept = set(kept_scales)
-    depth = max((j for j in range(1, levels + 1) if j not in kept), default=1)
-    c = iuwt_decompose(image, depth).approximations
+    pyramid = iuwt_decompose(image, _depth(levels, kept_scales))
+    return enhance_pyramid(pyramid, levels, kept_scales)
+
+
+def enhance_pyramid(
+    pyramid: WaveletPyramid, levels: int, kept_scales: Sequence[int]
+) -> np.ndarray:
+    """:func:`enhance_scales` of the image that ``pyramid`` decomposes.
+
+    It reads only the approximations c_0 .. c_d that the sum above uses,
+    so ``pyramid`` may be any depth from d up; a shallower one raises
+    ``ValueError``.  A caller that also needs the full ``levels``-deep
+    pyramid, such as ``lcseg decompose --dump-planes``, decomposes once.
+    """
+    check_scales(levels, kept_scales)
+    depth = _depth(levels, kept_scales)
+    if pyramid.levels < depth:
+        raise ValueError(f"the enhancement reads {depth} levels, the pyramid has {pyramid.levels}")
+    c = pyramid.approximations
     total = c[depth]
-    for j in sorted(kept):
+    for j in sorted(set(kept_scales)):
         if j <= depth:
             total = total + (c[j - 1] - c[j])
     return to_gray8(scale_to_255(total))

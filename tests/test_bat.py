@@ -328,6 +328,40 @@ def test_csv_six_significant_digits():
     assert rows[1] == "2,0.000123457"
 
 
+def _csv_per_row(history):
+    """convergence_csv as each row formatted on its own."""
+    rows = "".join(f"{t},{value:.6g}\n" for t, value in enumerate(history, start=1))
+    return "iteration,best_fitness\n" + rows
+
+
+_RISING = [0.5 + k / 7 for k in range(40)]
+_CSV_HISTORIES = {
+    "one_value": [1234.5678] * 500,
+    "steps": [v for v in (0.0, 3.25, 3.25000001, 1e-7, 812.345678) for _ in range(9)],
+    "all_distinct": _RISING,
+    "distinct_then_flat": _RISING + [_RISING[-1]] * 60,
+    "signed_zeros": [0.0, -0.0, 0.0, -0.0, -0.0, 1.0, 0.0],
+    "equal_after_rounding": [1.0000001, 1.0000002, 1.0000001, 1.0],
+    "non_finite": [math.inf, -math.inf, math.nan, math.inf, math.nan],
+    "numpy_scalars": list(np.float64([2.5, 2.5, 1e300, 2.5])),
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CSV_HISTORIES))
+def test_csv_equals_per_row_formatting(name):
+    """Formatting each distinct score once writes the same bytes as
+    formatting every row."""
+    history = _CSV_HISTORIES[name]
+    assert convergence_csv(_fake_state(history)) == _csv_per_row(history)
+
+
+def test_csv_of_a_run_equals_per_row_formatting():
+    img, _ = generate_phantom(PhantomSpec(64, 64, 16, 5, 20.0, 3))
+    _, state = optimize_threshold(img, BatParams(population=10, iterations=60, seed=5))
+    assert convergence_csv(state) == _csv_per_row(state.history)
+
+
 def test_csv_round_trip():
     img, _ = generate_phantom(PhantomSpec(64, 64, 16, 5, 10.0, 1))
     _, state = optimize_threshold(

@@ -6,7 +6,7 @@ import pytest
 from lcseg import bat
 from lcseg.cli import build_parser, main
 from lcseg.config import PipelineConfig, load_config
-from lcseg.image import read_pgm, write_pgm
+from lcseg.image import read_pgm, separable_filter, write_pgm
 
 
 def run_cli(*args):
@@ -339,6 +339,48 @@ def test_decompose_dump_planes(tmp_path, phantom_dir):
     assert (planes / "detail_1.pgm").exists()
     assert (planes / "detail_2.pgm").exists()
     assert (planes / "smooth.pgm").exists()
+
+
+@pytest.mark.parametrize("dump, filters", [(False, 1), (True, 3)], ids=["plain", "dump-planes"])
+def test_decompose_filters_each_level_once(dump, filters, monkeypatch, tmp_path, phantom_dir):
+    """Scales 2 and 3 of 3 read c_1 alone; the planes need all 3 levels,
+    and the enhanced image comes from that same pyramid, byte for byte."""
+    import lcseg.wavelet
+
+    calls = []
+
+    def counted(plane, taps, spacing=1):
+        calls.append(spacing)
+        return separable_filter(plane, taps, spacing)
+
+    monkeypatch.setattr(lcseg.wavelet, "separable_filter", counted)
+    out = tmp_path / "e.pgm"
+    args = ["--input", str(phantom_dir / "image.pgm"), "--levels", "3", "--kept", "2,3"]
+    planes = tmp_path / "planes"
+    dump_args = ["--dump-planes", str(planes)] if dump else []
+    assert run_cli("decompose", *args, "--out", str(out), *dump_args) == 0
+    assert len(calls) == filters
+    assert run_cli("decompose", *args, "--out", str(tmp_path / "plain.pgm")) == 0
+    assert out.read_bytes() == (tmp_path / "plain.pgm").read_bytes()
+    if dump:
+        names = ["detail_1.pgm", "detail_2.pgm", "detail_3.pgm", "smooth.pgm"]
+        assert sorted(p.name for p in planes.iterdir()) == names
+
+
+def test_decompose_dump_planes_rejects_bad_kept_scales_before_the_transform(
+    monkeypatch, tmp_path, phantom_dir, capsys
+):
+    import lcseg.cli
+
+    calls = []
+    monkeypatch.setattr(lcseg.cli, "iuwt_decompose", lambda *a: calls.append(a))
+    code = run_cli(
+        "decompose", "--input", str(phantom_dir / "image.pgm"), "--levels", "3",
+        "--kept", "4", "--out", str(tmp_path / "e.pgm"), "--dump-planes", str(tmp_path / "p"),
+    )
+    assert code == 2
+    assert "kept_scales (4,) outside the wavelet levels 1..3" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "e.pgm").exists() and not (tmp_path / "p").exists()
 
 
 @pytest.mark.parametrize("h_min", ["-1", "nan"])

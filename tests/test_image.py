@@ -11,6 +11,7 @@ from lcseg.image import (
     generate_phantom,
     labels_to_gray8,
     mask_to_gray8,
+    mirror_pad,
     read_pgm,
     scale_to_255,
     separable_filter,
@@ -230,6 +231,79 @@ def test_separable_filter_falls_back_to_float64_past_int32_gain(taps):
     assert got.dtype == np.float64
     assert np.array_equal(got, oracle_folded(plane.astype(np.float64), taps, 1))
     assert got.max() >= 255 * sum(taps) ** 2 / len(taps) ** 2
+
+
+# Leading axes, then the padded (h, w): each pair pads by 0 .. min(h, w) - 1,
+# so every reach up to n - 1 is tried on each axis, the short one included.
+MIRROR_SHAPES = [(), (3,), (2, 2)]
+MIRROR_PLANES = [(1, 6), (6, 1), (2, 5), (5, 2), (4, 9), (9, 4), (7, 7)]
+# (input dtype, requested dtype, the dtype np.pad's result is cast to)
+MIRROR_DTYPES = [
+    (np.uint8, np.int32, np.int32),
+    (np.uint8, np.float64, np.float64),
+    (np.float64, None, np.float64),
+]
+
+
+def _reflect(a, reach):
+    """np.pad's mirror extension of the last two axes only."""
+    return np.pad(a, [(0, 0)] * (a.ndim - 2) + [(reach, reach)] * 2, mode="reflect")
+
+
+@pytest.mark.parametrize("lead", MIRROR_SHAPES, ids=str)
+@pytest.mark.parametrize("plane", MIRROR_PLANES, ids=str)
+@pytest.mark.parametrize("dtypes", MIRROR_DTYPES, ids=lambda d: f"{d[0].__name__}-{d[1]}")
+def test_mirror_pad_equals_np_pad_reflect(lead, plane, dtypes):
+    """Every reach from 0 to n - 1 of the shorter axis, with 0-2 leading
+    axes, in the working dtype; the input stays as it was."""
+    src, dtype, want_dtype = dtypes
+    a = (np.random.default_rng(15).random((*lead, *plane)) * 255).astype(src)
+    before = a.copy()
+    for reach in range(min(plane)):
+        got = mirror_pad(a, reach, dtype)
+        want = _reflect(a, reach).astype(want_dtype)
+        assert got.dtype == want_dtype
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize(
+    "view",
+    [
+        lambda a: a[::2, ::-1],
+        lambda a: a.T,
+        lambda a: a[1:-1, 3:7],
+        lambda a: np.stack((a, a[::-1]))[:, ::3, ::2],
+        lambda a: np.broadcast_to(a[3], (5, 9)),
+    ],
+    ids=["strided-reversed", "transposed", "inner-window", "stacked-strided", "broadcast"],
+)
+def test_mirror_pad_reads_non_contiguous_views(view):
+    a = view(np.random.default_rng(16).integers(0, 256, size=(11, 9), dtype=np.uint8))
+    for reach in range(min(a.shape[-2:])):
+        for dtype in (None, np.int32, np.float64):
+            got = mirror_pad(a, reach, dtype)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, _reflect(a, reach))
+
+
+@pytest.mark.parametrize("axis", ["y", "x"])
+def test_mirror_pad_rejects_reach_past_one_mirror(axis):
+    a = np.zeros((3, 6) if axis == "y" else (6, 3))
+    assert mirror_pad(a, 2).shape == ((7, 10) if axis == "y" else (10, 7))
+    with pytest.raises(ValueError, match=f"{axis} reach 3 exceeds n - 1 for n = 3"):
+        mirror_pad(a, 3)
+
+
+@pytest.mark.parametrize("reach", [-1, 1.0, True])
+def test_mirror_pad_rejects_a_reach_that_is_not_a_count(reach):
+    with pytest.raises(ValueError, match="reach must be an integer of at least 0"):
+        mirror_pad(np.zeros((4, 4)), reach)
+
+
+def test_mirror_pad_needs_two_axes():
+    with pytest.raises(ValueError, match="at least 2 axes"):
+        mirror_pad(np.zeros(5), 1)
 
 
 def test_read_p5_direct_bytes(tmp_path):

@@ -557,6 +557,24 @@ def test_h_minima_matches_oracle_at_scale(name, share):
         assert np.array_equal(h_minima(surf, depth), oracle_h_minima(surf, depth))
 
 
+def _line_surface(length, seed):
+    """A random walk of whole steps: pits of every depth, some wide and
+    shallow, whose filling runs for many passes over few pixels."""
+    steps = np.random.default_rng(seed).integers(-3, 4, size=length)
+    return np.cumsum(steps).astype(np.float64)
+
+
+@pytest.mark.parametrize("share", sorted(SWITCH_SHARES))
+@pytest.mark.parametrize("shape", [(1, 240), (240, 1), (2, 120), (120, 2)], ids=str)
+def test_h_minima_matches_oracle_on_one_and_two_line_surfaces(shape, share):
+    """A frame one or two pixels across puts every pixel next to the
+    border, where the frontier's padded indices wrap if mis-shifted."""
+    surf = _line_surface(shape[0] * shape[1], shape[0]).reshape(shape)
+    with mock.patch.object(lcseg.watershed, "_FRONTIER_SHARE", SWITCH_SHARES[share]):
+        for depth in (2.0, 5.0, 20.0):
+            assert np.array_equal(h_minima(surf, depth), oracle_h_minima(surf, depth))
+
+
 # ---------------------------------------------------------------------------
 # Watershed cut
 # ---------------------------------------------------------------------------
@@ -985,6 +1003,32 @@ def test_geometry_sweep_end_to_end_mask(period, beam, sigma):
 # ---------------------------------------------------------------------------
 # mask_boundary
 # ---------------------------------------------------------------------------
+
+def oracle_boundary(mask):
+    """Foreground pixels with a 4-neighbour off the image or in the background."""
+    rows, cols = mask.shape
+    out = np.zeros_like(mask)
+    for y in range(rows):
+        for x in range(cols):
+            out[y, x] = mask[y, x] and any(
+                not (0 <= y + dy < rows and 0 <= x + dx < cols) or not mask[y + dy, x + dx]
+                for dy, dx in NEIGHBORS
+            )
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 7), (7, 1), (2, 9), (9, 2), (3, 3), (12, 17)], ids=str
+)
+def test_boundary_matches_oracle_on_random_masks(shape):
+    rng = np.random.default_rng(sum(shape))
+    for density in (0.1, 0.5, 0.9, 1.0):
+        m = rng.uniform(size=shape) < density
+        before = m.copy()
+        b = mask_boundary(m)
+        assert b.dtype == bool and np.array_equal(b, oracle_boundary(m))
+        assert np.array_equal(m, before)
+
 
 def test_boundary_empty_mask():
     assert not mask_boundary(np.zeros((5, 5), dtype=bool)).any()

@@ -11,6 +11,7 @@ from lcseg.pipeline import run_pipeline
 from lcseg.wavelet import (
     check_scales,
     check_size_for_levels,
+    enhance_pyramid,
     enhance_scales,
     iuwt_decompose,
     iuwt_reconstruct,
@@ -317,6 +318,8 @@ def test_enhance_matches_full_pyramid_bit_for_bit(case):
     got = enhance_scales(img, levels, kept)
     assert got.dtype == np.uint8
     assert got.tobytes() == _oracle_enhance(img, levels, kept).tobytes()
+    full = enhance_pyramid(iuwt_decompose(img, levels), levels, kept)
+    assert full.tobytes() == got.tobytes()
 
 
 @pytest.fixture
@@ -343,6 +346,30 @@ def test_enhance_decomposes_to_the_deepest_dropped_scale(levels, kept, depth, de
     img, _ = generate_phantom(PhantomSpec(32, 32, 16, 5, 20.0, 3))
     assert np.array_equal(enhance_scales(img, levels, kept), _oracle_enhance(img, levels, kept))
     assert decompose_depths == [depth]
+
+
+@pytest.mark.parametrize(
+    "levels, kept, depth",
+    [(3, (2, 3), 1), (3, (1, 2), 3), (3, (1, 3), 2), (3, (1, 2, 3), 1), (4, (3,), 4)],
+)
+def test_enhance_pyramid_reads_any_pyramid_deep_enough(levels, kept, depth):
+    """Every depth from the deepest dropped scale up gives enhance_scales'
+    bytes; a shallower pyramid raises."""
+    img, _ = generate_phantom(PhantomSpec(40, 40, 16, 5, 20.0, 4))
+    want = enhance_scales(img, levels, kept)
+    for d in range(depth, levels + 1):
+        assert enhance_pyramid(iuwt_decompose(img, d), levels, kept).tobytes() == want.tobytes()
+    for d in range(1, depth):
+        with pytest.raises(ValueError, match=f"reads {depth} levels, the pyramid has {d}"):
+            enhance_pyramid(iuwt_decompose(img, d), levels, kept)
+
+
+def test_enhance_pyramid_checks_the_kept_scales():
+    pyramid = iuwt_decompose(np.zeros((20, 20), dtype=np.uint8), 3)
+    with pytest.raises(ValueError, match="outside the wavelet levels 1..3"):
+        enhance_pyramid(pyramid, 3, (4,))
+    with pytest.raises(ValueError, match="kept_scales must be non-empty"):
+        enhance_pyramid(pyramid, 3, ())
 
 
 def test_default_pipeline_decomposes_one_level_per_image(decompose_depths):

@@ -27,7 +27,7 @@ offset (only when the walk is taken) and the acceptance coin, so the
 cursor advances by 4 with the walk and by 3 without; the row's tail is
 never read.  A draw d stands for ``uniform()`` and -1 + 2d for
 ``uniform(-1, 1)``, which numpy computes the same way, so the row
-yields bit for bit the values scalar draws in that order would.  x_best
+gives bit for bit the values scalar draws in that order would.  x_best
 and the mean loudness are snapshotted at the start of each iteration
 (the mean is recomputed only after some loudness changed) and the bats
 are updated in bat order, so a bat's move never depends on another bat's
@@ -55,14 +55,11 @@ score.  The run ends at the first stretch that starts so settled, and
 the final state is what the loop would end with, since only the cursors
 and velocities, which the state does not hold, would still move.
 ``bat_optimize`` stops earlier, at the first stretch that starts with
-the answer final, and returns a state holding the answer; the first read
-of ``positions``, ``loudness``, ``pulse_rate`` or ``evaluations``, or a
-``repr``, ``pickle`` or ``copy`` of the state, resumes the same loop to the
-settled end, so each field is the loop's value bit for bit.  Until then
-the state holds the per-bat loop state, a copy of the score table and
-the cached draw rows, none of a stretch's arrays; a run whose rows are
-not cached forms its population before it returns.  Two threads must
-not make the first population read of one state at once.
+the answer final, and returns a state holding the answer, the
+parameters and the score table.  The first read of ``positions``,
+``loudness``, ``pulse_rate`` or ``evaluations`` runs the same loop
+again from them to the settled end, so each field is the loop's value
+bit for bit; for rows over 8 MiB that run builds the rows again.
 
 Ties: ``best_position`` is the first position scored at the best score,
 in scoring order: the initial positions in bat order, then each
@@ -86,7 +83,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,60 +156,48 @@ class BatParams:
 
 @dataclass
 class BatState:
-    """Final population state and the per-iteration best-fitness history.
+    """A run's answer and the inputs that reproduce its final population.
 
-    ``evaluations`` counts the positions looked up in the table: the
-    initial population and every candidate built, those discarded past an
-    event included.  perfbench's traced run reads ``loudness``,
-    ``history`` and ``best_fitness``, so those fields must stay.
-
-    ``bat_optimize`` may return a state whose ``best_position``,
-    ``best_fitness`` and ``history`` are final while the population is
-    not yet formed; the first read of ``positions``, ``loudness``,
-    ``pulse_rate`` or ``evaluations`` runs the rest of the run and
-    leaves a plain ``BatState``, as do ``repr``, ``pickle`` and
-    ``copy``.  Two threads must not make that first read of one state
-    at once.
+    ``best_position``, ``best_fitness`` and the per-iteration best-fitness
+    ``history`` are final when ``bat_optimize`` returns.  The first read
+    of ``positions``, ``loudness``, ``pulse_rate`` or ``evaluations``
+    runs the same loop again, from ``params`` and the read-only
+    ``table``, to its settled end (see the module docstring) and keeps
+    that population.  ``evaluations`` counts the positions looked up in
+    the table: the initial population and every candidate built, those
+    discarded past an event included.  perfbench's traced run reads
+    ``loudness``, ``history`` and ``best_fitness``, so those fields must
+    stay.
     """
 
-    positions: np.ndarray
-    loudness: np.ndarray
-    pulse_rate: np.ndarray
+    params: BatParams
+    table: np.ndarray = field(repr=False)
     best_position: float
     best_fitness: float
     history: list[float]
-    evaluations: int
 
+    @functools.cached_property
+    def _population(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        positions, loudness, pulse_rate, *_, evaluations = _run(
+            self.params, self.table, settle=True
+        )
+        return positions, loudness, pulse_rate, evaluations
 
-class _InFlight(BatState):
-    """A state whose run is suspended once its answer was final."""
+    @property
+    def positions(self) -> np.ndarray:
+        return self._population[0]
 
-    def __init__(self, flight, best_position, best_fitness, history):
-        self._flight = flight
-        self.best_position, self.best_fitness, self.history = best_position, best_fitness, history
+    @property
+    def loudness(self) -> np.ndarray:
+        return self._population[1]
 
-    def __getattr__(self, name):  # called only for a name the state does not hold
-        if name not in ("positions", "loudness", "pulse_rate", "evaluations"):
-            raise AttributeError(name)
-        self._settle()
-        return getattr(self, name)
+    @property
+    def pulse_rate(self) -> np.ndarray:
+        return self._population[2]
 
-    def __reduce_ex__(self, protocol):
-        self._settle()
-        return self.__reduce_ex__(protocol)
-
-    def __repr__(self):
-        self._settle()
-        return repr(self)
-
-    def _settle(self):
-        """Resume the run to its settled end; the state becomes a plain ``BatState``."""
-        try:
-            next(self._flight)
-        except StopIteration as landed:
-            vars(self).update(vars(landed.value))
-        del self._flight
-        self.__class__ = BatState
+    @property
+    def evaluations(self) -> int:
+        return self._population[3]
 
 
 def bat_optimize(params: BatParams, table: np.ndarray) -> BatState:
@@ -221,37 +206,32 @@ def bat_optimize(params: BatParams, table: np.ndarray) -> BatState:
     ``table`` holds the 256 finite scores of the integer thresholds 0..255,
     higher being better; a position x in [0, 255] scores ``table[floor(x)]``.
     Positions are clamped to [0, 255] after every move.  The run stops
-    once its answer is final, and the returned state forms its population
-    on first read (see ``BatState``); a run whose draw rows are not cached
-    forms it before returning.  See the module docstring.
+    once its answer is final; the first population read of the returned
+    state runs the bat again to its settled end (see ``BatState``).  See
+    the module docstring.
     """
-    table = np.array(table, dtype=np.float64)  # a copy: a suspended run reads it later
+    table = np.array(table, dtype=np.float64)  # a copy: a population read runs on it later
     if table.shape != (256,) or not np.isfinite(table).all():
         raise ValueError("the score table must hold 256 finite values")
+    table.flags.writeable = False
+    _, _, _, best_position, best_fitness, history, _ = _run(params, table, settle=False)
+    return BatState(params, table, best_position, best_fitness, history)
+
+
+def _run(params: BatParams, table: np.ndarray, settle: bool):
+    """The loop of ``bat_optimize``.
+
+    Runs until every bat scores the table's maximum or the iterations
+    run out; without ``settle``, also stops once the best does, where
+    the answer is final and the history whole.  Returns positions,
+    loudness, pulse_rate, best_position, best_fitness, history and
+    evaluations.
+    """
     n, iterations = params.population, params.iterations
     # Rows over 8 MiB (8 B per draw) serve this call only.
     cached = n * (1 + 4 * iterations) * 8 <= 8 << 20
     draws = (_draw_tables if cached else _draw_tables.__wrapped__)(params.seed, n, iterations)
-    flight = _flight(params, table, draws)
-    try:
-        state = _InFlight(flight, *next(flight))
-    except StopIteration as landed:  # the population was final with the answer
-        return landed.value
-    if not cached:  # a suspended run would hold the rows
-        state._settle()
-    return state
-
-
-def _flight(params: BatParams, table: np.ndarray, draws: np.ndarray):
-    """The run of ``bat_optimize`` as a generator.
-
-    Yields (best_position, best_fitness, history) once the best scores
-    the table's maximum while some bat does not, the history whole; then
-    returns the final ``BatState`` once every bat does or the iterations
-    run out.
-    """
     top = table.max()
-    n, iterations = params.population, params.iterations
     flat = draws.ravel()
     coins = flat[1:]  # coins[c]: the walk coin of an iteration that starts at c
     cursors = np.arange(1, flat.size, draws.shape[1])  # flat indices, at draw 1 of each row
@@ -268,19 +248,14 @@ def _flight(params: BatParams, table: np.ndarray, draws: np.ndarray):
 
     f_min, f_span = params.f_min, params.f_max - params.f_min
     # history[t - 1] is the best score after iteration t, written out up
-    # to the iteration before each event and in full once it is final.
+    # to the iteration before each event and in full at the end.
     history: list[float] = []
     # numpy's pairwise sum over n, as np.mean adds: the pinned artifacts use it.
     mean_loudness = float(np.add.reduce(loudness) / n)
     t, stretch = 1, _FIRST_STRETCH
-    while t <= iterations and fitnesses.min() < top:  # once settled, no event can follow
-        if best_fitness == top and len(history) < iterations:
-            # The answer is final.  Suspend holding the per-bat state
-            # only, not the arrays of the last stretch or views of them.
-            history += [top] * (iterations - len(history))
-            velocities, cursors = velocities.copy(), cursors.copy()
-            path = here = there = at = after = vel = walk = cand = fit = accept = event = None
-            yield best_position, best_fitness, history
+    # Once settled, no event can follow; once the best scores the top,
+    # the answer is final.
+    while t <= iterations and fitnesses.min() < top and (settle or best_fitness < top):
         # Iterations t, t + 1, ... evaluated as if none held an event.
         length = min(stretch, iterations + 1 - t)
         path = np.empty((length + 1, n), dtype=np.intp)
@@ -326,9 +301,7 @@ def _flight(params: BatParams, table: np.ndarray, draws: np.ndarray):
         t += 1
 
     history += [best_fitness] * (iterations - len(history))
-    return BatState(
-        positions, loudness, pulse_rate, best_position, best_fitness, history, evaluations
-    )
+    return positions, loudness, pulse_rate, best_position, best_fitness, history, evaluations
 
 
 @functools.lru_cache(maxsize=1)

@@ -40,6 +40,13 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_DEGENERATE = 3
 
+# The options that name a file or directory, by dest; each must not be empty.
+_PATH_OPTIONS = (
+    "input", "config", "out", "dump_planes", "out_csv", "out_baseline_csv",
+    "out_labels", "out_mask", "out_overlay", "pred", "truth", "pred_img", "truth_img",
+    "score", "baseline",
+)
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser that reports usage errors with exit code 1."""
@@ -175,8 +182,6 @@ def _cmd_roc(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.out == "":
-        raise ValueError("--out must not be empty")
     cfg = _load_pipeline_config(args)
     out_dir = cfg.output_dir if args.out is None else args.out
     image = read_pgm(args.input)
@@ -281,6 +286,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for dest in _PATH_OPTIONS:
+            if getattr(args, dest, None) == "":
+                raise ValueError(f"--{dest.replace('_', '-')} must not be empty")
         return args.func(args)
     except (PipelineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,10 @@ import hashlib
 import io
 import math
 import pickle
+import sys
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from hypothesis.extra.numpy import arrays
 
 from lcseg.bat import (
     BatParams,
-    BatState,
     _draw_tables,
     bat_optimize,
     between_class_variance,
@@ -95,7 +97,7 @@ def oracle_bat(params, table):
                 best_position = cand
         history.append(best_fitness)
 
-    return BatState(
+    return types.SimpleNamespace(
         positions=np.array(positions),
         loudness=np.array(loudness),
         pulse_rate=np.array(pulse_rate),
@@ -596,8 +598,9 @@ def test_interleaved_parameter_sets_each_read_their_own_draw_tables():
         assert record(bat_optimize(params, table)) == expected, params
     hits = _draw_tables.cache_info().hits
     params, record, expected = oracle(0, r0=0.1)
-    assert record(bat_optimize(params, table)) == expected
+    state = bat_optimize(params, table)
     assert _draw_tables.cache_info().hits == hits + 1
+    assert record(state) == expected
 
 
 def test_cached_draw_tables_are_read_only_and_never_rewritten():
@@ -628,12 +631,14 @@ def test_tables_over_8_mib_are_built_per_call_and_not_cached():
     assert _state_bytes(got) == _state_bytes(oracle_bat(large, table))
     after = _draw_tables.cache_info()
     assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, 1)
-    assert _state_record(bat_optimize(default, table)) == pin
+    state = bat_optimize(default, table)
     assert _draw_tables.cache_info().hits == before.hits + 1
+    assert _state_record(state) == pin
+    before = _draw_tables.cache_info()
     below = BatParams(iterations=13106, seed=1)
     assert bat_optimize(below, table).history == bat_optimize(below, table).history
     after = _draw_tables.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 2, before.misses + 1)
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -690,14 +695,13 @@ def test_settled_tail_scores_no_candidate():
     "copier", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy], ids=["pickle", "deepcopy"]
 )
 def test_an_unsettled_state_survives_copying(copier):
-    """A copy of a state whose population is not yet formed forms it
-    first: the copy and the original are the oracle's final state."""
+    """A copy of a state whose population was never read forms the same
+    population on its own first read: the copy and the original are the
+    oracle's final state."""
     img, _ = generate_phantom(PhantomSpec(128, 128, 32, 10, 20.0, 1))
     params = BatParams(seed=0)
     _, state = optimize_threshold(img, params)
-    assert type(state) is not BatState  # the run stopped with its answer
     copied = copier(state)
-    assert type(copied) is BatState and type(state) is BatState
     want = _state_bytes(oracle_bat(params, between_class_variance(histogram(img))))
     assert _state_bytes(copied) == want
     assert _state_bytes(state) == want
@@ -705,10 +709,9 @@ def test_an_unsettled_state_survives_copying(copier):
 
 
 def test_a_returned_state_holds_no_stretch_and_no_per_call_rows():
-    """A run whose draw rows are built for one call forms its population
-    before it returns, so it holds none of its 8.4 MB of rows; with the
-    cached rows, a state whose population is not yet formed holds the
-    per-bat loop state and the score table, not a stretch's arrays."""
+    """A state holds its answer, its parameters and the score table, not
+    its draw rows (8.4 MB for the large run, built for one call) and not
+    a stretch's arrays."""
     table = _pinned_table()
     default = BatParams()
     bat_optimize(default, table)  # caches the default draw rows
@@ -716,15 +719,44 @@ def test_a_returned_state_holds_no_stretch_and_no_per_call_rows():
     try:
         base = tracemalloc.get_traced_memory()[0]
         large = bat_optimize(BatParams(iterations=13107, seed=1), table)
-        assert type(large) is BatState
         assert tracemalloc.get_traced_memory()[0] - base < 1 << 20
         del large
         base = tracemalloc.get_traced_memory()[0]
         state = bat_optimize(default, table)
-        assert type(state) is not BatState
         assert tracemalloc.get_traced_memory()[0] - base < 16 << 10
     finally:
         tracemalloc.stop()
-    assert repr(state).startswith("BatState(positions=array(")  # forms the population
-    assert type(state) is BatState
+    assert _state_bytes(state) == _state_bytes(oracle_bat(default, table))
     assert _state_record(state) == _PINNED_STATES[("otsu", "default", 0)]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_two_threads_may_make_the_first_population_read_together(seed):
+    """Two threads released together both read the oracle's loudness
+    from one state whose population was never read."""
+    img, _ = generate_phantom(PhantomSpec(128, 128, 32, 10, 20.0, seed))
+    params = BatParams(seed=seed)
+    _, state = optimize_threshold(img, params)
+    want = oracle_bat(params, between_class_variance(histogram(img))).loudness.tobytes()
+    barrier = threading.Barrier(2)
+    got, errors = [], []
+
+    def read():
+        barrier.wait()
+        try:
+            got.append(state.loudness.tobytes())
+        except Exception as exc:  # reported below, not lost with the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=read) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that the reads overlap
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert got == [want, want]

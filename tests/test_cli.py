@@ -182,6 +182,85 @@ def test_run_empty_out_exits_2_before_running(tmp_path, phantom_dir, monkeypatch
     assert not list(work.iterdir())
 
 
+# Each subcommand's required options, with every file it reads in the
+# phantom directory and every file it writes in the working directory.
+_REQUIRED = {
+    "synth": ["--size", "32", "--out", "synth"],
+    "decompose": ["--input", "{ph}/image.pgm", "--out", "dec.pgm"],
+    "optimize": ["--input", "{ph}/image.pgm"],
+    "equalize": ["--input", "{ph}/image.pgm", "--out", "eq.pgm"],
+    "segment": ["--input", "{ph}/image.pgm"],
+    "evaluate": ["--pred", "{ph}/truth.pgm", "--truth", "{ph}/truth.pgm"],
+    "roc": [
+        "--score", "{ph}/image.pgm", "--truth", "{ph}/truth.pgm", "--baseline", "{ph}/image.pgm",
+    ],
+    "run": ["--input", "{ph}/image.pgm", "--config", "{fast}", "--out", "run"],
+}
+
+_PATH_OPTIONS = [
+    ("synth", "--out"),
+    ("decompose", "--input"),
+    ("decompose", "--out"),
+    ("decompose", "--dump-planes"),
+    ("optimize", "--input"),
+    ("optimize", "--config"),
+    ("optimize", "--out-csv"),
+    ("equalize", "--input"),
+    ("equalize", "--out"),
+    ("segment", "--input"),
+    ("segment", "--out-labels"),
+    ("segment", "--out-mask"),
+    ("segment", "--out-overlay"),
+    ("evaluate", "--pred"),
+    ("evaluate", "--truth"),
+    ("evaluate", "--pred-img"),
+    ("evaluate", "--truth-img"),
+    ("evaluate", "--out-csv"),
+    ("roc", "--score"),
+    ("roc", "--truth"),
+    ("roc", "--baseline"),
+    ("roc", "--out-csv"),
+    ("roc", "--out-baseline-csv"),
+    ("run", "--input"),
+    ("run", "--truth"),
+    ("run", "--config"),
+    ("run", "--out"),
+]
+
+
+def test_path_options_are_every_string_option_but_kept():
+    """``_PATH_OPTIONS`` names every option that takes a path; only
+    ``--kept`` takes another kind of string."""
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    found = {
+        (name, action.option_strings[0])
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.option_strings and action.nargs is None and action.type is None
+    }
+    assert found - set(_PATH_OPTIONS) == {("decompose", "--kept")}
+    assert set(_PATH_OPTIONS) <= found
+
+
+@pytest.mark.parametrize("command, option", _PATH_OPTIONS)
+def test_an_empty_path_option_exits_2_before_running(
+    command, option, tmp_path, phantom_dir, fast_config, monkeypatch, capsys
+):
+    """An empty path is neither the working directory nor a skipped
+    output: the command exits 2 naming the option and writes nothing."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = [a.format(ph=phantom_dir, fast=fast_config) for a in _REQUIRED[command]]
+    if option in argv:
+        argv[argv.index(option) + 1] = ""
+    else:
+        argv += [option, ""]
+    assert run_cli(command, *argv) == 2
+    assert f"{option} must not be empty" in capsys.readouterr().err
+    assert not list(work.iterdir())
+
+
 def test_run_out_overrides_the_config_output_dir(tmp_path, phantom_dir):
     config = tmp_path / "dir.ini"
     config.write_text(FAST_CONFIG + "\n[pipeline]\noutput_dir = " + str(tmp_path / "from-config") + "\n")
